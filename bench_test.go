@@ -142,7 +142,8 @@ func BenchmarkBaseRatesSection3(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		br = analysis.ComputeBaseRates(w.Log, w.Cfg.Start, w.End(), active)
+		br = analysis.Fold(w.Log, analysis.NewBaseRatesBuilder(w.Cfg.Start)).
+			BaseRates(w.Cfg.Start, w.End(), active)
 	}
 	b.StopTimer()
 	if br.HijacksPerMillionActivePerDay > 60 {
@@ -159,7 +160,7 @@ func BenchmarkTable2PhishingTargets(b *testing.B) {
 	var t2 analysis.Table2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t2 = analysis.ComputeTable2(w.Log, 100)
+		t2 = analysis.Fold(w.Log, analysis.NewPhishSampleBuilder()).Table2(100)
 	}
 	b.StopTimer()
 	if t2.EmailShares[event.TargetMail] <= t2.EmailShares[event.TargetSocial] {
@@ -184,7 +185,7 @@ func BenchmarkFigure3Referrers(b *testing.B) {
 	var f3 analysis.Figure3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f3 = analysis.ComputeFigure3(w.Log, 100)
+		f3 = analysis.Fold(w.Log, analysis.NewFigure3Builder()).Figure3(100)
 	}
 	b.StopTimer()
 	if f3.BlankShare < 0.98 {
@@ -199,7 +200,7 @@ func BenchmarkFigure4PhishedTLDs(b *testing.B) {
 	var f4 analysis.Figure4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f4 = analysis.ComputeFigure4(w.Log, 100)
+		f4 = analysis.Fold(w.Log, analysis.NewFigure4Builder()).Figure4(100)
 	}
 	b.StopTimer()
 	if len(f4.Shares) == 0 || f4.Shares[0].Key != "edu" {
@@ -214,7 +215,7 @@ func BenchmarkFigure5SuccessRates(b *testing.B) {
 	var f5 analysis.Figure5
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f5 = analysis.ComputeFigure5(w.Log, 100, 25)
+		f5 = analysis.Fold(w.Log, analysis.NewFigure5Builder()).Figure5(100, 25)
 	}
 	b.StopTimer()
 	if f5.Mean < 0.08 || f5.Mean > 0.22 {
@@ -230,7 +231,7 @@ func BenchmarkFigure6SubmissionProfile(b *testing.B) {
 	var f6 analysis.Figure6
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f6 = analysis.ComputeFigure6(w.Log, 100)
+		f6 = analysis.Fold(w.Log, analysis.NewFigure6Builder()).Figure6(100)
 	}
 	b.StopTimer()
 	if len(f6.StandardAvg) == 0 || len(f6.Outlier) == 0 {
@@ -248,7 +249,7 @@ func BenchmarkFigure7DecoyAccess(b *testing.B) {
 	var f7 analysis.Figure7
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f7 = analysis.ComputeFigure7(w.Log)
+		f7 = analysis.Fold(w.Log, analysis.NewFigure7Builder()).Figure7()
 	}
 	b.StopTimer()
 	if f7.Within7Hours <= f7.Within30Min || f7.Within7Hours == 0 {
@@ -267,7 +268,7 @@ func BenchmarkFigure8IPActivity(b *testing.B) {
 	var f8 analysis.Figure8
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f8 = analysis.ComputeFigure8(w.Log)
+		f8 = analysis.Fold(w.Log, analysis.NewFigure8Builder()).Figure8()
 	}
 	b.StopTimer()
 	if f8.MaxAccountsPerIPDay > 10 {
@@ -289,7 +290,7 @@ func BenchmarkTable3SearchTerms(b *testing.B) {
 	var t3 analysis.Table3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t3 = analysis.ComputeTable3(w.Log)
+		t3 = analysis.Fold(w.Log, analysis.NewTable3Builder()).Table3()
 	}
 	b.StopTimer()
 	if t3.FinanceShare < 0.75 {
@@ -307,7 +308,7 @@ func BenchmarkAssessmentSection52(b *testing.B) {
 	var a analysis.Assessment
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a = analysis.ComputeAssessment(w.Log, 575)
+		a = analysis.Fold(w.Log, analysis.NewAssessmentBuilder()).Assessment(575)
 	}
 	b.StopTimer()
 	if a.MeanDuration < 2*time.Minute || a.MeanDuration > 4*time.Minute {
@@ -327,7 +328,7 @@ func BenchmarkExploitationSection53(b *testing.B) {
 	var e analysis.Exploitation
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e = analysis.ComputeExploitation(w.Log, 575)
+		e = analysis.Fold(w.Log, analysis.NewExploitationBuilder()).Exploitation(575)
 	}
 	b.StopTimer()
 	if e.RecipientsDelta <= e.VolumeDelta {
@@ -344,7 +345,8 @@ func BenchmarkContactRiskSection53(b *testing.B) {
 	var cr analysis.ContactRisk
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cr = analysis.ComputeContactRisk(w.Log, w.Dir, cutoff, 8*24*time.Hour, 56*24*time.Hour, 3000)
+		cr = analysis.Fold(w.Log, analysis.NewContactRiskBuilder()).
+			ContactRisk(w.Dir, cutoff, 8*24*time.Hour, 56*24*time.Hour, 3000)
 	}
 	b.StopTimer()
 	if cr.Multiplier < 5 {
@@ -363,8 +365,8 @@ func BenchmarkRetentionSection54(b *testing.B) {
 	var r11, r12 analysis.Retention
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r11 = analysis.ComputeRetention(old.Log, 600)
-		r12 = analysis.ComputeRetention(cur.Log, 575)
+		r11 = analysis.Fold(old.Log, analysis.NewRetentionBuilder()).Retention(600)
+		r12 = analysis.Fold(cur.Log, analysis.NewRetentionBuilder()).Retention(575)
 	}
 	b.StopTimer()
 	if r11.MassDeleteGivenLockout <= r12.MassDeleteGivenLockout {
@@ -385,7 +387,7 @@ func BenchmarkFigure9RecoveryLatency(b *testing.B) {
 	var f9 analysis.Figure9
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f9 = analysis.ComputeFigure9(w.Log, 5000)
+		f9 = analysis.Fold(w.Log, analysis.NewFigure9Builder()).Figure9(5000)
 	}
 	b.StopTimer()
 	if f9.Within13Hour <= f9.Within1Hour {
@@ -402,7 +404,7 @@ func BenchmarkFigure10RecoveryMethods(b *testing.B) {
 	var f10 analysis.Figure10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f10 = analysis.ComputeFigure10(w.Log, w.Cfg.Start, w.End())
+		f10 = analysis.Fold(w.Log, analysis.NewFigure10Builder()).Figure10(w.Cfg.Start, w.End())
 	}
 	b.StopTimer()
 	sms := f10.Methods[event.MethodSMS]
@@ -428,7 +430,7 @@ func BenchmarkFigure11IPCountries(b *testing.B) {
 	var f11 analysis.Figure11
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f11 = analysis.ComputeFigure11(w.Log, w.Plan, 3000)
+		f11 = analysis.Fold(w.Log, analysis.NewFigure11Builder()).Figure11(w.Plan, 3000)
 	}
 	b.StopTimer()
 	top2 := map[string]bool{}
@@ -455,7 +457,7 @@ func BenchmarkFigure12PhoneCountries(b *testing.B) {
 	var f12 analysis.Figure12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f12 = analysis.ComputeFigure12(w.Log, 300)
+		f12 = analysis.Fold(w.Log, analysis.NewFigure12Builder()).Figure12(300)
 	}
 	b.StopTimer()
 	if f12.Phones == 0 {
@@ -484,7 +486,8 @@ func BenchmarkRecoveryChannelsSection63(b *testing.B) {
 	var ch analysis.RecoveryChannels
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch = analysis.ComputeRecoveryChannels(w.Log, secTotal, secRecycled)
+		ch = analysis.Fold(w.Log, analysis.NewRecoveryChannelsBuilder()).
+			RecoveryChannels(secTotal, secRecycled)
 	}
 	b.StopTimer()
 	b.ReportMetric(ch.RecycledShare*100, "recycled-%")
@@ -534,7 +537,7 @@ func BenchmarkAblationRiskThreshold(b *testing.B) {
 	var pts []analysis.RiskOperatingPoint
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts = analysis.SweepRiskThreshold(w.Log, thresholds)
+		pts = analysis.Fold(w.Log, analysis.NewRiskSweepBuilder(thresholds)).Sweep()
 	}
 	b.StopTimer()
 	for _, pt := range pts {
@@ -593,7 +596,7 @@ func BenchmarkAblationBehaviorWindow(b *testing.B) {
 		for _, win := range windows {
 			cfg := behavior.DefaultConfig()
 			cfg.Window = win
-			ev := analysis.EvaluateBehaviorDetector(w.Log, cfg)
+			ev := analysis.Fold(w.Log, analysis.NewBehaviorEvalBuilder(cfg)).DetectionEval()
 			results[win] = res{ev.Recall, ev.MeanExposure}
 		}
 	}
@@ -635,8 +638,8 @@ func BenchmarkAblationNotifications(b *testing.B) {
 		wOff := ablationWorld(700+int64(i), func(c *core.Config) { c.Auth.NotificationsEnabled = false })
 		medOn, nOn = hijackToRecovery(wOn)
 		medOff, nOff = hijackToRecovery(wOff)
-		revOn = analysis.ComputeMonetization(wOn.Log).Revenue
-		revOff = analysis.ComputeMonetization(wOff.Log).Revenue
+		revOn = analysis.Fold(wOn.Log, analysis.NewMonetizationBuilder()).Monetization().Revenue
+		revOff = analysis.Fold(wOff.Log, analysis.NewMonetizationBuilder()).Monetization().Revenue
 	}
 	b.StopTimer()
 	b.ReportMetric(medOn, "median-h-on")
@@ -774,7 +777,7 @@ func BenchmarkWorkScheduleSection55(b *testing.B) {
 	var ws analysis.WorkSchedule
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws = analysis.ComputeWorkSchedule(w.Log)
+		ws = analysis.Fold(w.Log, analysis.NewWorkScheduleBuilder()).WorkSchedule()
 	}
 	b.StopTimer()
 	if ws.WeekendShare > 0.05 {
@@ -793,7 +796,7 @@ func BenchmarkDoppelgangerReview(b *testing.B) {
 	var d analysis.DoppelgangerEval
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d = analysis.EvaluateDoppelgangerDetector(w.Log, w.Dir, 0.75)
+		d = analysis.Fold(w.Log, analysis.NewDoppelgangerBuilder(w.Dir, 0.75)).DoppelgangerEval()
 	}
 	b.StopTimer()
 	if d.MeanHijackerSim <= d.MeanOwnerSim {
@@ -812,7 +815,7 @@ func BenchmarkScamFunnel(b *testing.B) {
 	var m analysis.Monetization
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m = analysis.ComputeMonetization(w.Log)
+		m = analysis.Fold(w.Log, analysis.NewMonetizationBuilder()).Monetization()
 	}
 	b.StopTimer()
 	if m.PleaRecipients == 0 {
@@ -866,7 +869,7 @@ func BenchmarkLifecycleFigure2(b *testing.B) {
 	var l analysis.Lifecycle
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l = analysis.ComputeLifecycle(w.Log)
+		l = analysis.Fold(w.Log, analysis.NewLifecycleBuilder()).Lifecycle()
 	}
 	b.StopTimer()
 	if l.AccountsEntered > l.AccountsAttempted || l.AccountsExploited > l.AccountsEntered {
@@ -892,8 +895,8 @@ func BenchmarkAblationBehavioralDefense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		wOff := ablationWorld(1500+int64(i), nil)
 		wOn := ablationWorld(1500+int64(i), func(c *core.Config) { c.BehavioralDefense = true })
-		revOff = analysis.ComputeMonetization(wOff.Log).Revenue
-		revOn = analysis.ComputeMonetization(wOn.Log).Revenue
+		revOff = analysis.Fold(wOff.Log, analysis.NewMonetizationBuilder()).Monetization().Revenue
+		revOn = analysis.Fold(wOn.Log, analysis.NewMonetizationBuilder()).Monetization().Revenue
 		suspended = wOn.Guard.Suspended
 	}
 	b.StopTimer()

@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"manualhijack/internal/analysis"
@@ -193,19 +194,12 @@ func runStreamParity(s *logstore.Store, r *core.StudyReport) bool {
 	bus := stream.NewBus(stream.DefaultSuite(core.DefaultIPPlan())...)
 	n := bus.Replay(s)
 	snap := bus.Snapshot()
-	batch := stream.Report{
-		Lifecycle: r.Lifecycle,
-		Fig6:      r.Fig6,
-		Fig8:      r.Fig8,
-		Fig11:     r.Fig11,
-		Scorecard: r.ArchetypeScorecard,
-	}
-	if diffs := stream.AnalysisDiff(snap, batch); len(diffs) > 0 {
+	if diffs := stream.AnalysisDiff(snap, stream.FromStudy(r)); len(diffs) > 0 {
 		fmt.Printf("streaming parity FAILED: %v differ between the incremental and batch paths\n", diffs)
 		return false
 	}
-	fmt.Printf("streaming parity ok: %d events replayed in %s, incremental == batch for lifecycle, figure-6, figure-8, figure-11, archetype-scorecard\n",
-		n, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("streaming parity ok: %d events replayed in %s, incremental == batch for %s\n",
+		n, time.Since(start).Round(time.Millisecond), strings.Join(stream.Live(), ", "))
 	slc := snap.Lifecycle
 	fmt.Printf("streaming lifecycle: %d lures → %d creds → %d entered → %d exploited → %d claims → %d recovered\n",
 		slc.LuresDelivered, slc.CredentialsCaptured, slc.AccountsEntered,

@@ -32,7 +32,7 @@ func main() {
 	w.InjectDecoys(time.Duration(*days-7) * 24 * time.Hour)
 	w.Run()
 
-	fig := analysis.ComputeFigure7(w.Log)
+	fig := analysis.Fold(w.Log, analysis.NewFigure7Builder()).Figure7()
 	report.CompareTable(os.Stdout, "Figure 7 — speed of compromised account access", []report.Compare{
 		{Artifact: "F7", Metric: "decoys submitted", Paper: "200", Measured: fmt.Sprintf("%d", fig.Submitted)},
 		{Artifact: "F7", Metric: "accessed", Paper: "most (not all)", Measured: report.Pct(fig.AccessedShare)},

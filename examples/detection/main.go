@@ -22,8 +22,8 @@ func main() {
 	w.Run()
 
 	// Counterfactual threshold sweep over the logged risk scores.
-	sweep := analysis.SweepRiskThreshold(w.Log,
-		[]float64{0.2, 0.3, 0.4, 0.5, 0.58, 0.62, 0.7, 0.8, 0.9})
+	sweep := analysis.Fold(w.Log, analysis.NewRiskSweepBuilder(
+		[]float64{0.2, 0.3, 0.4, 0.5, 0.58, 0.62, 0.7, 0.8, 0.9})).Sweep()
 	rows := [][]string{}
 	for _, pt := range sweep {
 		rows = append(rows, []string{
@@ -45,7 +45,7 @@ func main() {
 	}
 	brows := [][]string{}
 	for name, bc := range configs {
-		ev := analysis.EvaluateBehaviorDetector(w.Log, bc)
+		ev := analysis.Fold(w.Log, analysis.NewBehaviorEvalBuilder(bc)).DetectionEval()
 		brows = append(brows, []string{
 			name,
 			report.Pct(ev.Precision),

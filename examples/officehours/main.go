@@ -22,7 +22,7 @@ func main() {
 	w.Run()
 
 	// The office-job fingerprint.
-	ws := analysis.ComputeWorkSchedule(w.Log)
+	ws := analysis.Fold(w.Log, analysis.NewWorkScheduleBuilder()).WorkSchedule()
 	hours := make([]int, 24)
 	for h, share := range ws.HourlyShare {
 		hours[h] = int(share * 1000)
@@ -33,7 +33,7 @@ func main() {
 		report.Pct(ws.LunchDip), ws.ActiveHours, ws.Logins)
 
 	// Doppelganger fingerprints among redirection settings.
-	d := analysis.EvaluateDoppelgangerDetector(w.Log, w.Dir, 0.75)
+	d := analysis.Fold(w.Log, analysis.NewDoppelgangerBuilder(w.Dir, 0.75)).DoppelgangerEval()
 	fmt.Printf("doppelganger review: %d hijacker redirections, flagged with precision %s / recall %s\n",
 		d.HijackerSettings, report.Pct(d.Precision), report.Pct(d.Recall))
 	for i, f := range d.Findings {
@@ -47,7 +47,7 @@ func main() {
 	fmt.Println()
 
 	// The money.
-	m := analysis.ComputeMonetization(w.Log)
+	m := analysis.Fold(w.Log, analysis.NewMonetizationBuilder()).Monetization()
 	fmt.Printf("scam funnel: %d plea recipients → %d engaged → %d reached the crew → %d wires\n",
 		m.PleaRecipients, m.Replies, m.ReachedCrew, m.Payments)
 	fmt.Printf("revenue: $%.0f total, $%.0f per exploited hijack, $%.0f mean wire\n",

@@ -51,7 +51,7 @@ func main() {
 	}
 	fmt.Println()
 
-	fig5 := analysis.ComputeFigure5(w.Log, 100, 20)
+	fig5 := analysis.Fold(w.Log, analysis.NewFigure5Builder()).Figure5(100, 20)
 	report.CompareTable(os.Stdout, "submission success rates (Figure 5)", []report.Compare{
 		{Artifact: "F5", Metric: "mean POST/GET", Paper: "13.78%", Measured: report.Pct(fig5.Mean),
 			Note: fmt.Sprintf("%d Forms pages", len(fig5.PerPage))},
@@ -60,12 +60,12 @@ func main() {
 	})
 	fmt.Println()
 
-	fig3 := analysis.ComputeFigure3(w.Log, 100)
+	fig3 := analysis.Fold(w.Log, analysis.NewFigure3Builder()).Figure3(100)
 	fmt.Printf("blank HTTP referrers: %s of %d GETs (paper >99%%)\n",
 		report.Pct2(fig3.BlankShare), fig3.TotalGETs)
 	report.Bars(os.Stdout, "non-blank referrers (Figure 3)", fig3.NonBlank, 8)
 	fmt.Println()
 
-	fig4 := analysis.ComputeFigure4(w.Log, 100)
+	fig4 := analysis.Fold(w.Log, analysis.NewFigure4Builder()).Figure4(100)
 	report.Bars(os.Stdout, "phished address TLDs (Figure 4)", fig4.Shares, 10)
 }

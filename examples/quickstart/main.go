@@ -64,7 +64,7 @@ func main() {
 	}
 	fmt.Printf("recovery claims resolved: %d (%d successful)\n", len(claims), ok)
 
-	fig8 := analysis.ComputeFigure8(w.Log)
+	fig8 := analysis.Fold(w.Log, analysis.NewFigure8Builder()).Figure8()
 	fmt.Printf("hijacker IP discipline: %.1f distinct accounts per IP-day (cap 10, paper ~9.6)\n",
 		fig8.MeanAccountsPerIPDay)
 }

@@ -38,7 +38,7 @@ func TestComputeTable2(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Append(event.PageDetected{Base: at(140 + i), Page: event.PageID(100 + i)})
 	}
-	t2 := ComputeTable2(s, 1000)
+	t2 := Fold(s, NewPhishSampleBuilder()).Table2(1000)
 	if t2.EmailShares[event.TargetMail] != 0.70 || t2.EmailShares[event.TargetBank] != 0.30 {
 		t.Fatalf("email shares = %v", t2.EmailShares)
 	}
@@ -55,7 +55,7 @@ func TestURLShare(t *testing.T) {
 	for i := 0; i < 38; i++ {
 		s.Append(event.LureSent{Base: at(100 + i), HasURL: false, Reported: true})
 	}
-	if got := URLShare(s, 1000); got != 0.62 {
+	if got := Fold(s, NewPhishSampleBuilder()).URLShare(1000); got != 0.62 {
 		t.Fatalf("url share = %v", got)
 	}
 }
@@ -79,14 +79,14 @@ func TestComputeFigure4And5(t *testing.T) {
 	s := logstore.New()
 	formsPage(s, 1, 0, 40, 10, "edu")
 	formsPage(s, 2, 200, 50, 5, "com")
-	f4 := ComputeFigure4(s, 100)
+	f4 := Fold(s, NewFigure4Builder()).Figure4(100)
 	if f4.N != 15 {
 		t.Fatalf("submissions = %d", f4.N)
 	}
 	if f4.EduShare < 0.6 || f4.EduShare > 0.7 {
 		t.Fatalf("edu share = %v", f4.EduShare)
 	}
-	f5 := ComputeFigure5(s, 100, 10)
+	f5 := Fold(s, NewFigure5Builder()).Figure5(100, 10)
 	if len(f5.PerPage) != 2 {
 		t.Fatalf("pages = %d", len(f5.PerPage))
 	}
@@ -103,7 +103,7 @@ func TestComputeFigure3BlankShare(t *testing.T) {
 	}
 	s.Append(event.PageHit{Base: at(200), Page: 1, Method: "GET", Referrer: "mail.yahoo.com"})
 	s.Append(event.PageTakedown{Base: at(300), Page: 1})
-	f3 := ComputeFigure3(s, 100)
+	f3 := Fold(s, NewFigure3Builder()).Figure3(100)
 	if f3.BlankShare != 0.99 {
 		t.Fatalf("blank share = %v", f3.BlankShare)
 	}
@@ -120,7 +120,7 @@ func TestComputeFigure7(t *testing.T) {
 	s.Append(event.CredentialPhished{Base: at(0), Account: 3, Decoy: true})
 	s.Append(event.Login{Base: at(10), Account: 1, Actor: event.ActorHijacker})
 	s.Append(event.Login{Base: at(600), Account: 2, Actor: event.ActorHijacker})
-	f7 := ComputeFigure7(s)
+	f7 := Fold(s, NewFigure7Builder()).Figure7()
 	if f7.Submitted != 3 || f7.Accessed != 2 {
 		t.Fatalf("f7 = %+v", f7)
 	}
@@ -143,7 +143,7 @@ func TestComputeFigure8(t *testing.T) {
 			Actor: event.ActorHijacker, PasswordOK: ok, Outcome: outcome,
 		})
 	}
-	f8 := ComputeFigure8(s)
+	f8 := Fold(s, NewFigure8Builder()).Figure8()
 	if f8.IPDays != 1 || f8.MeanAttemptsPerIPDay != 8 || f8.MeanAccountsPerIPDay != 8 {
 		t.Fatalf("f8 = %+v", f8)
 	}
@@ -159,7 +159,7 @@ func TestComputeTable3(t *testing.T) {
 	}
 	// Owner searches must not count.
 	s.Append(event.Search{Base: at(10), Account: 2, Query: "bank", Actor: event.ActorOwner})
-	t3 := ComputeTable3(s)
+	t3 := Fold(s, NewTable3Builder()).Table3()
 	if t3.N != 6 {
 		t.Fatalf("n = %d", t3.N)
 	}
@@ -182,7 +182,7 @@ func TestComputeAssessment(t *testing.T) {
 	s.Append(event.HijackStarted{Base: at(10), Account: 2, Session: 2})
 	s.Append(event.HijackAssessed{Base: at(13), Account: 2, Duration: time.Minute, Exploited: false})
 
-	a := ComputeAssessment(s, 100)
+	a := Fold(s, NewAssessmentBuilder()).Assessment(100)
 	if a.Cases != 2 || a.ExploitedShare != 0.5 {
 		t.Fatalf("assessment = %+v", a)
 	}
@@ -214,7 +214,7 @@ func TestComputeRetentionConditionals(t *testing.T) {
 	// Owner actions must not count.
 	s.Append(event.PasswordChanged{Base: at(10), Account: 3, Actor: event.ActorOwner})
 
-	r := ComputeRetention(s, 100)
+	r := Fold(s, NewRetentionBuilder()).Retention(100)
 	if r.Cases != 3 {
 		t.Fatalf("cases = %d", r.Cases)
 	}
@@ -242,7 +242,7 @@ func TestComputeFigure9(t *testing.T) {
 	add(2, 5*time.Hour)
 	add(3, 20*time.Hour)
 	add(4, 40*time.Hour)
-	f9 := ComputeFigure9(s, 100)
+	f9 := Fold(s, NewFigure9Builder()).Figure9(100)
 	if f9.Recoveries != 4 {
 		t.Fatalf("recoveries = %d", f9.Recoveries)
 	}
@@ -259,7 +259,7 @@ func TestComputeFigure10(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Append(event.ClaimAttempt{Base: at(20 + i), Method: event.MethodFallback, Success: i < 1})
 	}
-	f10 := ComputeFigure10(s, t0, t0.Add(24*time.Hour))
+	f10 := Fold(s, NewFigure10Builder()).Figure10(t0, t0.Add(24*time.Hour))
 	if f10.Methods[event.MethodSMS].Rate != 0.8 {
 		t.Fatalf("sms = %+v", f10.Methods[event.MethodSMS])
 	}
@@ -282,7 +282,7 @@ func TestComputeFigures11And12(t *testing.T) {
 			IP: plan.Addr(r, c), Actor: event.ActorHijacker, Outcome: event.LoginSuccess,
 		})
 	}
-	f11 := ComputeFigure11(s, plan, 100)
+	f11 := Fold(s, NewFigure11Builder()).Figure11(plan, 100)
 	if f11.Shares[0].Key != string(geo.China) || f11.Shares[0].Count != 20 {
 		t.Fatalf("f11 = %+v", f11.Shares)
 	}
@@ -293,7 +293,7 @@ func TestComputeFigures11And12(t *testing.T) {
 			Phone: geo.NewPhone(r, geo.IvoryCoast), Actor: event.ActorHijacker,
 		})
 	}
-	f12 := ComputeFigure12(s, 100)
+	f12 := Fold(s, NewFigure12Builder()).Figure12(100)
 	if f12.Phones != 5 || f12.Shares[0].Key != string(geo.IvoryCoast) {
 		t.Fatalf("f12 = %+v", f12)
 	}
@@ -309,7 +309,7 @@ func TestEvaluateBehaviorDetectorReplay(t *testing.T) {
 	s.Append(event.Login{Base: at(10), Account: 2, Session: 2, Actor: event.ActorOwner, Outcome: event.LoginSuccess})
 	s.Append(event.Search{Base: at(11), Account: 2, Session: 2, Query: "lunch", Actor: event.ActorOwner})
 
-	ev := EvaluateBehaviorDetector(s, behavior.DefaultConfig())
+	ev := Fold(s, NewBehaviorEvalBuilder(behavior.DefaultConfig())).DetectionEval()
 	if ev.HijackSessions != 1 || ev.OrganicSessions != 1 {
 		t.Fatalf("sessions = %+v", ev)
 	}
@@ -332,7 +332,7 @@ func TestSweepRiskThreshold(t *testing.T) {
 	s.Append(event.Login{Base: at(2), Account: 3, RiskScore: 0.1, Actor: event.ActorOwner, Outcome: event.LoginSuccess})
 	s.Append(event.Login{Base: at(3), Account: 4, RiskScore: 0.65, Actor: event.ActorOwner, Outcome: event.LoginSuccess})
 
-	pts := SweepRiskThreshold(s, []float64{0.6})
+	pts := Fold(s, NewRiskSweepBuilder([]float64{0.6})).Sweep()
 	if len(pts) != 1 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -347,7 +347,7 @@ func TestComputeBaseRates(t *testing.T) {
 		s.Append(event.HijackStarted{Base: at(i), Account: identity.AccountID(i + 1)})
 	}
 	end := t0.Add(24 * time.Hour)
-	br := ComputeBaseRates(s, t0, end, 1_000_000)
+	br := Fold(s, NewBaseRatesBuilder(t0)).BaseRates(t0, end, 1_000_000)
 	if br.HijacksPerMillionActivePerDay != 9 {
 		t.Fatalf("rate = %v", br.HijacksPerMillionActivePerDay)
 	}
@@ -358,7 +358,7 @@ func TestComputeRecoveryChannels(t *testing.T) {
 	s.Append(event.ClaimAttempt{Base: at(0), Method: event.MethodEmail, Success: false, Reason: "bounce"})
 	s.Append(event.ClaimAttempt{Base: at(1), Method: event.MethodEmail, Success: true})
 	s.Append(event.ClaimAttempt{Base: at(2), Method: event.MethodSMS, Success: true})
-	ch := ComputeRecoveryChannels(s, 100, 7)
+	ch := Fold(s, NewRecoveryChannelsBuilder()).RecoveryChannels(100, 7)
 	if ch.RecycledShare != 0.07 {
 		t.Fatalf("recycled = %v", ch.RecycledShare)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"manualhijack/internal/event"
 	"manualhijack/internal/identity"
-	"manualhijack/internal/logstore"
 	"manualhijack/internal/stats"
 )
 
@@ -218,11 +217,4 @@ func medianDuration(ds []time.Duration) time.Duration {
 		return ds[mid]
 	}
 	return (ds[mid-1] + ds[mid]) / 2
-}
-
-// ArchetypeScorecardOf scans a sealed log into a scorecard (batch path).
-func ArchetypeScorecardOf(s *logstore.Store) ArchetypeScorecard {
-	b := NewArchetypeScorecardBuilder()
-	s.Scan(b.Observe)
-	return b.Scorecard()
 }

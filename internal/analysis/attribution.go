@@ -3,11 +3,9 @@ package analysis
 import (
 	"time"
 
-	"manualhijack/internal/datasets"
 	"manualhijack/internal/event"
 	"manualhijack/internal/geo"
 	"manualhijack/internal/identity"
-	"manualhijack/internal/logstore"
 	"manualhijack/internal/stats"
 )
 
@@ -18,27 +16,12 @@ type Figure11 struct {
 	Cases  int
 }
 
-// DefaultFigure11Cases is the registry's Dataset 13 case count for
-// Figure 11, shared with the streaming suite so both paths draw the same
-// sample.
-const DefaultFigure11Cases = 3000
-
-// ComputeFigure11 reproduces Figure 11 by geolocating one login IP per
-// hijack case. It feeds the incremental builder from Dataset 5's login
-// stream — the same records D13HijackIPs filters — so the batch and
-// streaming paths share one implementation.
-func ComputeFigure11(s *logstore.Store, plan *geo.IPPlan, cases int) Figure11 {
-	b := NewFigure11Builder()
-	for _, l := range datasets.D5HijackerLogins(s) {
-		b.Observe(l)
-	}
-	return b.Figure11(plan, cases)
-}
-
-// Figure11Builder is the incremental form of ComputeFigure11. It keeps one
-// login per hijack case — Dataset 13's population, accumulated in log order
-// so the finalizing sample draws exactly what the batch extractor draws.
-// State grows with hijack cases, not with the log.
+// Figure11Builder reproduces Figure 11 by geolocating one login IP per
+// hijack case. It keeps one login per hijack case — Dataset 13's
+// population (the paper's IPs of 3000 hijack cases, January 2014),
+// accumulated in log order, so the sample drawn at snapshot time is the
+// same whichever path fed the builder. State grows with hijack cases, not
+// with the log.
 type Figure11Builder struct {
 	seen  map[identity.AccountID]bool
 	cases []event.Login
@@ -77,7 +60,7 @@ func (b *Figure11Builder) Merge(other *Figure11Builder) {
 // with Dataset 13's deterministic stream and geolocating against plan.
 func (b *Figure11Builder) Figure11(plan *geo.IPPlan, cases int) Figure11 {
 	var c stats.Counter
-	for _, l := range datasets.SampleN(13, b.cases, cases) {
+	for _, l := range sampleN(13, b.cases, cases) {
 		c.Add(string(plan.Locate(l.IP)))
 	}
 	return Figure11{Shares: c.Sorted(), Cases: c.Total()}
@@ -90,16 +73,7 @@ type Figure12 struct {
 	Phones int
 }
 
-// ComputeFigure12 reproduces Figure 12 by parsing phone country codes. It
-// scans the log through the incremental builder so the batch and segmented
-// paths share one implementation.
-func ComputeFigure12(s *logstore.Store, n int) Figure12 {
-	b := NewFigure12Builder()
-	s.Scan(b.Observe)
-	return b.Figure12(n)
-}
-
-// Figure12Builder is the incremental form of ComputeFigure12: it
+// Figure12Builder reproduces Figure 12 by parsing phone country codes: it
 // accumulates Dataset 14's population (hijacker 2SV enrollments, in log
 // order) and draws the dataset's deterministic sample at snapshot time.
 type Figure12Builder struct {
@@ -124,7 +98,7 @@ func (b *Figure12Builder) Merge(other *Figure12Builder) {
 // Figure12 snapshots the figure from the enrollments observed so far.
 func (b *Figure12Builder) Figure12(n int) Figure12 {
 	var c stats.Counter
-	for _, e := range datasets.SampleN(14, b.enrolls, n) {
+	for _, e := range sampleN(14, b.enrolls, n) {
 		c.Add(string(geo.PhoneCountry(e.Phone)))
 	}
 	return Figure12{Shares: c.Sorted(), Phones: c.Total()}
@@ -143,19 +117,8 @@ type BaseRates struct {
 	PagesPerWeek []int
 }
 
-// ComputeBaseRates reproduces §3's rates. activeAccounts is the number of
-// accounts active in the window (the paper's 30-day definition). It scans
-// the log through the incremental builder so the batch and segmented paths
-// share one implementation.
-func ComputeBaseRates(s *logstore.Store, start, end time.Time, activeAccounts int) BaseRates {
-	b := NewBaseRatesBuilder(start)
-	s.Scan(b.Observe)
-	return b.BaseRates(start, end, activeAccounts)
-}
-
-// BaseRatesBuilder is the incremental form of ComputeBaseRates: the
-// distinct-victim set and the weekly detection series, anchored at the
-// window start.
+// BaseRatesBuilder reproduces §3's rates from the distinct-victim set and
+// the weekly detection series, anchored at the window start.
 type BaseRatesBuilder struct {
 	hijacked map[int32]bool
 	weekly   *stats.TimeSeries
@@ -190,8 +153,9 @@ func (b *BaseRatesBuilder) Merge(other *BaseRatesBuilder) {
 	b.weekly.Merge(other.weekly)
 }
 
-// BaseRates snapshots the rates observed so far; activeAccounts comes from
-// the directory, not the log.
+// BaseRates snapshots the rates observed so far. activeAccounts is the
+// number of accounts active in the window (the paper's 30-day
+// definition); it comes from the directory, not the log.
 func (b *BaseRatesBuilder) BaseRates(start, end time.Time, activeAccounts int) BaseRates {
 	days := end.Sub(start).Hours() / 24
 	out := BaseRates{

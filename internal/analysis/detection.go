@@ -5,7 +5,6 @@ import (
 
 	"manualhijack/internal/behavior"
 	"manualhijack/internal/event"
-	"manualhijack/internal/logstore"
 	"manualhijack/internal/stats"
 )
 
@@ -26,19 +25,11 @@ type DetectionEval struct {
 	MeanExposure time.Duration
 }
 
-// EvaluateBehaviorDetector replays the log through a detector with the
-// given configuration. It scans the log through the incremental builder so
-// the batch and segmented paths share one implementation.
-func EvaluateBehaviorDetector(s *logstore.Store, cfg behavior.Config) DetectionEval {
-	b := NewBehaviorEvalBuilder(cfg)
-	s.Scan(b.Observe)
-	return b.DetectionEval()
-}
-
-// BehaviorEvalBuilder is the incremental form of EvaluateBehaviorDetector:
-// a live detector fed session actions one event at a time. Events must
-// arrive in time order — the detector's session state machines depend on
-// it — which both the sealed log and the segmented scan guarantee.
+// BehaviorEvalBuilder replays the log through a detector with the given
+// configuration: a live detector fed session actions one event at a time.
+// Events must arrive in time order — the detector's session state machines
+// depend on it — which both the sealed log and the segmented scan
+// guarantee.
 type BehaviorEvalBuilder struct {
 	det          *behavior.Detector
 	sessionActor map[event.SessionID]event.Actor
@@ -129,19 +120,10 @@ type RiskOperatingPoint struct {
 	OwnerAttempts    int
 }
 
-// SweepRiskThreshold evaluates the thresholds over the logged scores. It
-// scans the log through the incremental builder so the batch and segmented
-// paths share one implementation — a login's contribution to every
-// operating point is decided the moment it is seen, so the sweep never
-// materializes the login log.
-func SweepRiskThreshold(s *logstore.Store, thresholds []float64) []RiskOperatingPoint {
-	b := NewRiskSweepBuilder(thresholds)
-	s.Scan(b.Observe)
-	return b.Sweep()
-}
-
-// RiskSweepBuilder is the incremental form of SweepRiskThreshold:
-// per-threshold challenge counters updated per login.
+// RiskSweepBuilder evaluates the thresholds over the logged scores:
+// per-threshold challenge counters updated per login. A login's
+// contribution to every operating point is decided the moment it is seen,
+// so the sweep never materializes the login log.
 type RiskSweepBuilder struct {
 	thresholds    []float64
 	hijackCaught  []int

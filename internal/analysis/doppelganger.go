@@ -3,7 +3,6 @@ package analysis
 import (
 	"manualhijack/internal/event"
 	"manualhijack/internal/identity"
-	"manualhijack/internal/logstore"
 	"manualhijack/internal/stats"
 	"manualhijack/internal/strsim"
 )
@@ -37,19 +36,9 @@ type DoppelgangerEval struct {
 	MeanOwnerSim    float64
 }
 
-// EvaluateDoppelgangerDetector scans redirection settings in the log and
-// flags those within threshold similarity of the account's address. It
-// scans the log through the incremental builder so the batch and segmented
-// paths share one implementation.
-func EvaluateDoppelgangerDetector(s *logstore.Store, dir *identity.Directory, threshold float64) DoppelgangerEval {
-	b := NewDoppelgangerBuilder(dir, threshold)
-	s.Scan(b.Observe)
-	return b.DoppelgangerEval()
-}
-
-// DoppelgangerBuilder is the incremental form of
-// EvaluateDoppelgangerDetector: similarity is scored and classified the
-// moment a redirection setting is seen.
+// DoppelgangerBuilder scans redirection settings in the log and flags
+// those within threshold similarity of the account's address: similarity
+// is scored and classified the moment a redirection setting is seen.
 type DoppelgangerBuilder struct {
 	dir       *identity.Directory
 	threshold float64

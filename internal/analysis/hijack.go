@@ -3,10 +3,8 @@ package analysis
 import (
 	"time"
 
-	"manualhijack/internal/datasets"
 	"manualhijack/internal/event"
 	"manualhijack/internal/identity"
-	"manualhijack/internal/logstore"
 	"manualhijack/internal/mail"
 	"manualhijack/internal/randx"
 	"manualhijack/internal/stats"
@@ -22,28 +20,29 @@ type Figure7 struct {
 	Delays        *stats.Sample // hours
 }
 
-// ComputeFigure7 reproduces Figure 7. It scans the log through the
-// incremental builder so the batch and segmented paths share one
-// implementation.
-func ComputeFigure7(s *logstore.Store) Figure7 {
-	b := NewFigure7Builder()
-	s.Scan(b.Observe)
-	return b.Figure7()
-}
-
 // decoyLogin is the slice of a hijacker login the Dataset 4 join needs.
 type decoyLogin struct {
 	account identity.AccountID
 	at      time.Time
 }
 
-// Figure7Builder is the incremental form of ComputeFigure7. It accumulates
-// Dataset 4's two populations — decoy submissions and hijacker logins — and
-// replays D4DecoyAccesses' join at snapshot time, so state grows with the
-// attack (decoys + hijacker logins), not with the log.
+// decoyAccess pairs a decoy credential submission with the hijacker's
+// first access (Dataset 4).
+type decoyAccess struct {
+	account     identity.AccountID
+	submittedAt time.Time
+	accessedAt  time.Time
+	accessed    bool
+}
+
+// Figure7Builder reproduces Figure 7. It accumulates Dataset 4's two
+// populations — decoy submissions and hijacker logins — and joins each
+// decoy submission with the first later hijacker login on its account at
+// snapshot time, so state grows with the attack (decoys + hijacker
+// logins), not with the log.
 type Figure7Builder struct {
 	submitted map[identity.AccountID]int // account → index in accesses
-	accesses  []datasets.DecoyAccess
+	accesses  []decoyAccess
 	logins    []decoyLogin
 }
 
@@ -63,8 +62,8 @@ func (b *Figure7Builder) Observe(e event.Event) {
 			return
 		}
 		b.submitted[ev.Account] = len(b.accesses)
-		b.accesses = append(b.accesses, datasets.DecoyAccess{
-			Account: ev.Account, SubmittedAt: ev.When()})
+		b.accesses = append(b.accesses, decoyAccess{
+			account: ev.Account, submittedAt: ev.When()})
 	case event.Login:
 		if ev.Actor == event.ActorHijacker {
 			b.logins = append(b.logins, decoyLogin{ev.Account, ev.When()})
@@ -78,10 +77,10 @@ func (b *Figure7Builder) Observe(e event.Event) {
 // partitions claims the slot, later duplicates are dropped.
 func (b *Figure7Builder) Merge(other *Figure7Builder) {
 	for _, a := range other.accesses {
-		if _, dup := b.submitted[a.Account]; dup {
+		if _, dup := b.submitted[a.account]; dup {
 			continue
 		}
-		b.submitted[a.Account] = len(b.accesses)
+		b.submitted[a.account] = len(b.accesses)
 		b.accesses = append(b.accesses, a)
 	}
 	b.logins = append(b.logins, other.logins...)
@@ -89,22 +88,22 @@ func (b *Figure7Builder) Merge(other *Figure7Builder) {
 
 // Figure7 snapshots the figure from the populations observed so far.
 func (b *Figure7Builder) Figure7() Figure7 {
-	accesses := append([]datasets.DecoyAccess(nil), b.accesses...)
+	accesses := append([]decoyAccess(nil), b.accesses...)
 	for _, l := range b.logins {
 		idx, ok := b.submitted[l.account]
-		if !ok || accesses[idx].Accessed || l.at.Before(accesses[idx].SubmittedAt) {
+		if !ok || accesses[idx].accessed || l.at.Before(accesses[idx].submittedAt) {
 			continue
 		}
-		accesses[idx].AccessedAt = l.at
-		accesses[idx].Accessed = true
+		accesses[idx].accessedAt = l.at
+		accesses[idx].accessed = true
 	}
 	fig := Figure7{Submitted: len(accesses), Delays: &stats.Sample{}}
 	for _, a := range accesses {
-		if !a.Accessed {
+		if !a.accessed {
 			continue
 		}
 		fig.Accessed++
-		fig.Delays.Add(a.AccessedAt.Sub(a.SubmittedAt).Hours())
+		fig.Delays.Add(a.accessedAt.Sub(a.submittedAt).Hours())
 	}
 	fig.AccessedShare = stats.Ratio(float64(fig.Accessed), float64(fig.Submitted))
 	if fig.Accessed > 0 {
@@ -132,25 +131,16 @@ type Figure8 struct {
 	DailySuccesses []float64
 }
 
-// ComputeFigure8 reproduces Figure 8.
-func ComputeFigure8(s *logstore.Store) Figure8 {
-	b := NewFigure8Builder()
-	for _, l := range datasets.D5HijackerLogins(s) {
-		b.Observe(l)
-	}
-	return b.Figure8()
-}
-
 // ipDayKey keys the per-IP, per-UTC-day aggregates.
 type ipDayKey struct {
 	ip  string
 	day time.Time
 }
 
-// Figure8Builder is the incremental form of ComputeFigure8: per-IP-day
-// fanout aggregates that grow with distinct IP-days, not with the log. The
-// batch function feeds it from Dataset 5 and the streaming path feeds it
-// one login at a time; both finalize through Figure8, so they cannot drift.
+// Figure8Builder reproduces Figure 8 from per-IP-day fanout aggregates
+// that grow with distinct IP-days, not with the log. Every path — the
+// study, the segmented scan and the live stream bus — feeds it one event
+// at a time and finalizes through Figure8, so they cannot drift.
 type Figure8Builder struct {
 	attempts map[ipDayKey]int
 	accounts map[ipDayKey]map[identity.AccountID]bool
@@ -273,17 +263,8 @@ type Table3 struct {
 	HasChinese bool
 }
 
-// ComputeTable3 reproduces Table 3. It scans the log through the
-// incremental builder so the batch and segmented paths share one
-// implementation.
-func ComputeTable3(s *logstore.Store) Table3 {
-	b := NewTable3Builder()
-	s.Scan(b.Observe)
-	return b.Table3()
-}
-
-// Table3Builder is the incremental form of ComputeTable3: a counter over
-// hijacker search terms, classified at snapshot time.
+// Table3Builder reproduces Table 3: a counter over hijacker search terms,
+// classified at snapshot time.
 type Table3Builder struct {
 	terms stats.Counter
 }
@@ -346,20 +327,11 @@ type Assessment struct {
 	FolderOpenRates map[event.Folder]float64
 }
 
-// ComputeAssessment reproduces the §5.2 measurements from the hijack
-// lifecycle events and the per-session folder opens. It scans the log
-// through the incremental builder so the batch and segmented paths share
-// one implementation.
-func ComputeAssessment(s *logstore.Store, sampleSize int) Assessment {
-	b := NewAssessmentBuilder()
-	s.Scan(b.Observe)
-	return b.Assessment(sampleSize)
-}
-
 // d7Cases accumulates Dataset 7's population incrementally: distinct
-// hijacked accounts in first-HijackStarted order, which is exactly the
-// order D7HijackedAccounts builds before sampling — so a snapshot sample
-// equals the batch extractor's sample.
+// hijacked accounts in first-HijackStarted order (Dataset 7: 575 in the
+// paper, selected via recovery claims that clearly indicate manual
+// hijacking; here, a completed hijack lifecycle in the log), which is the
+// order the dataset's deterministic sample is drawn from.
 type d7Cases struct {
 	seen map[identity.AccountID]bool
 	ids  []identity.AccountID
@@ -396,18 +368,18 @@ func (d *d7Cases) merge(other *d7Cases) {
 // sample draws Dataset 7's deterministic sample as a membership set.
 func (d *d7Cases) sample(n int) map[identity.AccountID]bool {
 	inSet := map[identity.AccountID]bool{}
-	for _, a := range datasets.SampleN(7, d.ids, n) {
+	for _, a := range sampleN(7, d.ids, n) {
 		inSet[a] = true
 	}
 	return inSet
 }
 
-// AssessmentBuilder is the incremental form of ComputeAssessment. The
-// Dataset 7 sample is only drawable once the full case population is
-// known, so the builder buffers the hijack-scale event subsequences the
-// analysis joins against — assessments and hijacker folder opens — and
-// replays the batch aggregation at snapshot time. State grows with the
-// attack, not with the log.
+// AssessmentBuilder reproduces the §5.2 measurements from the hijack
+// lifecycle events and the per-session folder opens. The Dataset 7 sample
+// is only drawable once the full case population is known, so the builder
+// buffers the hijack-scale event subsequences the analysis joins against —
+// assessments and hijacker folder opens — and aggregates them at snapshot
+// time. State grows with the attack, not with the log.
 type AssessmentBuilder struct {
 	cases    d7Cases
 	assessed []event.HijackAssessed
@@ -500,22 +472,12 @@ type Exploitation struct {
 	Cases                int
 }
 
-// ComputeExploitation reproduces §5.3 from Datasets 7 and 8. It scans the
-// log through the incremental builder so the batch and segmented paths
-// share one implementation.
-func ComputeExploitation(s *logstore.Store, sampleSize int) Exploitation {
-	b := NewExploitationBuilder()
-	s.Scan(b.Observe)
-	return b.Exploitation(sampleSize)
-}
-
-// ExploitationBuilder is the incremental form of ComputeExploitation. The
-// §5.3 join needs the Dataset 7 sample — only drawable once the full case
+// ExploitationBuilder reproduces §5.3 from Datasets 7 and 8. The §5.3
+// join needs the Dataset 7 sample — only drawable once the full case
 // population is known — so the builder buffers the three event
 // subsequences the join reads (hijack starts, account-originated mail,
-// account-attributed spam reports) and replays the batch aggregation at
-// snapshot time. The buffers grow with attack-plus-account mail volume,
-// the same populations the batch path materialized via Select.
+// account-attributed spam reports) and aggregates them at snapshot time.
+// The buffers grow with attack-plus-account mail volume.
 type ExploitationBuilder struct {
 	starts  []event.HijackStarted
 	msgs    []event.MessageSent
@@ -525,8 +487,8 @@ type ExploitationBuilder struct {
 // NewExploitationBuilder returns an empty builder.
 func NewExploitationBuilder() *ExploitationBuilder { return &ExploitationBuilder{} }
 
-// Observe folds one event into the buffered populations, applying the
-// account-attribution filter the batch loops applied.
+// Observe folds one event into the buffered populations, keeping only
+// account-attributed mail and spam reports.
 func (b *ExploitationBuilder) Observe(e event.Event) {
 	switch ev := e.(type) {
 	case event.HijackStarted:
@@ -551,8 +513,8 @@ func (b *ExploitationBuilder) Merge(other *ExploitationBuilder) {
 
 // Exploitation snapshots §5.3 from the populations observed so far,
 // drawing Dataset 7's deterministic sample over the distinct hijacked
-// accounts in first-HijackStarted order — exactly D7HijackedAccounts'
-// population.
+// accounts in first-HijackStarted order — the same population d7Cases
+// keeps.
 func (b *ExploitationBuilder) Exploitation(sampleSize int) Exploitation {
 	seen := map[identity.AccountID]bool{}
 	var ids []identity.AccountID
@@ -562,7 +524,7 @@ func (b *ExploitationBuilder) Exploitation(sampleSize int) Exploitation {
 			ids = append(ids, h.Account)
 		}
 	}
-	accounts := datasets.SampleN(7, ids, sampleSize)
+	accounts := sampleN(7, ids, sampleSize)
 	inSet := map[identity.AccountID]bool{}
 	for _, a := range accounts {
 		inSet[a] = true
@@ -702,26 +664,19 @@ type ContactRisk struct {
 	Multiplier    float64
 }
 
-// ComputeContactRisk reproduces the Dataset 9 experiment: sample the
+// ContactRiskBuilder reproduces the Dataset 9 experiment: sample the
 // contacts of accounts hijacked *recently* (within recruit of the cutoff,
 // as the paper sampled contacts of current hijack cases), sample random
-// active users, and count hijacks over the following window.
+// active users, and count hijacks over the following window. The
+// experiment needs the hijack timeline on both sides of the cutoff, so
+// the builder buffers the HijackStarted subsequence (hijack-scale) and
+// runs the cohort construction at snapshot time.
 //
 // Finite-population correction: the random cohort excludes contacts of
 // *any* pre-cutoff victim. At Google scale a random user sample has
 // essentially zero overlap with hijackers' harvested contact pools; in a
 // simulated population of tens of thousands the pools would otherwise
 // contaminate the control cohort.
-func ComputeContactRisk(s *logstore.Store, dir *identity.Directory, cutoff time.Time, recruit, window time.Duration, n int) ContactRisk {
-	b := NewContactRiskBuilder()
-	s.Scan(b.Observe)
-	return b.ContactRisk(dir, cutoff, recruit, window, n)
-}
-
-// ContactRiskBuilder is the incremental form of ComputeContactRisk. The
-// experiment needs the hijack timeline on both sides of the cutoff, so
-// the builder buffers the HijackStarted subsequence (hijack-scale) and
-// runs the cohort construction at snapshot time.
 type ContactRiskBuilder struct {
 	starts []event.HijackStarted
 }
@@ -825,22 +780,16 @@ type Retention struct {
 	TwoSVLockouts              int
 }
 
-// ComputeRetention reproduces the §5.4 tactic measurements from a world's
+// RetentionBuilder reproduces the §5.4 tactic measurements from a world's
 // hijack cases. The case base is restricted to *exploited* hijacks: the
 // paper's high-confidence samples were selected from recovery claims that
 // "clearly indicate" manual hijacking — victims who noticed, i.e., whose
 // accounts were actually worked, not assessed-and-abandoned.
-func ComputeRetention(s *logstore.Store, sampleSize int) Retention {
-	b := NewRetentionBuilder()
-	s.Scan(b.Observe)
-	return b.Retention(sampleSize)
-}
-
-// RetentionBuilder is the incremental form of ComputeRetention. Every
-// measurement is a per-account membership or count, so the builder tracks
-// hijacker tactics for all hijacked accounts as it goes and intersects
-// with the Dataset 7 sample at snapshot time. State grows with hijacked
-// accounts, not with the log.
+//
+// Every measurement is a per-account membership or count, so the builder
+// tracks hijacker tactics for all hijacked accounts as it goes and
+// intersects with the Dataset 7 sample at snapshot time. State grows with
+// hijacked accounts, not with the log.
 type RetentionBuilder struct {
 	cases     d7Cases
 	exploited map[identity.AccountID]bool

@@ -3,7 +3,6 @@ package analysis
 import (
 	"manualhijack/internal/event"
 	"manualhijack/internal/identity"
-	"manualhijack/internal/logstore"
 	"manualhijack/internal/stats"
 )
 
@@ -54,18 +53,10 @@ func (l Lifecycle) Rates() []stats.Entry {
 	return out
 }
 
-// ComputeLifecycle tallies Figure 2's cycle from the log.
-func ComputeLifecycle(s *logstore.Store) Lifecycle {
-	b := NewLifecycleBuilder()
-	s.Scan(b.Observe)
-	return b.Lifecycle()
-}
-
-// LifecycleBuilder is the incremental form of ComputeLifecycle: it consumes
-// events one at a time and can report the funnel at any instant. The batch
-// function is a thin wrapper over it, so the streaming and batch paths
-// cannot drift. Like every builder in this package it is single-goroutine;
-// the stream.Bus serializes concurrent feeds.
+// LifecycleBuilder tallies Figure 2's cycle from the log: it consumes
+// events one at a time and can report the funnel at any instant. Like
+// every builder in this package it is single-goroutine; the stream.Bus
+// serializes concurrent feeds.
 type LifecycleBuilder struct {
 	lures, visits             int
 	creds, attempted, entered map[identity.AccountID]bool

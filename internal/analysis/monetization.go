@@ -26,17 +26,8 @@ type Monetization struct {
 	MeanPayment      float64
 }
 
-// ComputeMonetization tallies the scam funnel from the log. It scans the
-// log through the incremental builder so the batch and segmented paths
-// share one implementation.
-func ComputeMonetization(s *logstore.Store) Monetization {
-	b := NewMonetizationBuilder()
-	s.Scan(b.Observe)
-	return b.Monetization()
-}
-
-// MonetizationBuilder is the incremental form of ComputeMonetization:
-// funnel counters, the payment distribution, and the exploited-victim set.
+// MonetizationBuilder tallies the scam funnel from the log: funnel
+// counters, the payment distribution, and the exploited-victim set.
 // Revenue is summed at snapshot time as a left fold over the payment
 // sample, which keeps payments in log order — so the floating-point
 // revenue total is bit-identical whether the builder observed the whole

@@ -1,13 +1,22 @@
 // Package analysis computes every table and figure of the paper from a
-// world's event log, via the datasets of Table 1. Each function returns a
-// typed result that the report package renders and the benchmark harness
-// asserts shape properties on.
+// world's event log. Each analysis is a builder: it folds events in one at
+// a time and returns a typed result from a snapshot method, which the
+// report package renders and the benchmark harness asserts shape
+// properties on. Fold runs a builder over a whole log.
+//
+// As they fold, the builders rebuild the Table 1 datasets they draw from,
+// each with the original's source, filtering and sampling step. That
+// includes the manual curation the authors describe ("both computers and
+// humans alike are imprecise at distinguishing phishing ... from scams and
+// other bulk spam"), which here separates ground-truth lures from the
+// noisy user-report stream the same way a human reviewer would. Sampling
+// is deterministic per dataset id, so a given world always yields the
+// same samples.
 package analysis
 
 import (
 	"time"
 
-	"manualhijack/internal/datasets"
 	"manualhijack/internal/event"
 	"manualhijack/internal/identity"
 	"manualhijack/internal/logstore"
@@ -23,31 +32,27 @@ type Table2 struct {
 	PageN       int
 }
 
-// ComputeTable2 reproduces Table 2 from Datasets 1 and 2. It scans the
-// log through the incremental builder so the batch and segmented paths
-// share one implementation.
-func ComputeTable2(s *logstore.Store, sampleSize int) Table2 {
-	b := NewPhishSampleBuilder()
-	s.Scan(b.Observe)
-	return b.Table2(sampleSize)
-}
-
-// URLShare returns the fraction of curated phishing emails carrying a URL
-// (§4.1: 62 of 100).
-func URLShare(s *logstore.Store, sampleSize int) float64 {
-	b := NewPhishSampleBuilder()
-	s.Scan(b.Observe)
-	return b.URLShare(sampleSize)
-}
-
-// PhishSampleBuilder accumulates Datasets 1 and 2 incrementally: the
-// curated reported-lure stream and the detected-page join. Lures and
-// detections are buffered raw and resolved against the page maps at
-// snapshot time; a page is always created before its lures, hits, and
-// detection (the simulation emits them causally), so the deferred join
-// equals the batch extractors' two-pass joins — and, because every buffer
-// is order-preserving and the maps are keyed by page, per-segment shards
-// merged in log order reproduce the single pass exactly.
+// PhishSampleBuilder reproduces Table 2 and the §4.1 URL share from
+// Datasets 1 and 2, accumulated incrementally: the curated reported-lure
+// stream and the detected-page join.
+//
+// Dataset 1 keeps, from the stream of user-reported mail, the actual
+// credential solicitations (the curation step). Lures from targeted
+// (contact-campaign) pages are excluded: at provider scale, mass phishing
+// dwarfs contact-targeted volume in the reported stream, but the
+// simulation boosts the contact loop for statistical power, which would
+// otherwise skew the Table 2 target mix. Dataset 2 is the pages the
+// anti-phishing pipeline detected, joined back to their creation records;
+// targeted spear-phishing pages are excluded, because Dataset 2 comes from
+// pages found "while indexing the web", and victim-list pages are mailed
+// directly rather than linked anywhere crawlable.
+//
+// Lures and detections are buffered raw and resolved against the page
+// maps at snapshot time; a page is always created before its lures, hits,
+// and detection (the simulation emits them causally), so the deferred join
+// equals a two-pass join — and, because every buffer is order-preserving
+// and the maps are keyed by page, per-segment shards merged in log order
+// reproduce the single pass exactly.
 type PhishSampleBuilder struct {
 	targeted   map[event.PageID]bool
 	created    map[event.PageID]event.PageCreated
@@ -112,11 +117,11 @@ func (b *PhishSampleBuilder) resolve() (reported []event.LureSent, detected []ev
 }
 
 // Table2 snapshots Table 2 from the populations observed so far, drawing
-// the same deterministic samples the batch extractors draw.
+// Datasets 1 and 2's deterministic samples.
 func (b *PhishSampleBuilder) Table2(sampleSize int) Table2 {
 	reported, detected := b.resolve()
-	emails := datasets.SampleN(1, reported, sampleSize)
-	pages := datasets.SampleN(2, detected, sampleSize)
+	emails := sampleN(1, reported, sampleSize)
+	pages := sampleN(2, detected, sampleSize)
 
 	var ec, pc stats.Counter
 	for _, e := range emails {
@@ -139,10 +144,11 @@ func (b *PhishSampleBuilder) Table2(sampleSize int) Table2 {
 	return t
 }
 
-// URLShare snapshots the Dataset 1 URL share observed so far.
+// URLShare snapshots the fraction of curated phishing emails carrying a
+// URL (§4.1: 62 of 100) over the Dataset 1 sample observed so far.
 func (b *PhishSampleBuilder) URLShare(sampleSize int) float64 {
 	reported, _ := b.resolve()
-	emails := datasets.SampleN(1, reported, sampleSize)
+	emails := sampleN(1, reported, sampleSize)
 	withURL := 0
 	for _, e := range emails {
 		if e.HasURL {
@@ -159,18 +165,13 @@ type Figure3 struct {
 	TotalGETs  int
 }
 
-// ComputeFigure3 reproduces Figure 3 from Dataset 3's HTTP logs.
-func ComputeFigure3(s *logstore.Store, samplePages int) Figure3 {
-	b := NewFigure3Builder()
-	s.Scan(b.Observe)
-	return b.Figure3(samplePages)
-}
-
 // d3Pages tracks Dataset 3's join incrementally: one aggregate of type T
-// per Forms-created page, takedown eligibility, and the dataset's
-// deterministic page sample. The per-page aggregates replace Dataset 3's
-// materialized HTTP logs, so builder state grows with pages, not hits —
-// the shape that lets these figures run as a merge of per-segment maps.
+// per Forms-created page, takedown eligibility (the dataset keeps only
+// Forms-hosted pages that were taken down, with their HTTP request logs),
+// and the dataset's deterministic page sample. The per-page aggregates
+// replace Dataset 3's materialized HTTP logs, so builder state grows with
+// pages, not hits — the shape that lets these figures run as a merge of
+// per-segment maps.
 type d3Pages[T any] struct {
 	pages map[event.PageID]*d3Page[T]
 }
@@ -207,8 +208,7 @@ func (d *d3Pages[T]) observe(e event.Event) (agg *d3Page[T], hit event.PageHit, 
 }
 
 // sample draws Dataset 3's deterministic sample over the eligible
-// (taken-down) pages observed so far, in the same id order D3FormsPages
-// sorts into.
+// (taken-down) pages observed so far, in page id order.
 func (d *d3Pages[T]) sample(n int) []*d3Page[T] {
 	var eligible []*d3Page[T]
 	for _, p := range d.pages {
@@ -221,7 +221,7 @@ func (d *d3Pages[T]) sample(n int) []*d3Page[T] {
 			eligible[j], eligible[j-1] = eligible[j-1], eligible[j]
 		}
 	}
-	return datasets.SampleN(3, eligible, n)
+	return sampleN(3, eligible, n)
 }
 
 // fig3Agg is one page's referrer profile.
@@ -230,7 +230,7 @@ type fig3Agg struct {
 	nonBlank     stats.Counter
 }
 
-// Figure3Builder is the incremental form of ComputeFigure3.
+// Figure3Builder reproduces Figure 3 from Dataset 3's HTTP logs.
 type Figure3Builder struct {
 	pages *d3Pages[fig3Agg]
 }
@@ -277,15 +277,8 @@ type Figure4 struct {
 	N        int
 }
 
-// ComputeFigure4 reproduces Figure 4 from Dataset 3's POST payloads.
-func ComputeFigure4(s *logstore.Store, samplePages int) Figure4 {
-	b := NewFigure4Builder()
-	s.Scan(b.Observe)
-	return b.Figure4(samplePages)
-}
-
-// Figure4Builder is the incremental form of ComputeFigure4: a TLD counter
-// per page, merged over the page sample at snapshot time.
+// Figure4Builder reproduces Figure 4 from Dataset 3's POST payloads: a
+// TLD counter per page, merged over the page sample at snapshot time.
 type Figure4Builder struct {
 	pages *d3Pages[stats.Counter]
 }
@@ -323,20 +316,13 @@ type Figure5 struct {
 	Max     float64
 }
 
-// ComputeFigure5 reproduces Figure 5. Pages with fewer than minViews GET
-// requests are skipped (a rate over three views is noise).
-func ComputeFigure5(s *logstore.Store, samplePages, minViews int) Figure5 {
-	b := NewFigure5Builder()
-	s.Scan(b.Observe)
-	return b.Figure5(samplePages, minViews)
-}
-
 // fig5Agg is one page's request-method tally.
 type fig5Agg struct {
 	gets, posts int
 }
 
-// Figure5Builder is the incremental form of ComputeFigure5.
+// Figure5Builder reproduces Figure 5 from Dataset 3's per-page request
+// methods.
 type Figure5Builder struct {
 	pages *d3Pages[fig5Agg]
 }
@@ -361,6 +347,8 @@ func (b *Figure5Builder) Observe(e event.Event) {
 }
 
 // Figure5 snapshots the figure over the sampled pages observed so far.
+// Pages with fewer than minViews GET requests are skipped (a rate over
+// three views is noise).
 func (b *Figure5Builder) Figure5(samplePages, minViews int) Figure5 {
 	var rates stats.Sample
 	var out Figure5
@@ -392,20 +380,6 @@ type Figure6 struct {
 	Pages             int
 }
 
-// DefaultFigure6SamplePages is the registry's Dataset 3 sample size for
-// Figure 6, shared with the streaming suite so both paths draw the same
-// page sample.
-const DefaultFigure6SamplePages = 100
-
-// ComputeFigure6 reproduces Figure 6 from Dataset 3. It scans the log
-// through the incremental builder so the batch and streaming paths share
-// one implementation.
-func ComputeFigure6(s *logstore.Store, samplePages int) Figure6 {
-	b := NewFigure6Builder()
-	s.Scan(b.Observe)
-	return b.Figure6(samplePages)
-}
-
 // fig6Agg is one Forms page's live aggregate: the hourly POST series
 // anchored at its first hit, and the count of POSTs landing more than 12
 // hours after that first hit (the outlier signal).
@@ -415,8 +389,8 @@ type fig6Agg struct {
 	late   int
 }
 
-// Figure6Builder is the incremental form of ComputeFigure6. It mirrors
-// Dataset 3's join (Forms pages that were taken down, with their HTTP
+// Figure6Builder reproduces Figure 6 from Dataset 3. It mirrors Dataset
+// 3's join (Forms pages that were taken down, with their HTTP
 // logs) as per-page aggregates, so state grows with pages, not hits.
 // Events must arrive in time order — the first hit anchors each page's
 // hourly series — which both the sealed log and the stream bus guarantee.

@@ -3,7 +3,6 @@ package analysis
 import (
 	"time"
 
-	"manualhijack/internal/datasets"
 	"manualhijack/internal/event"
 	"manualhijack/internal/logstore"
 	"manualhijack/internal/stats"
@@ -18,18 +17,10 @@ type Figure9 struct {
 	Latencies    *stats.Sample // hours
 }
 
-// ComputeFigure9 reproduces Figure 9. It scans the log through the
-// incremental builder so the batch and segmented paths share one
-// implementation.
-func ComputeFigure9(s *logstore.Store, sampleSize int) Figure9 {
-	b := NewFigure9Builder()
-	s.Scan(b.Observe)
-	return b.Figure9(sampleSize)
-}
-
-// Figure9Builder is the incremental form of ComputeFigure9: it accumulates
-// Dataset 11's population (successful recoveries, in log order) and draws
-// the dataset's deterministic sample at snapshot time.
+// Figure9Builder reproduces Figure 9: it accumulates Dataset 11's
+// population (successful recoveries, in log order; the paper's 5000
+// recoveries) and draws the dataset's deterministic sample at snapshot
+// time.
 type Figure9Builder struct {
 	recovered []event.ClaimResolved
 }
@@ -52,7 +43,7 @@ func (b *Figure9Builder) Merge(other *Figure9Builder) {
 // Figure9 snapshots the figure from the recoveries observed so far.
 func (b *Figure9Builder) Figure9(sampleSize int) Figure9 {
 	fig := Figure9{Latencies: &stats.Sample{}}
-	for _, r := range datasets.SampleN(11, b.recovered, sampleSize) {
+	for _, r := range sampleN(11, b.recovered, sampleSize) {
 		if r.FlaggedAt.IsZero() {
 			continue
 		}
@@ -82,19 +73,15 @@ type Figure10 struct {
 	Methods map[event.RecoveryMethod]MethodStats
 }
 
-// ComputeFigure10 reproduces Figure 10 over the claim attempts in
-// [from, to) — the paper used a full month of claims. It scans the log
-// through the incremental builder so the batch and segmented paths share
-// one implementation.
-func ComputeFigure10(s *logstore.Store, from, to time.Time) Figure10 {
-	b := NewFigure10Builder()
-	s.Scan(b.Observe)
-	return b.Figure10(from, to)
-}
-
-// Figure10Builder is the incremental form of ComputeFigure10: it buffers
-// Dataset 12's population (legitimate claim attempts) and applies the
-// window filter at snapshot time, when the bounds are known.
+// Figure10Builder reproduces Figure 10 over the claim attempts in a
+// window — the paper used a full month of claims "to avoid sample bias
+// issues", so Dataset 12 is not sampled. It buffers the dataset's
+// population (legitimate claim attempts) and applies the window filter at
+// snapshot time, when the bounds are known. Impostor attempts are
+// excluded: at provider scale they are a negligible sliver of claims, but
+// the simulation's boosted hijack intensity would otherwise drag every
+// method's measured success rate down with "not the claimant's phone"
+// failures.
 type Figure10Builder struct {
 	attempts []event.ClaimAttempt
 }
@@ -114,7 +101,8 @@ func (b *Figure10Builder) Merge(other *Figure10Builder) {
 	b.attempts = append(b.attempts, other.attempts...)
 }
 
-// Figure10 snapshots the figure over the window's attempts observed so far.
+// Figure10 snapshots the figure over the attempts in [from, to) observed
+// so far.
 func (b *Figure10Builder) Figure10(from, to time.Time) Figure10 {
 	fig := Figure10{Methods: map[event.RecoveryMethod]MethodStats{}}
 	for _, a := range b.attempts {
@@ -145,18 +133,9 @@ type RecoveryChannels struct {
 	EmailAttempts int
 }
 
-// ComputeRecoveryChannels reproduces the §6.3 reliability estimates from
-// the claim-attempt log and the population. It scans the log through the
-// incremental builder so the batch and segmented paths share one
-// implementation.
-func ComputeRecoveryChannels(s *logstore.Store, secondaryTotal, secondaryRecycled int) RecoveryChannels {
-	b := NewRecoveryChannelsBuilder()
-	s.Scan(b.Observe)
-	return b.RecoveryChannels(secondaryTotal, secondaryRecycled)
-}
-
-// RecoveryChannelsBuilder is the incremental form of
-// ComputeRecoveryChannels: two counters over email verification attempts.
+// RecoveryChannelsBuilder reproduces the §6.3 reliability estimates from
+// the claim-attempt log and the population: two counters over email
+// verification attempts.
 type RecoveryChannelsBuilder struct {
 	emailAttempts int
 	bounces       int
@@ -204,17 +183,8 @@ type RemissionStats struct {
 	WithSettingClear int
 }
 
-// ComputeRemission tallies remission outcomes. It scans the log through
-// the incremental builder so the batch and segmented paths share one
-// implementation.
-func ComputeRemission(s *logstore.Store) RemissionStats {
-	b := NewRemissionBuilder()
-	s.Scan(b.Observe)
-	return b.Remission()
-}
-
-// RemissionBuilder is the incremental form of ComputeRemission: three
-// counters over remission events.
+// RemissionBuilder tallies remission outcomes: three counters over
+// remission events.
 type RemissionBuilder struct {
 	out RemissionStats
 }

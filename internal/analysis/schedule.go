@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"manualhijack/internal/event"
-	"manualhijack/internal/logstore"
 	"manualhijack/internal/stats"
 )
 
@@ -27,16 +26,7 @@ type WorkSchedule struct {
 	Logins      int
 }
 
-// ComputeWorkSchedule reproduces §5.5 from the hijacker login log. It
-// scans the log through the incremental builder so the batch and segmented
-// paths share one implementation.
-func ComputeWorkSchedule(s *logstore.Store) WorkSchedule {
-	b := NewWorkScheduleBuilder()
-	s.Scan(b.Observe)
-	return b.WorkSchedule()
-}
-
-// WorkScheduleBuilder is the incremental form of ComputeWorkSchedule:
+// WorkScheduleBuilder reproduces §5.5 from the hijacker login log:
 // fixed-size hour-of-day and weekend tallies over Dataset 5's hijacker
 // logins.
 type WorkScheduleBuilder struct {

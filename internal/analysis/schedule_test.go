@@ -39,7 +39,7 @@ func seedSchedule(s *logstore.Store) {
 func TestComputeWorkSchedule(t *testing.T) {
 	s := logstore.New()
 	seedSchedule(s)
-	ws := ComputeWorkSchedule(s)
+	ws := Fold(s, NewWorkScheduleBuilder()).WorkSchedule()
 	if ws.Logins == 0 {
 		t.Fatal("no logins")
 	}
@@ -59,7 +59,7 @@ func TestComputeWorkSchedule(t *testing.T) {
 }
 
 func TestWorkScheduleEmpty(t *testing.T) {
-	ws := ComputeWorkSchedule(logstore.New())
+	ws := Fold(logstore.New(), NewWorkScheduleBuilder()).WorkSchedule()
 	if ws.Logins != 0 || ws.WeekendShare != 0 || ws.LunchDip != 0 {
 		t.Fatalf("empty schedule = %+v", ws)
 	}
@@ -80,7 +80,7 @@ func TestEvaluateDoppelgangerDetector(t *testing.T) {
 	// Hijacker forwards to an unrelated drop box (a miss for the detector).
 	s.Append(event.FilterCreated{Base: at(2), Account: 3, ForwardTo: "dropbox9@evil.test", Actor: event.ActorHijacker})
 
-	ev := EvaluateDoppelgangerDetector(s, dir, 0.75)
+	ev := Fold(s, NewDoppelgangerBuilder(dir, 0.75)).DoppelgangerEval()
 	if ev.TruePositives != 1 {
 		t.Fatalf("tp = %d, want the typo doppelganger flagged", ev.TruePositives)
 	}
@@ -115,7 +115,7 @@ func TestComputeLifecycle(t *testing.T) {
 	s.Append(event.ClaimFiled{Base: at(7), Account: 1})
 	s.Append(event.ClaimResolved{Base: at(8), Account: 1, Success: true})
 
-	l := ComputeLifecycle(s)
+	l := Fold(s, NewLifecycleBuilder()).Lifecycle()
 	if l.LuresDelivered != 2 || l.PageVisits != 1 || l.CredentialsCaptured != 1 {
 		t.Fatalf("acquisition = %+v", l)
 	}
@@ -164,7 +164,7 @@ func TestComputeRemission(t *testing.T) {
 	s := logstore.New()
 	s.Append(event.Remission{Base: at(0), Account: 1, RestoredMessages: 12, ClearedSettings: true})
 	s.Append(event.Remission{Base: at(1), Account: 2})
-	r := ComputeRemission(s)
+	r := Fold(s, NewRemissionBuilder()).Remission()
 	if r.Remissions != 2 || r.WithRestore != 1 || r.WithSettingClear != 1 {
 		t.Fatalf("remission = %+v", r)
 	}
@@ -180,7 +180,7 @@ func TestMonetizationAndRevenueByCrew(t *testing.T) {
 	s.Append(event.MoneyWired{Base: at(4), VictimAccount: 1, Recipient: 2, Crew: "ng", Amount: 500})
 	s.Append(event.MoneyWired{Base: at(5), VictimAccount: 1, Recipient: 4, Crew: "ci", Amount: 200})
 
-	m := ComputeMonetization(s)
+	m := Fold(s, NewMonetizationBuilder()).Monetization()
 	if m.PleaRecipients != 2 || m.Replies != 2 || m.ReachedCrew != 1 {
 		t.Fatalf("funnel = %+v", m)
 	}

@@ -74,18 +74,15 @@ type Analysis struct {
 	// graphs, secondary-email state, activity). They are skipped when
 	// replaying a dumped log, where only events survive.
 	NeedsDir bool
-	// Run computes the analysis against the whole log. Every current entry
-	// is builder-form (Run nil, Stream set); the field remains for future
-	// analyses that genuinely need whole-log random access.
-	Run func(in AnalysisInput, r *StudyReport)
-	// Stream returns the analysis's incremental builder. On a segmented
-	// (spilled-to-disk) log, every Stream-capable analysis of an era is
-	// fed from ONE ordered scan — each segment is decoded once per pass
-	// instead of once per analysis — and finalized into its report field.
-	// Builders that additionally implement MergeableAnalysis are folded
-	// as one shard per segment on a worker pool and merged back in
-	// segment order, so the single decode pass also stops serializing the
-	// fold.
+	// Stream returns the analysis's incremental builder, configured with
+	// the parameters the study reports it at. On an in-RAM log each entry
+	// scans the whole log through its own builder. On a segmented
+	// (spilled-to-disk) log, every analysis of an era is fed from ONE
+	// ordered scan — each segment is decoded once per pass instead of once
+	// per analysis — and finalized into its report field. Builders that
+	// additionally implement MergeableAnalysis are folded as one shard per
+	// segment on a worker pool and merged back in segment order, so the
+	// single decode pass also stops serializing the fold.
 	Stream func(in AnalysisInput) StreamAnalysis
 }
 
@@ -156,14 +153,13 @@ func mergeable[B interface {
 // riskSweepThresholds is the §8.1 operating-point grid.
 var riskSweepThresholds = []float64{0.3, 0.4, 0.5, 0.58, 0.62, 0.7, 0.8, 0.9}
 
-// registry holds every analysis of the study, in report order. Every entry
-// is stream-form: its whole-log form is derived by scanning the log
-// through the builder, so one definition serves the monolithic, the
-// segmented, and the online-streaming paths. Entries built with
-// mergeable() additionally fold as per-segment shards on the segmented
-// path; the handful built with streamed{} are order-sensitive (session
-// state machines, cross-segment page joins, first-hit anchors) and fold
-// inline on the ordered scan.
+// registry holds every analysis of the study, in report order. An entry's
+// builder is the analysis's one definition: the monolithic, the segmented
+// and the online-streaming (internal/stream) paths all run it. Entries
+// built with mergeable() additionally fold as per-segment shards on the
+// segmented path; the handful built with streamed{} are order-sensitive
+// (session state machines, cross-segment page joins, first-hit anchors)
+// and fold inline on the ordered scan.
 var registry = []Analysis{
 	// ---- 2011 era ----
 	{Name: "retention-2011", Era: Era2011, Stream: func(in AnalysisInput) StreamAnalysis {
@@ -198,9 +194,7 @@ var registry = []Analysis{
 	}},
 	{Name: "figure-6", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
 		b := analysis.NewFigure6Builder()
-		return streamed{b.Observe, func(r *StudyReport) {
-			r.Fig6 = b.Figure6(analysis.DefaultFigure6SamplePages)
-		}}
+		return streamed{b.Observe, func(r *StudyReport) { r.Fig6 = b.Figure6(100) }}
 	}},
 	{Name: "figure-7", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
 		return mergeable(analysis.NewFigure7Builder, func(b *analysis.Figure7Builder, r *StudyReport) {
@@ -312,7 +306,7 @@ var registry = []Analysis{
 	}},
 	{Name: "figure-11", Era: Era2014, Stream: func(in AnalysisInput) StreamAnalysis {
 		return mergeable(analysis.NewFigure11Builder, func(b *analysis.Figure11Builder, r *StudyReport) {
-			r.Fig11 = b.Figure11(in.Plan, analysis.DefaultFigure11Cases)
+			r.Fig11 = b.Figure11(in.Plan, 3000)
 		})
 	}},
 
@@ -372,12 +366,12 @@ func RunAnalyses(in AnalysisInput, par int) (*StudyReport, []string) {
 // analysisJobs builds the parallel job list for the whole registry, given
 // the input each era's analyses read. On monolithic (in-RAM) logs every
 // entry is its own job, preserving the wide fan-out. On a segmented log
-// the Stream-capable entries of each store are grouped into a single
-// map-reduce job: one ordered scan decodes every segment exactly once and
-// feeds all builders, which then finalize into their report fields — the
-// pass count stops scaling with the analysis count. par bounds the
-// per-segment shard folds inside each group (see runGroup). Entries whose
-// directory requirement is unmet are returned in skipped.
+// the entries of each store are grouped into a single map-reduce job: one
+// ordered scan decodes every segment exactly once and feeds all builders,
+// which then finalize into their report fields — the pass count stops
+// scaling with the analysis count. par bounds the per-segment shard folds
+// inside each group (see runGroup). Entries whose directory requirement is
+// unmet are returned in skipped.
 func analysisJobs(input func(Era) AnalysisInput, r *StudyReport, par int) (jobs []func(), skipped []string) {
 	type group struct {
 		in      AnalysisInput
@@ -392,7 +386,7 @@ func analysisJobs(input func(Era) AnalysisInput, r *StudyReport, par int) (jobs 
 			skipped = append(skipped, a.Name)
 			continue
 		}
-		if a.Stream != nil && in.Log.Segmented() {
+		if in.Log.Segmented() {
 			g := byStore[in.Log]
 			if g == nil {
 				g = &group{in: in}
@@ -411,7 +405,7 @@ func analysisJobs(input func(Era) AnalysisInput, r *StudyReport, par int) (jobs 
 	return jobs, skipped
 }
 
-// runGroup executes one segmented store's Stream entries in a single
+// runGroup executes one segmented store's entries in a single
 // decode pass. The scan goroutine folds the order-sensitive builders
 // inline, preserving strict log order; for every decoded segment, up to
 // par worker goroutines fold one fresh shard per mergeable entry, and a
@@ -494,13 +488,8 @@ func runGroup(in AnalysisInput, entries []Analysis, r *StudyReport, par int) {
 	}
 }
 
-// runOne executes one entry in whole-log form, deriving it from the
-// builder when the entry is stream-only.
+// runOne executes one entry by scanning the whole log through its builder.
 func runOne(a Analysis, in AnalysisInput, r *StudyReport) {
-	if a.Run != nil {
-		a.Run(in, r)
-		return
-	}
 	b := a.Stream(in)
 	in.Log.Scan(b.Observe)
 	b.Finalize(r)

@@ -26,8 +26,8 @@ func TestRegistryWellFormed(t *testing.T) {
 		if a.Era < Era2011 || a.Era >= eraCount {
 			t.Fatalf("%s: bad era %d", a.Name, a.Era)
 		}
-		if a.Run == nil && a.Stream == nil {
-			t.Fatalf("%s: neither Run nor Stream", a.Name)
+		if a.Stream == nil {
+			t.Fatalf("%s: no Stream builder", a.Name)
 		}
 	}
 }

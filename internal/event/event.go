@@ -1,7 +1,7 @@
 // Package event defines the typed log records every subsystem emits. The
-// measurement pipeline (internal/datasets, internal/analysis) computes the
-// paper's tables and figures exclusively from these records, mirroring how
-// the original study was computed from Google's system logs.
+// measurement pipeline (internal/analysis) computes the paper's tables and
+// figures exclusively from these records, mirroring how the original study
+// was computed from Google's system logs.
 //
 // Records carry an Actor ground-truth field stating who actually performed
 // the action. The simulator knows this; the *detectors* must not use it

@@ -4,9 +4,10 @@
 // The paper notes that its 14 datasets were aggregated from system logs
 // "via map-reduce computation" and that, for privacy and storage reasons,
 // many authentication-related logs are sanitized or erased within a short
-// time window. Both properties are modeled here: MapReduce provides a
-// deterministic parallel aggregation framework, and Retention applies
-// kind-scoped erasure windows.
+// time window. Both properties are modeled here: the analysis builders'
+// per-segment shards and ordered merges (core.MergeableAnalysis) are the
+// map-reduce over a sealed store, and Retention applies kind-scoped
+// erasure windows.
 //
 // # Store lifecycle: single-writer build, sealed concurrent reads
 //
@@ -38,9 +39,7 @@
 package logstore
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -395,106 +394,6 @@ func (s *Store) Sanitize(now time.Time, policy Retention) int {
 		s.rebuildIndex()
 	}
 	return erased
-}
-
-// KV is one key/value pair emitted by a mapper.
-type KV[K comparable, V any] struct {
-	Key K
-	Val V
-}
-
-// MapReduce runs mapper over every record in parallel shards, groups the
-// emitted pairs by key, and reduces each key's values. Despite the
-// parallel map phase, the result is deterministic: values reach the
-// reducer in original log order.
-func MapReduce[K comparable, V any, R any](
-	s *Store,
-	mapper func(event.Event) []KV[K, V],
-	reducer func(K, []V) R,
-) map[K]R {
-	if s.Segmented() {
-		// Stream segments in log order on one goroutine: grouping still
-		// sees values in original order, so results are byte-identical
-		// to the sharded in-RAM path.
-		groups := make(map[K][]V)
-		s.Scan(func(e event.Event) {
-			for _, kv := range mapper(e) {
-				groups[kv.Key] = append(groups[kv.Key], kv.Val)
-			}
-		})
-		result := make(map[K]R, len(groups))
-		for k, vs := range groups {
-			result[k] = reducer(k, vs)
-		}
-		return result
-	}
-	events := s.snapshot()
-	shards := runtime.GOMAXPROCS(0)
-	if shards > len(events) {
-		shards = len(events)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-
-	type indexed struct {
-		idx int
-		kv  KV[K, V]
-	}
-	outs := make([][]indexed, shards)
-	var wg sync.WaitGroup
-	chunk := (len(events) + shards - 1) / shards
-	for sh := 0; sh < shards; sh++ {
-		lo := sh * chunk
-		hi := lo + chunk
-		if hi > len(events) {
-			hi = len(events)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(sh, lo, hi int) {
-			defer wg.Done()
-			var local []indexed
-			for i := lo; i < hi; i++ {
-				for _, kv := range mapper(events[i]) {
-					local = append(local, indexed{idx: i, kv: kv})
-				}
-			}
-			outs[sh] = local
-		}(sh, lo, hi)
-	}
-	wg.Wait()
-
-	// Group by key. Shards are already internally ordered and cover
-	// disjoint ascending index ranges, so appending shard-by-shard in
-	// order preserves global log order per key.
-	groups := make(map[K][]V)
-	for _, shard := range outs {
-		for _, iv := range shard {
-			groups[iv.kv.Key] = append(groups[iv.kv.Key], iv.kv.Val)
-		}
-	}
-	result := make(map[K]R, len(groups))
-	for k, vs := range groups {
-		result[k] = reducer(k, vs)
-	}
-	return result
-}
-
-// CountBy is a MapReduce convenience that counts records by a key function
-// (key extraction returning ok=false skips the record).
-func CountBy[K comparable](s *Store, key func(event.Event) (K, bool)) map[K]int {
-	return MapReduce(s,
-		func(e event.Event) []KV[K, struct{}] {
-			if k, ok := key(e); ok {
-				return []KV[K, struct{}]{{Key: k}}
-			}
-			return nil
-		},
-		func(_ K, vs []struct{}) int { return len(vs) },
-	)
 }
 
 // KindCounts tallies records by kind (an aggregate useful for log-volume

@@ -2,7 +2,6 @@ package logstore
 
 import (
 	"bytes"
-	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -120,94 +119,6 @@ func TestSanitizeAllKinds(t *testing.T) {
 	erased := s.Sanitize(t0.Add(time.Hour), Retention{Window: time.Second})
 	if erased != 2 || s.Len() != 0 {
 		t.Fatalf("erased = %d len = %d", erased, s.Len())
-	}
-}
-
-func TestMapReduceCounts(t *testing.T) {
-	s := New()
-	for i := 0; i < 100; i++ {
-		actor := event.ActorOwner
-		if i%10 == 0 {
-			actor = event.ActorHijacker
-		}
-		s.Append(login(t0.Add(time.Duration(i)*time.Second), identity.AccountID(i%7+1), actor))
-	}
-	counts := CountBy(s, func(e event.Event) (event.Actor, bool) {
-		l, ok := e.(event.Login)
-		if !ok {
-			return "", false
-		}
-		return l.Actor, true
-	})
-	if counts[event.ActorHijacker] != 10 || counts[event.ActorOwner] != 90 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
-func TestMapReduceOrderPreserved(t *testing.T) {
-	s := New()
-	const n = 5000
-	for i := 0; i < n; i++ {
-		s.Append(login(t0.Add(time.Duration(i)*time.Second), identity.AccountID(i%3+1), event.ActorOwner))
-	}
-	// Collect per-account times; they must arrive in log order even though
-	// the map phase is parallel.
-	res := MapReduce(s,
-		func(e event.Event) []KV[identity.AccountID, time.Time] {
-			l := e.(event.Login)
-			return []KV[identity.AccountID, time.Time]{{Key: l.Account, Val: l.Time}}
-		},
-		func(_ identity.AccountID, vs []time.Time) bool {
-			for i := 1; i < len(vs); i++ {
-				if vs[i].Before(vs[i-1]) {
-					return false
-				}
-			}
-			return true
-		},
-	)
-	for k, ordered := range res {
-		if !ordered {
-			t.Fatalf("account %d values out of order", k)
-		}
-	}
-	if len(res) != 3 {
-		t.Fatalf("keys = %d, want 3", len(res))
-	}
-}
-
-func TestMapReduceDeterministic(t *testing.T) {
-	s := New()
-	for i := 0; i < 2000; i++ {
-		s.Append(login(t0.Add(time.Duration(i)*time.Second), identity.AccountID(i%11+1), event.ActorOwner))
-	}
-	run := func() map[identity.AccountID]string {
-		return MapReduce(s,
-			func(e event.Event) []KV[identity.AccountID, int] {
-				l := e.(event.Login)
-				return []KV[identity.AccountID, int]{{Key: l.Account, Val: int(l.Time.Unix())}}
-			},
-			func(k identity.AccountID, vs []int) string {
-				return fmt.Sprintf("%d:%d:%d", k, len(vs), vs[0]+vs[len(vs)-1])
-			},
-		)
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatal("nondeterministic key count")
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Fatalf("nondeterministic reduce for key %d: %s vs %s", k, v, b[k])
-		}
-	}
-}
-
-func TestMapReduceEmptyStore(t *testing.T) {
-	s := New()
-	res := CountBy(s, func(e event.Event) (string, bool) { return "x", true })
-	if len(res) != 0 {
-		t.Fatalf("empty store produced %v", res)
 	}
 }
 

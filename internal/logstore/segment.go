@@ -7,7 +7,7 @@ package logstore
 // record (or approximate byte) threshold and spill to versioned NDJSON(.gz)
 // segment files, so the store holds only the active segment plus a small
 // decoded-segment cache. After Seal, every read path (Scan, Select,
-// Between, KindCounts, MapReduce) streams segments back through the cache
+// Between, KindCounts, ScanSegments) streams segments back through the cache
 // in log order — analyses run over million-user worlds in RAM bounded by
 // the segment size, not the world size.
 //

@@ -68,10 +68,6 @@ func assertStoresEqual(t *testing.T, got, want *Store) {
 	if g, w := got.SortedKinds(), want.SortedKinds(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("SortedKinds diverges: %v vs %v", g, w)
 	}
-	key := func(e event.Event) (event.Kind, bool) { return e.EventKind(), true }
-	if g, w := CountBy(got, key), CountBy(want, key); !reflect.DeepEqual(g, w) {
-		t.Fatalf("CountBy diverges: %v vs %v", g, w)
-	}
 }
 
 // Every read path of a spilled store must answer exactly like the in-RAM

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"manualhijack/internal/event"
 	"manualhijack/internal/identity"
@@ -52,6 +53,13 @@ import (
 // flushes its ordered score+outcome stream BatchSize logins at a time
 // through /v1/score.batch, and the server walks each stream's lines in
 // order.
+//
+// Lanes do share one clock, though: the engine's IP-fanout tracker evicts
+// history more than a day older than the newest day any request has
+// reached, so a lane running over a day ahead of another would erase
+// history the slower lane still reads. Replay therefore runs one UTC day
+// of the log at a time — lanes are planned per day, and every lane of a
+// day finishes before the next day starts.
 
 // ReplayConfig parameterizes the cross-check.
 type ReplayConfig struct {
@@ -60,8 +68,9 @@ type ReplayConfig struct {
 	ChallengeThreshold float64
 	BlockThreshold     float64
 	// Workers is the number of concurrent replay lanes; 0 or 1 replays
-	// sequentially. Parity stays exact at any worker count — events are
-	// partitioned by connected component of the account/IP sharing graph.
+	// sequentially. Parity stays exact at any worker count — each day's
+	// events are partitioned by connected component of the account/IP
+	// sharing graph.
 	Workers int
 	// BatchSize, when positive, switches to /v1/score.batch with that many
 	// logins (score + outcome line pairs) per round trip.
@@ -174,24 +183,27 @@ func Replay(st *logstore.Store, c *Client, cfg ReplayConfig) (ReplayStats, error
 	}
 
 	sh := &replayShared{cfg: cfg, logins: logins, firstIdx: len(logins)}
-	lanes := planLanes(logins, idx, cfg.Workers)
-
-	var wg sync.WaitGroup
-	for _, lane := range lanes {
-		if len(lane) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(lane []int) {
-			defer wg.Done()
-			if cfg.BatchSize > 0 {
-				replayLaneBatched(sh, c, lane)
-			} else {
-				replayLane(sh, c, lane)
+	for _, day := range splitDays(logins, idx) {
+		var wg sync.WaitGroup
+		for _, lane := range planLanes(logins, day, cfg.Workers) {
+			if len(lane) == 0 {
+				continue
 			}
-		}(lane)
+			wg.Add(1)
+			go func(lane []int) {
+				defer wg.Done()
+				if cfg.BatchSize > 0 {
+					replayLaneBatched(sh, c, lane)
+				} else {
+					replayLane(sh, c, lane)
+				}
+			}(lane)
+		}
+		wg.Wait()
+		if sh.aborted.Load() {
+			break
+		}
 	}
-	wg.Wait()
 
 	rs.Scored = int(sh.scored.Load())
 	rs.Mismatches = int(sh.mismatches.Load())
@@ -299,6 +311,22 @@ func replayLaneBatched(sh *replayShared, c *Client, lane []int) {
 		}
 	}
 	flush()
+}
+
+// splitDays cuts the selected log indices (ascending, so in time order)
+// into runs that fall on one UTC day each.
+func splitDays(logins []event.Login, idx []int) [][]int {
+	utcDay := func(i int) time.Time { return logins[i].Time.UTC().Truncate(24 * time.Hour) }
+	var days [][]int
+	for len(idx) > 0 {
+		day, k := utcDay(idx[0]), 1
+		for k < len(idx) && utcDay(idx[k]).Equal(day) {
+			k++
+		}
+		days = append(days, idx[:k])
+		idx = idx[k:]
+	}
+	return days
 }
 
 // planLanes partitions the selected log indices (ascending) into at most

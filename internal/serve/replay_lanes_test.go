@@ -2,7 +2,9 @@ package serve
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
+	"time"
 
 	"manualhijack/internal/event"
 	"manualhijack/internal/identity"
@@ -121,6 +123,27 @@ func TestPlanLanesBalance(t *testing.T) {
 			t.Fatalf("lane %d has %d events, want 16 (%v lane sizes)", l, len(lane),
 				[]int{len(lanes[0]), len(lanes[1]), len(lanes[2]), len(lanes[3])})
 		}
+	}
+}
+
+func TestSplitDaysCutsAtUTCMidnight(t *testing.T) {
+	day := time.Date(2012, 11, 5, 0, 0, 0, 0, time.UTC)
+	var logins []event.Login
+	for _, at := range []time.Duration{
+		time.Hour, 23*time.Hour + 59*time.Minute, // day 0
+		24 * time.Hour, 30 * time.Hour, // day 1
+		72 * time.Hour, // day 3
+	} {
+		logins = append(logins, event.Login{Base: event.Base{Time: day.Add(at)}})
+	}
+	// Index 3 is skipped, as Replay skips anti-abuse refusals.
+	got := splitDays(logins, []int{0, 1, 2, 4})
+	want := [][]int{{0, 1}, {2}, {4}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("days = %v, want %v", got, want)
+	}
+	if days := splitDays(logins, nil); len(days) != 0 {
+		t.Fatalf("no logins should yield no days: %v", days)
 	}
 }
 

@@ -4,11 +4,12 @@ import (
 	"sync"
 	"time"
 
+	"manualhijack/internal/core"
 	"manualhijack/internal/event"
 	"manualhijack/internal/logstore"
 )
 
-// Bus fans one event feed out to a set of Incremental analyses, serializing
+// Bus fans one event feed out to a set of registry builders, serializing
 // everything behind a mutex so single-goroutine builders are safe under
 // concurrent publishers (riskd's request lanes) and concurrent snapshot
 // readers (/v1/streamz).
@@ -22,18 +23,18 @@ import (
 // over an ordered feed. Equal timestamps are accepted — the simulation
 // batches many events on one clock tick.
 type Bus struct {
-	mu   sync.Mutex
-	incs []Incremental
-	last time.Time
+	mu       sync.Mutex
+	builders []core.StreamAnalysis
+	last     time.Time
 	// haveLast distinguishes "no events yet" from a first event at the
 	// zero time.
 	haveLast          bool
 	observed, dropped int64
 }
 
-// NewBus returns a bus feeding the given analyses.
-func NewBus(incs ...Incremental) *Bus {
-	return &Bus{incs: incs}
+// NewBus returns a bus feeding the given builders (see DefaultSuite).
+func NewBus(builders ...core.StreamAnalysis) *Bus {
+	return &Bus{builders: builders}
 }
 
 // Publish offers one event to every analysis. It reports whether the event
@@ -50,8 +51,8 @@ func (b *Bus) Publish(e event.Event) bool {
 	b.last = when
 	b.haveLast = true
 	b.observed++
-	for _, inc := range b.incs {
-		inc.Observe(e)
+	for _, a := range b.builders {
+		a.Observe(e)
 	}
 	return true
 }
@@ -70,21 +71,22 @@ func (b *Bus) Replay(s *logstore.Store) int {
 	return n
 }
 
-// Snapshot returns a point-in-time report across all analyses. It is safe
-// to call concurrently with Publish; the report is consistent (no event is
-// half-applied across analyses).
+// Snapshot returns a point-in-time report across all analyses: each
+// builder finalizes into a scratch study report, whose live fields
+// FromStudy copies out. It is safe to call concurrently with Publish; the
+// report is consistent (no event is half-applied across analyses).
 func (b *Bus) Snapshot() Report {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	r := Report{
-		EventsObserved: b.observed,
-		EventsDropped:  b.dropped,
+	var study core.StudyReport
+	for _, a := range b.builders {
+		a.Finalize(&study)
 	}
+	r := FromStudy(&study)
+	r.EventsObserved = b.observed
+	r.EventsDropped = b.dropped
 	if b.haveLast {
 		r.LastEvent = b.last.UTC().Format(time.RFC3339Nano)
-	}
-	for _, inc := range b.incs {
-		inc.Report(&r)
 	}
 	return r
 }

@@ -23,7 +23,7 @@ func login(at time.Time, acct identity.AccountID, actor event.Actor, outcome eve
 }
 
 func TestBusRejectsOutOfOrder(t *testing.T) {
-	bus := stream.NewBus(stream.NewLifecycle())
+	bus := stream.NewBus(stream.DefaultSuite(core.DefaultIPPlan())...)
 	if !bus.Publish(login(t0.Add(time.Hour), 1, event.ActorHijacker, event.LoginSuccess)) {
 		t.Fatal("first event rejected")
 	}

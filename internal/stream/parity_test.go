@@ -84,13 +84,7 @@ func assertParity(t *testing.T, cfg core.Config, decoyOver time.Duration) {
 		Plan:  w.Plan,
 		Dir:   w.Dir,
 	}, 0)
-	batch := stream.Report{
-		Lifecycle: r.Lifecycle,
-		Fig6:      r.Fig6,
-		Fig8:      r.Fig8,
-		Fig11:     r.Fig11,
-		Scorecard: r.ArchetypeScorecard,
-	}
+	batch := stream.FromStudy(r)
 
 	liveSnap := live.Snapshot()
 	if liveSnap.EventsObserved == 0 {

@@ -1,12 +1,13 @@
 // Package stream is the online half of the measurement pipeline: the
 // analyses that make sense *while logins happen* (the paper's §8.2
-// detection posture), recast as incremental consumers of a live event
-// feed instead of batch passes over a sealed logstore.Store.
+// detection posture), fed from a live event feed instead of a batch pass
+// over a sealed logstore.Store.
 //
-// Correctness rests on parity by construction: each Incremental here wraps
-// the same builder type (internal/analysis) that the batch Compute*
-// function delegates to, so the streaming and batch paths share one
-// implementation and cannot drift. The replay harness
+// Correctness rests on parity by construction: the live set is a list of
+// core.Registry() names, and each live builder is built by its registry
+// entry, at the registry's parameters, and finalized through the entry's
+// own finalizer — so the streaming and batch paths run one definition of
+// each analysis and cannot drift. The replay harness
 // (TestStreamingMatchesBatch) pins the remaining glue by piping sealed
 // dumps through the streaming path and asserting reflect.DeepEqual against
 // the batch registry's output.
@@ -14,35 +15,31 @@
 // Feeds: a world taps its log (core.World.Tap → Bus.Publish) so the
 // analyses track the simulation as it runs, and riskd publishes a
 // synthesized login record per scored request, exposing live snapshots at
-// /v1/streamz. Incremental analyses hold aggregate state only — per-IP
-// days, per-page series, per-account funnel bits — never the log itself,
-// which is what frees million-user worlds from keeping every record
-// resident (ROADMAP item 1).
+// /v1/streamz. Live builders hold aggregate state only — per-IP days,
+// per-page series, per-account funnel bits — never the log itself.
 package stream
 
 import (
 	"reflect"
+	"slices"
 
 	"manualhijack/internal/analysis"
-	"manualhijack/internal/event"
+	"manualhijack/internal/core"
 	"manualhijack/internal/geo"
 )
 
-// Incremental is one streaming analysis: it folds events in one at a time
-// and can write its current result into a Report at any instant.
-// Implementations are single-goroutine; the Bus serializes access.
-type Incremental interface {
-	// Name identifies the analysis (matches the batch registry's name).
-	Name() string
-	// Observe folds one event into the analysis state.
-	Observe(e event.Event)
-	// Report writes the analysis's current result into its Report field.
-	Report(r *Report)
-}
+// live lists the registry analyses that run on the live feed, in Report
+// order: the lifecycle funnel, campaign arrival decay (Figure 6), per-IP
+// fanout (Figure 8), geo-velocity clusters (Figure 11) and the
+// per-archetype detection scorecard. A live entry must not need the
+// account directory; of its input it may read only Plan.
+var live = []string{"lifecycle", "figure-6", "figure-8", "figure-11", "archetype-scorecard"}
 
-// Report is a point-in-time snapshot of every streaming analysis, plus the
-// bus counters. Field names mirror the batch StudyReport so the parity
-// harness can compare them directly.
+// Live returns the registry names of the live analyses, in Report order.
+func Live() []string { return slices.Clone(live) }
+
+// Report is a point-in-time snapshot of every live analysis, plus the bus
+// counters.
 type Report struct {
 	// EventsObserved counts events accepted by the bus; EventsDropped
 	// counts out-of-order arrivals it refused.
@@ -56,6 +53,18 @@ type Report struct {
 	Fig8      analysis.Figure8            `json:"figure8_ip_fanout"`
 	Fig11     analysis.Figure11           `json:"figure11_geo_clusters"`
 	Scorecard analysis.ArchetypeScorecard `json:"archetype_scorecard"`
+}
+
+// FromStudy copies the live analyses' fields of a study report into a
+// Report, leaving the bus counters zero.
+func FromStudy(r *core.StudyReport) Report {
+	return Report{
+		Lifecycle: r.Lifecycle,
+		Fig6:      r.Fig6,
+		Fig8:      r.Fig8,
+		Fig11:     r.Fig11,
+		Scorecard: r.ArchetypeScorecard,
+	}
 }
 
 // AnalysisDiff compares the analysis fields of two reports (ignoring the
@@ -82,85 +91,15 @@ func AnalysisDiff(a, b Report) []string {
 	return diffs
 }
 
-// DefaultSuite returns the live-relevant analyses at their registry
-// parameters: the lifecycle funnel, campaign arrival decay (Figure 6),
-// per-IP fanout (Figure 8), and geo-velocity clusters (Figure 11, located
-// against plan).
-func DefaultSuite(plan *geo.IPPlan) []Incremental {
-	return []Incremental{
-		NewLifecycle(),
-		NewArrivalDecay(analysis.DefaultFigure6SamplePages),
-		NewIPFanout(),
-		NewGeoClusters(plan, analysis.DefaultFigure11Cases),
-		NewScorecard(),
+// DefaultSuite returns a fresh builder for each live analysis, built by
+// its registry entry, with Figure 11 locating IPs against plan.
+func DefaultSuite(plan *geo.IPPlan) []core.StreamAnalysis {
+	in := core.AnalysisInput{Plan: plan}
+	var suite []core.StreamAnalysis
+	for _, a := range core.Registry() {
+		if slices.Contains(live, a.Name) {
+			suite = append(suite, a.Stream(in))
+		}
 	}
+	return suite
 }
-
-// Lifecycle streams Figure 2's hijacking funnel.
-type Lifecycle struct{ b *analysis.LifecycleBuilder }
-
-// NewLifecycle returns an empty streaming funnel.
-func NewLifecycle() *Lifecycle {
-	return &Lifecycle{b: analysis.NewLifecycleBuilder()}
-}
-
-func (l *Lifecycle) Name() string          { return "lifecycle" }
-func (l *Lifecycle) Observe(e event.Event) { l.b.Observe(e) }
-func (l *Lifecycle) Report(r *Report)      { r.Lifecycle = l.b.Lifecycle() }
-
-// Scorecard streams the per-archetype detection scorecard.
-type Scorecard struct{ b *analysis.ArchetypeScorecardBuilder }
-
-// NewScorecard returns an empty streaming scorecard.
-func NewScorecard() *Scorecard {
-	return &Scorecard{b: analysis.NewArchetypeScorecardBuilder()}
-}
-
-func (s *Scorecard) Name() string          { return "archetype-scorecard" }
-func (s *Scorecard) Observe(e event.Event) { s.b.Observe(e) }
-func (s *Scorecard) Report(r *Report)      { r.Scorecard = s.b.Scorecard() }
-
-// ArrivalDecay streams Figure 6's campaign credential-arrival profile.
-type ArrivalDecay struct {
-	b           *analysis.Figure6Builder
-	samplePages int
-}
-
-// NewArrivalDecay returns an empty streaming arrival profile drawing
-// Dataset 3's sample at the given size.
-func NewArrivalDecay(samplePages int) *ArrivalDecay {
-	return &ArrivalDecay{b: analysis.NewFigure6Builder(), samplePages: samplePages}
-}
-
-func (a *ArrivalDecay) Name() string          { return "figure-6" }
-func (a *ArrivalDecay) Observe(e event.Event) { a.b.Observe(e) }
-func (a *ArrivalDecay) Report(r *Report)      { r.Fig6 = a.b.Figure6(a.samplePages) }
-
-// IPFanout streams Figure 8's hijacker per-IP-day activity.
-type IPFanout struct{ b *analysis.Figure8Builder }
-
-// NewIPFanout returns an empty streaming fanout aggregate.
-func NewIPFanout() *IPFanout {
-	return &IPFanout{b: analysis.NewFigure8Builder()}
-}
-
-func (f *IPFanout) Name() string          { return "figure-8" }
-func (f *IPFanout) Observe(e event.Event) { f.b.Observe(e) }
-func (f *IPFanout) Report(r *Report)      { r.Fig8 = f.b.Figure8() }
-
-// GeoClusters streams Figure 11's country mix of hijack-case IPs.
-type GeoClusters struct {
-	b     *analysis.Figure11Builder
-	plan  *geo.IPPlan
-	cases int
-}
-
-// NewGeoClusters returns an empty streaming cluster aggregate locating IPs
-// against plan and sampling Dataset 13 at the given case count.
-func NewGeoClusters(plan *geo.IPPlan, cases int) *GeoClusters {
-	return &GeoClusters{b: analysis.NewFigure11Builder(), plan: plan, cases: cases}
-}
-
-func (g *GeoClusters) Name() string          { return "figure-11" }
-func (g *GeoClusters) Observe(e event.Event) { g.b.Observe(e) }
-func (g *GeoClusters) Report(r *Report)      { r.Fig11 = g.b.Figure11(g.plan, g.cases) }
