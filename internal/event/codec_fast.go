@@ -16,6 +16,7 @@ import (
 
 	"manualhijack/internal/geo"
 	"manualhijack/internal/identity"
+	"manualhijack/internal/jsonx"
 )
 
 // timeOK reports whether t is in the year range time.Time.MarshalJSON
@@ -23,13 +24,6 @@ import (
 func timeOK(t time.Time) bool {
 	y := t.Year()
 	return y >= 1 && y <= 9999
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, "true"...)
-	}
-	return append(dst, "false"...)
 }
 
 func appendInt(dst []byte, v int64) []byte { return strconv.AppendInt(dst, v, 10) }
@@ -42,7 +36,7 @@ func appendArchetype(dst []byte, archetype string) []byte {
 		return dst
 	}
 	dst = append(dst, `,"Archetype":`...)
-	return appendString(dst, archetype)
+	return jsonx.AppendString(dst, archetype)
 }
 
 // appendAddrs matches encoding/json's slice conventions: nil → null,
@@ -56,7 +50,7 @@ func appendAddrs(dst []byte, xs []identity.Address) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(dst, string(a))
+		dst = jsonx.AppendString(dst, string(a))
 	}
 	return append(dst, ']')
 }
@@ -78,173 +72,170 @@ func AppendLine(dst []byte, e Event) ([]byte, bool) {
 func appendLine(dst []byte, e Event) ([]byte, bool) {
 	switch v := e.(type) {
 	case Login:
-		if !timeOK(v.Time) {
+		if !timeOK(v.Time) || !jsonx.IsFinite(v.RiskScore) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"auth.login","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"IP":`...)
 		dst = appendAddr(dst, v.IP)
 		dst = append(dst, `,"DeviceID":`...)
-		dst = appendString(dst, v.DeviceID)
+		dst = jsonx.AppendString(dst, v.DeviceID)
 		dst = append(dst, `,"PasswordOK":`...)
-		dst = appendBool(dst, v.PasswordOK)
+		dst = jsonx.AppendBool(dst, v.PasswordOK)
 		dst = append(dst, `,"Outcome":`...)
-		dst = appendString(dst, string(v.Outcome))
+		dst = jsonx.AppendString(dst, string(v.Outcome))
 		dst = append(dst, `,"Challenged":`...)
-		dst = appendBool(dst, v.Challenged)
+		dst = jsonx.AppendBool(dst, v.Challenged)
 		dst = append(dst, `,"RiskScore":`...)
-		var ok bool
-		if dst, ok = appendFloat(dst, v.RiskScore); !ok {
-			return dst, false
-		}
+		dst = jsonx.AppendFloat(dst, v.RiskScore)
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 		dst = appendArchetype(dst, v.Archetype)
 	case PasswordChanged:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"auth.password_changed","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case RecoveryChanged:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"auth.recovery_changed","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"What":`...)
-		dst = appendString(dst, v.What)
+		dst = jsonx.AppendString(dst, v.What)
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case TwoSVEnrolled:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"auth.twosv_enrolled","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Phone":`...)
-		dst = appendString(dst, string(v.Phone))
+		dst = jsonx.AppendString(dst, string(v.Phone))
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case MessageSent:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"mail.sent","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"ID":`...)
 		dst = appendInt(dst, int64(v.ID))
 		dst = append(dst, `,"From":`...)
-		dst = appendString(dst, string(v.From))
+		dst = jsonx.AppendString(dst, string(v.From))
 		dst = append(dst, `,"FromAcct":`...)
 		dst = appendInt(dst, int64(v.FromAcct))
 		dst = append(dst, `,"Recipients":`...)
 		dst = appendAddrs(dst, v.Recipients)
 		dst = append(dst, `,"Class":`...)
-		dst = appendString(dst, string(v.Class))
+		dst = jsonx.AppendString(dst, string(v.Class))
 		dst = append(dst, `,"Customized":`...)
-		dst = appendBool(dst, v.Customized)
+		dst = jsonx.AppendBool(dst, v.Customized)
 		dst = append(dst, `,"ReplyTo":`...)
-		dst = appendString(dst, string(v.ReplyTo))
+		dst = jsonx.AppendString(dst, string(v.ReplyTo))
 		dst = append(dst, `,"PageID":`...)
 		dst = appendInt(dst, int64(v.PageID))
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case Search:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"mail.search","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Query":`...)
-		dst = appendString(dst, v.Query)
+		dst = jsonx.AppendString(dst, v.Query)
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case FolderOpened:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"mail.folder_opened","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Folder":`...)
-		dst = appendString(dst, string(v.Folder))
+		dst = jsonx.AppendString(dst, string(v.Folder))
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case ContactsViewed:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"mail.contacts_viewed","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case FilterCreated:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"mail.filter_created","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"ForwardTo":`...)
-		dst = appendString(dst, string(v.ForwardTo))
+		dst = jsonx.AppendString(dst, string(v.ForwardTo))
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case ReplyToSet:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"mail.replyto_set","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Addr":`...)
-		dst = appendString(dst, string(v.Addr))
+		dst = jsonx.AppendString(dst, string(v.Addr))
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case MassDeletion:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"mail.mass_deletion","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Deleted":`...)
@@ -252,56 +243,53 @@ func appendLine(dst []byte, e Event) ([]byte, bool) {
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case SpamReported:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"mail.spam_reported","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Reporter":`...)
 		dst = appendInt(dst, int64(v.Reporter))
 		dst = append(dst, `,"Message":`...)
 		dst = appendInt(dst, int64(v.Message))
 		dst = append(dst, `,"From":`...)
-		dst = appendString(dst, string(v.From))
+		dst = jsonx.AppendString(dst, string(v.From))
 		dst = append(dst, `,"FromAcct":`...)
 		dst = appendInt(dst, int64(v.FromAcct))
 		dst = append(dst, `,"Class":`...)
-		dst = appendString(dst, string(v.Class))
+		dst = jsonx.AppendString(dst, string(v.Class))
 	case PageCreated:
-		if !timeOK(v.Time) {
+		if !timeOK(v.Time) || !jsonx.IsFinite(v.Quality) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"phish.page_created","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Page":`...)
 		dst = appendInt(dst, int64(v.Page))
 		dst = append(dst, `,"Target":`...)
-		dst = appendString(dst, string(v.Target))
+		dst = jsonx.AppendString(dst, string(v.Target))
 		dst = append(dst, `,"Quality":`...)
-		var ok bool
-		if dst, ok = appendFloat(dst, v.Quality); !ok {
-			return dst, false
-		}
+		dst = jsonx.AppendFloat(dst, v.Quality)
 		dst = append(dst, `,"OnForms":`...)
-		dst = appendBool(dst, v.OnForms)
+		dst = jsonx.AppendBool(dst, v.OnForms)
 		dst = append(dst, `,"Targeted":`...)
-		dst = appendBool(dst, v.Targeted)
+		dst = jsonx.AppendBool(dst, v.Targeted)
 	case PageHit:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"phish.page_hit","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Page":`...)
 		dst = appendInt(dst, int64(v.Page))
 		dst = append(dst, `,"Method":`...)
-		dst = appendString(dst, v.Method)
+		dst = jsonx.AppendString(dst, v.Method)
 		dst = append(dst, `,"Referrer":`...)
-		dst = appendString(dst, v.Referrer)
+		dst = jsonx.AppendString(dst, v.Referrer)
 		dst = append(dst, `,"Victim":`...)
-		dst = appendString(dst, string(v.Victim))
+		dst = jsonx.AppendString(dst, string(v.Victim))
 		dst = append(dst, `,"IP":`...)
 		dst = appendAddr(dst, v.IP)
 	case PageDetected:
@@ -309,7 +297,7 @@ func appendLine(dst []byte, e Event) ([]byte, bool) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"phish.page_detected","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Page":`...)
 		dst = appendInt(dst, int64(v.Page))
 	case PageTakedown:
@@ -317,7 +305,7 @@ func appendLine(dst []byte, e Event) ([]byte, bool) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"phish.page_takedown","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Page":`...)
 		dst = appendInt(dst, int64(v.Page))
 	case LureSent:
@@ -325,41 +313,41 @@ func appendLine(dst []byte, e Event) ([]byte, bool) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"phish.lure_sent","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Campaign":`...)
 		dst = appendInt(dst, v.Campaign)
 		dst = append(dst, `,"Page":`...)
 		dst = appendInt(dst, int64(v.Page))
 		dst = append(dst, `,"Victim":`...)
-		dst = appendString(dst, string(v.Victim))
+		dst = jsonx.AppendString(dst, string(v.Victim))
 		dst = append(dst, `,"Target":`...)
-		dst = appendString(dst, string(v.Target))
+		dst = jsonx.AppendString(dst, string(v.Target))
 		dst = append(dst, `,"HasURL":`...)
-		dst = appendBool(dst, v.HasURL)
+		dst = jsonx.AppendBool(dst, v.HasURL)
 		dst = append(dst, `,"Reported":`...)
-		dst = appendBool(dst, v.Reported)
+		dst = jsonx.AppendBool(dst, v.Reported)
 	case CredentialPhished:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"phish.credential_phished","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Page":`...)
 		dst = appendInt(dst, int64(v.Page))
 		dst = append(dst, `,"Decoy":`...)
-		dst = appendBool(dst, v.Decoy)
+		dst = jsonx.AppendBool(dst, v.Decoy)
 	case HijackStarted:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"hijack.started","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Crew":`...)
-		dst = appendString(dst, v.Crew)
+		dst = jsonx.AppendString(dst, v.Crew)
 		dst = append(dst, `,"Session":`...)
 		dst = appendInt(dst, int64(v.Session))
 		dst = appendArchetype(dst, v.Archetype)
@@ -368,132 +356,129 @@ func appendLine(dst []byte, e Event) ([]byte, bool) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"hijack.assessed","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Crew":`...)
-		dst = appendString(dst, v.Crew)
+		dst = jsonx.AppendString(dst, v.Crew)
 		dst = append(dst, `,"Duration":`...)
 		dst = appendInt(dst, int64(v.Duration))
 		dst = append(dst, `,"Exploited":`...)
-		dst = appendBool(dst, v.Exploited)
+		dst = jsonx.AppendBool(dst, v.Exploited)
 		dst = appendArchetype(dst, v.Archetype)
 	case HijackEnded:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"hijack.ended","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Crew":`...)
-		dst = appendString(dst, v.Crew)
+		dst = jsonx.AppendString(dst, v.Crew)
 		dst = append(dst, `,"LockedOut":`...)
-		dst = appendBool(dst, v.LockedOut)
+		dst = jsonx.AppendBool(dst, v.LockedOut)
 		dst = appendArchetype(dst, v.Archetype)
 	case ScamReply:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"scam.reply","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"VictimAccount":`...)
 		dst = appendInt(dst, int64(v.VictimAccount))
 		dst = append(dst, `,"Recipient":`...)
 		dst = appendInt(dst, int64(v.Recipient))
 		dst = append(dst, `,"ReachedHijacker":`...)
-		dst = appendBool(dst, v.ReachedHijacker)
+		dst = jsonx.AppendBool(dst, v.ReachedHijacker)
 		dst = append(dst, `,"Via":`...)
-		dst = appendString(dst, v.Via)
+		dst = jsonx.AppendString(dst, v.Via)
 	case MoneyWired:
-		if !timeOK(v.Time) {
+		if !timeOK(v.Time) || !jsonx.IsFinite(v.Amount) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"scam.money_wired","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"VictimAccount":`...)
 		dst = appendInt(dst, int64(v.VictimAccount))
 		dst = append(dst, `,"Recipient":`...)
 		dst = appendInt(dst, int64(v.Recipient))
 		dst = append(dst, `,"Crew":`...)
-		dst = appendString(dst, v.Crew)
+		dst = jsonx.AppendString(dst, v.Crew)
 		dst = append(dst, `,"Amount":`...)
-		var ok bool
-		if dst, ok = appendFloat(dst, v.Amount); !ok {
-			return dst, false
-		}
+		dst = jsonx.AppendFloat(dst, v.Amount)
 	case NotificationSent:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"recovery.notification","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Channel":`...)
-		dst = appendString(dst, string(v.Channel))
+		dst = jsonx.AppendString(dst, string(v.Channel))
 		dst = append(dst, `,"Reason":`...)
-		dst = appendString(dst, v.Reason)
+		dst = jsonx.AppendString(dst, v.Reason)
 	case ClaimFiled:
 		if !timeOK(v.Time) || !timeOK(v.HijackedAt) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"recovery.claim_filed","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Trigger":`...)
-		dst = appendString(dst, v.Trigger)
+		dst = jsonx.AppendString(dst, v.Trigger)
 		dst = append(dst, `,"HijackedAt":`...)
-		dst = appendTime(dst, v.HijackedAt)
+		dst = jsonx.AppendTime(dst, v.HijackedAt)
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case ClaimAttempt:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"recovery.claim_attempt","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Method":`...)
-		dst = appendString(dst, string(v.Method))
+		dst = jsonx.AppendString(dst, string(v.Method))
 		dst = append(dst, `,"Success":`...)
-		dst = appendBool(dst, v.Success)
+		dst = jsonx.AppendBool(dst, v.Success)
 		dst = append(dst, `,"Reason":`...)
-		dst = appendString(dst, v.Reason)
+		dst = jsonx.AppendString(dst, v.Reason)
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case ClaimResolved:
 		if !timeOK(v.Time) || !timeOK(v.HijackedAt) || !timeOK(v.FlaggedAt) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"recovery.claim_resolved","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"Success":`...)
-		dst = appendBool(dst, v.Success)
+		dst = jsonx.AppendBool(dst, v.Success)
 		dst = append(dst, `,"Method":`...)
-		dst = appendString(dst, string(v.Method))
+		dst = jsonx.AppendString(dst, string(v.Method))
 		dst = append(dst, `,"HijackedAt":`...)
-		dst = appendTime(dst, v.HijackedAt)
+		dst = jsonx.AppendTime(dst, v.HijackedAt)
 		dst = append(dst, `,"FlaggedAt":`...)
-		dst = appendTime(dst, v.FlaggedAt)
+		dst = jsonx.AppendTime(dst, v.FlaggedAt)
 		dst = append(dst, `,"Actor":`...)
-		dst = appendString(dst, string(v.Actor))
+		dst = jsonx.AppendString(dst, string(v.Actor))
 	case Remission:
 		if !timeOK(v.Time) {
 			return dst, false
 		}
 		dst = append(dst, `{"kind":"recovery.remission","data":{"Time":`...)
-		dst = appendTime(dst, v.Time)
+		dst = jsonx.AppendTime(dst, v.Time)
 		dst = append(dst, `,"Account":`...)
 		dst = appendInt(dst, int64(v.Account))
 		dst = append(dst, `,"RestoredMessages":`...)
 		dst = appendInt(dst, int64(v.RestoredMessages))
 		dst = append(dst, `,"ClearedSettings":`...)
-		dst = appendBool(dst, v.ClearedSettings)
+		dst = jsonx.AppendBool(dst, v.ClearedSettings)
 	default:
 		return dst, false
 	}
@@ -505,18 +490,9 @@ func appendLine(dst []byte, e Event) ([]byte, bool) {
 
 // key consumes `"name":` — canonical keys are plain ASCII, never escaped.
 func (r *jsonReader) key(name string) {
-	r.skipSpace()
-	n := len(name)
-	if !r.ok || r.pos+n+3 > len(r.buf) || r.buf[r.pos] != '"' {
-		r.fail()
-		return
+	if r.ok {
+		r.check(r.s.ExpectKey(name))
 	}
-	if string(r.buf[r.pos+1:r.pos+1+n]) != name || r.buf[r.pos+1+n] != '"' {
-		r.fail()
-		return
-	}
-	r.pos += n + 2
-	r.expect(':')
 }
 
 func (r *jsonReader) comma() { r.expect(',') }
@@ -530,15 +506,14 @@ func (r *jsonReader) actor() Actor             { return Actor(r.str()) }
 // next) is canonical too; a present-but-empty value is not something the
 // canonical encoder emits, so it falls back like any other surprise.
 func (r *jsonReader) archetypeOpt() string {
-	if !r.ok || r.peek() != ',' {
+	if r.peek() != ',' {
 		return ""
 	}
-	r.pos++
+	r.comma()
 	r.key("Archetype")
 	s := r.str()
 	if s == "" {
 		r.fail()
-		return ""
 	}
 	return s
 }
@@ -546,67 +521,48 @@ func (r *jsonReader) archetypeOpt() string {
 // addrList parses a []identity.Address with encoding/json's conventions:
 // null → nil, [] → empty non-nil slice.
 func (r *jsonReader) addrList() []identity.Address {
-	r.skipSpace()
+	if r.peek() == 'n' {
+		_, err := r.s.ScanLiteral()
+		r.check(err)
+		return nil
+	}
 	if !r.ok {
 		return nil
 	}
-	if rest := r.buf[r.pos:]; len(rest) >= 4 && rest[0] == 'n' && rest[1] == 'u' && rest[2] == 'l' && rest[3] == 'l' {
-		r.pos += 4
-		return nil
-	}
-	r.expect('[')
-	if !r.ok {
-		return nil
-	}
-	if r.peek() == ']' {
-		r.pos++
-		return []identity.Address{}
-	}
-	var out []identity.Address
-	for {
-		out = append(out, identity.Address(r.str()))
-		if !r.ok {
-			return nil
-		}
-		switch r.peek() {
-		case ',':
-			r.pos++
-		case ']':
-			r.pos++
-			return out
-		default:
-			r.fail()
-			return nil
-		}
-	}
+	out := []identity.Address{}
+	r.check(r.s.Array(func() error {
+		raw, escaped, err := r.s.ScanString()
+		out = append(out, identity.Address(jsonx.Unquote(raw, escaped)))
+		return err
+	}))
+	return out
 }
 
 // DecodeLineFast parses one canonical envelope line into its typed
 // record. ok is false on any deviation from the canonical encoder's
 // output — unknown kind, reordered or missing keys, escapes in the kind
-// string, trailing garbage — in which case the caller must fall back to
-// the encoding/json path, which owns the error semantics.
+// string or a key, trailing garbage, text that is not JSON — in which
+// case the caller must fall back to the encoding/json path, which owns
+// the error semantics.
 func DecodeLineFast(line []byte) (Event, bool) {
 	r := newJSONReader(line)
 	r.expect('{')
 	r.key("kind")
-	kindRaw := r.rawStr()
 	if !r.ok {
 		return nil, false
 	}
-	for _, c := range kindRaw {
-		if c == '\\' {
-			return nil, false
-		}
+	kind, escaped, err := r.s.ScanString()
+	if err != nil || escaped {
+		return nil, false
 	}
 	r.comma()
 	r.key("data")
-	e, ok := decodeDataFast(&r, string(kindRaw))
+	e, ok := decodeDataFast(&r, string(kind))
 	if !ok || !r.ok {
 		return nil, false
 	}
 	r.expect('}')
-	if !r.ok || !r.atEnd() {
+	if !r.ok || !r.s.AtEnd() {
 		return nil, false
 	}
 	return e, true

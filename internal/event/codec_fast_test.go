@@ -51,17 +51,19 @@ func decodeJSONLine(t *testing.T, line []byte) Event {
 }
 
 // fastCodecSamples exercises every kind with adversarial field values:
-// HTML-escaped characters, JSON escapes, U+2028/U+2029, invalid UTF-8,
-// floats in both encoding/json formats, zero and nanosecond times, zero
-// and v4/v6 addresses, nil/empty/multi recipient slices.
+// HTML-escaped characters, JSON escapes (\b and \f among them),
+// U+2028/U+2029, invalid UTF-8, floats in both encoding/json formats,
+// zero and nanosecond times, zero and v4/v6 addresses (one with a zone
+// JSON must escape), nil/empty/multi recipient slices.
 func fastCodecSamples() []Event {
 	at := time.Date(2012, 11, 2, 9, 30, 15, 123456789, time.UTC)
 	coarse := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
 	micro := time.Date(2011, 7, 4, 23, 59, 59, 500000, time.UTC)
-	nasty := "a<b>&\"c\\d\ne\tf g h\x01i\x7fjé\U0001F600"
+	nasty := "a<b>&\"c\\d\ne\tf g h\x01i\x7fjé\U0001F600\b\f"
 	bad := "ok\xffbad"
 	v4 := netip.MustParseAddr("203.0.113.7")
 	v6 := netip.MustParseAddr("2001:db8::8a2e:370:7334")
+	zoned := netip.MustParseAddr("fe80::1%en<0>&")
 	return []Event{
 		Login{Base{at}, 42, v4, "dev-1", true, LoginSuccess, false, 0.73, 9001, ActorOwner, ""},
 		Login{Base{micro}, -1, v6, nasty, false, LoginBlocked, true, 1e-7, 0, ActorHijacker, "smashgrab"},
@@ -88,6 +90,7 @@ func fastCodecSamples() []Event {
 		PageCreated{Base{micro}, 6, TargetBank, 1e21, false, true},
 		PageHit{Base{at}, 5, "POST", "http://r.test/?a=1&b=<2>", "v@x.test", v6},
 		PageHit{Base{at}, 5, "GET", "", "", netip.Addr{}},
+		PageHit{Base{at}, 6, "GET", "", "", zoned},
 		PageDetected{Base{at}, 5},
 		PageTakedown{Base{at}, 5},
 		LureSent{Base{at}, 31337, 5, "v@x.test", TargetAppStore, true, false},
@@ -177,6 +180,9 @@ func TestFastDecodeFallsBackOnSurprises(t *testing.T) {
 		// Escape in the kind string (decodes to a registered kind, but the
 		// fast path must not unescape kinds).
 		`{"kind":"phish.page\u005fdetected","data":{"Time":"2012-01-01T00:00:00Z","Page":5}}`,
+		// An escaped key (valid JSON that names the same field): the
+		// canonical encoder never escapes keys.
+		`{"kind":"phish.page_detected","data":{"Tim` + "\\u0065" + `":"2012-01-01T00:00:00Z","Page":5}}`,
 		// Trailing garbage.
 		`{"kind":"phish.page_detected","data":{"Time":"2012-01-01T00:00:00Z","Page":5}} x`,
 		// Malformed number / string / bool.
@@ -187,11 +193,25 @@ func TestFastDecodeFallsBackOnSurprises(t *testing.T) {
 		`{"kind":"hijack.ended","data":{"Time":"2012-01-01T00:00:00Z","Account":1,"Crew":"c","LockedOut":true,"X":1}}`,
 		// Present-but-empty Archetype: omitempty never writes this.
 		`{"kind":"hijack.ended","data":{"Time":"2012-01-01T00:00:00Z","Account":1,"Crew":"c","LockedOut":true,"Archetype":""}}`,
+		// Not JSON at all: a leading zero, a plus sign, a raw control byte
+		// in a string. encoding/json rejects each, so the fallback must see
+		// them and report the line.
+		`{"kind":"phish.page_detected","data":{"Time":"2012-01-01T00:00:00Z","Page":05}}`,
+		`{"kind":"phish.page_detected","data":{"Time":"2012-01-01T00:00:00Z","Page":+5}}`,
+		`{"kind":"mail.search","data":{"Time":"2012-01-01T00:00:00Z","Account":1,"Query":"a` + "\x01" + `b","Session":2,"Actor":"owner"}}`,
 	}
 	for _, c := range cases {
 		if e, ok := DecodeLineFast([]byte(c)); ok {
 			t.Errorf("DecodeLineFast accepted %q → %#v", c, e)
 		}
+	}
+
+	// A raw invalid UTF-8 byte is valid JSON: encoding/json replaces it
+	// with U+FFFD, and the fast path must yield the same record.
+	line := []byte(`{"kind":"mail.search","data":{"Time":"2012-01-01T00:00:00Z","Account":1,"Query":"a` + "\xff" + `b","Session":2,"Actor":"owner"}}`)
+	slow := decodeJSONLine(t, line)
+	if fast, ok := DecodeLineFast(line); ok && !reflect.DeepEqual(fast, slow) {
+		t.Errorf("invalid UTF-8 decode mismatch:\nfast: %#v\njson: %#v", fast, slow)
 	}
 }
 
@@ -207,4 +227,39 @@ func TestFastCodecCoversAllKinds(t *testing.T) {
 			t.Errorf("no fast-codec sample for kind %s — add one and a codec_fast.go case", k)
 		}
 	}
+}
+
+// FuzzDecodeLineFast holds the fast decoder to encoding/json: a line it
+// accepts is one encoding/json accepts, decoding to the same record, and
+// AppendLine writes that record back exactly as encoding/json does.
+func FuzzDecodeLineFast(f *testing.F) {
+	for _, e := range fastCodecSamples() {
+		line, _ := AppendLine(nil, e)
+		f.Add(bytes.TrimSuffix(line, []byte("\n")))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		fast, ok := DecodeLineFast(line)
+		if !ok {
+			return
+		}
+		var env struct {
+			Kind Kind            `json:"kind"`
+			Data json.RawMessage `json:"data"`
+		}
+		if err := json.Unmarshal(line, &env); err != nil {
+			t.Fatalf("fast path accepted %q, which encoding/json rejects: %v", line, err)
+		}
+		slow, err := Decode(env.Kind, env.Data)
+		if err != nil {
+			t.Fatalf("fast path accepted %q, which encoding/json rejects: %v", line, err)
+		}
+		if !reflect.DeepEqual(fast, slow) {
+			t.Fatalf("decode mismatch on %q:\nfast: %#v\njson: %#v", line, fast, slow)
+		}
+		if out, ok := AppendLine(nil, fast); ok {
+			if want := encodeJSONLine(t, fast); !bytes.Equal(out, want) {
+				t.Fatalf("re-encode mismatch:\nfast: %s\njson: %s", out, want)
+			}
+		}
+	})
 }

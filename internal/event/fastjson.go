@@ -1,121 +1,28 @@
 package event
 
-// Hand-rolled JSON primitives for the hot dump/segment wire path. The
-// spill-to-disk segmented store encodes every record once on the build
-// path and decodes it once per analysis pass; with encoding/json that
-// reflection cost dominates the whole study (BENCH_7's 2.24× spill tax).
-// These helpers replicate encoding/json's output byte for byte — same
-// HTML escaping, same float formatting, same RFC 3339 timestamps — so the
-// fast path changes no file ever written, and the decoder accepts exactly
-// the canonical shape, bailing out (ok=false) to the encoding/json
-// fallback on anything it does not recognize. Correctness is pinned by
-// property tests comparing both paths on randomized records of every
-// kind (TestFastCodecMatchesEncodingJSON).
+// JSON reading for the hot dump/segment wire path. The spill-to-disk
+// segmented store encodes every record once on the build path and decodes
+// it once per analysis pass; with encoding/json that reflection cost
+// dominates the whole study (BENCH_7's 2.24× spill tax). The JSON text
+// format itself is internal/jsonx's; this file adds the netip.Addr
+// encoder and jsonReader, the canonical-order reader DecodeLineFast drives.
 
 import (
-	"math"
 	"net/netip"
 	"strconv"
 	"time"
-	"unicode/utf16"
-	"unicode/utf8"
+
+	"manualhijack/internal/jsonx"
 )
 
-// ---- encoding ----
-
-const hexDigits = "0123456789abcdef"
-
-// appendString appends s as a JSON string, escaping exactly the byte set
-// encoding/json escapes with its default (HTML-escaping) encoder: ", \,
-// control characters, <, >, &, and U+2028/U+2029.
-func appendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '"':
-				dst = append(dst, '\\', '"')
-			case '\\':
-				dst = append(dst, '\\', '\\')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				// Control characters and the HTML-sensitive trio become
-				// \u00xx, matching encoding/json.
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
-// appendFloat appends f the way encoding/json does: shortest 'f' form,
-// switching to cleaned-up 'e' form outside [1e-6, 1e21). ok is false for
-// NaN/Inf, which JSON cannot represent (the caller falls back, and
-// encoding/json reports the error).
-func appendFloat(dst []byte, f float64) (_ []byte, ok bool) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, false
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// Clean up e-09 to e-9, as encoding/json does.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, true
-}
-
-// appendTime appends t as a quoted RFC 3339 timestamp with nanoseconds,
-// time.Time.MarshalJSON's format for the in-range years every simulated
-// clock produces.
-func appendTime(dst []byte, t time.Time) []byte {
-	dst = append(dst, '"')
-	dst = t.AppendFormat(dst, time.RFC3339Nano)
-	return append(dst, '"')
-}
-
 // appendAddr appends ip as its quoted text form ("" for the zero Addr),
-// matching netip.Addr.MarshalText under encoding/json.
+// matching netip.Addr.MarshalText under encoding/json. Only an IPv6 zone
+// can hold bytes JSON escapes, so only a zoned address takes the
+// allocating path through jsonx.AppendString.
 func appendAddr(dst []byte, ip netip.Addr) []byte {
+	if ip.Zone() != "" {
+		return jsonx.AppendString(dst, ip.String())
+	}
 	dst = append(dst, '"')
 	if ip.IsValid() {
 		dst = ip.AppendTo(dst)
@@ -123,260 +30,121 @@ func appendAddr(dst []byte, ip netip.Addr) []byte {
 	return append(dst, '"')
 }
 
-// ---- decoding ----
-
-// jsonReader is a minimal scanner over one canonical NDJSON line. Any
-// shape surprise flips ok=false once and sticks; callers then fall back
-// to encoding/json, so the fast path never has to be more lenient than
-// the canonical encoder's output.
+// jsonReader reads one canonical NDJSON line over a jsonx.Scanner. The
+// first error sticks: ok turns false and every later read is a no-op
+// returning a zero value, so DecodeLineFast reports ok=false and the
+// caller falls back to encoding/json, which owns the error semantics. The
+// scanner checks every token as encoding/json does, so a line the reader
+// accepts is one encoding/json accepts, decoding to the same record
+// (FuzzDecodeLineFast).
 type jsonReader struct {
-	buf []byte
-	pos int
-	ok  bool
+	s  jsonx.Scanner
+	ok bool
 }
 
-func newJSONReader(line []byte) jsonReader { return jsonReader{buf: line, ok: true} }
+func newJSONReader(line []byte) jsonReader {
+	return jsonReader{s: jsonx.NewScanner(line), ok: true}
+}
 
 func (r *jsonReader) fail() { r.ok = false }
 
-// skipSpace advances over insignificant whitespace.
-func (r *jsonReader) skipSpace() {
-	for r.pos < len(r.buf) {
-		switch r.buf[r.pos] {
-		case ' ', '\t', '\n', '\r':
-			r.pos++
-		default:
-			return
-		}
+// check records err and reports whether the line is still readable.
+func (r *jsonReader) check(err error) bool {
+	if err != nil {
+		r.ok = false
 	}
+	return r.ok
 }
 
 // expect consumes c or fails.
 func (r *jsonReader) expect(c byte) {
-	r.skipSpace()
-	if !r.ok || r.pos >= len(r.buf) || r.buf[r.pos] != c {
-		r.fail()
-		return
+	if r.ok {
+		r.check(r.s.Expect(c))
 	}
-	r.pos++
 }
 
-// peek reports the next significant byte without consuming it.
+// peek reports the next significant byte without consuming it (0 at the
+// end of the line or after a failure).
 func (r *jsonReader) peek() byte {
-	r.skipSpace()
-	if r.pos >= len(r.buf) {
+	if !r.ok {
 		return 0
 	}
-	return r.buf[r.pos]
+	c, _ := r.s.Peek()
+	return c
 }
 
-// atEnd reports whether only whitespace remains.
-func (r *jsonReader) atEnd() bool {
-	r.skipSpace()
-	return r.pos >= len(r.buf)
-}
-
-// str parses a JSON string, unescaping as needed.
+// str reads a string value.
 func (r *jsonReader) str() string {
-	raw := r.rawStr()
 	if !r.ok {
 		return ""
 	}
-	for i := 0; i < len(raw); i++ {
-		if raw[i] == '\\' {
-			return r.unescape(raw)
-		}
+	raw, escaped, err := r.s.ScanString()
+	if !r.check(err) {
+		return ""
 	}
-	return string(raw)
+	return jsonx.Unquote(raw, escaped)
 }
 
-// rawStr consumes a string literal and returns its undecoded interior.
-func (r *jsonReader) rawStr() []byte {
-	r.skipSpace()
-	if !r.ok || r.pos >= len(r.buf) || r.buf[r.pos] != '"' {
-		r.fail()
-		return nil
-	}
-	r.pos++
-	start := r.pos
-	for r.pos < len(r.buf) {
-		switch r.buf[r.pos] {
-		case '"':
-			raw := r.buf[start:r.pos]
-			r.pos++
-			return raw
-		case '\\':
-			r.pos += 2
-		default:
-			r.pos++
-		}
-	}
-	r.fail()
-	return nil
-}
-
-// unescape decodes a string interior containing at least one escape.
-func (r *jsonReader) unescape(raw []byte) string {
-	out := make([]byte, 0, len(raw))
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		if c != '\\' {
-			out = append(out, c)
-			i++
-			continue
-		}
-		if i+1 >= len(raw) {
-			r.fail()
-			return ""
-		}
-		switch raw[i+1] {
-		case '"', '\\', '/':
-			out = append(out, raw[i+1])
-			i += 2
-		case 'b':
-			out = append(out, '\b')
-			i += 2
-		case 'f':
-			out = append(out, '\f')
-			i += 2
-		case 'n':
-			out = append(out, '\n')
-			i += 2
-		case 'r':
-			out = append(out, '\r')
-			i += 2
-		case 't':
-			out = append(out, '\t')
-			i += 2
-		case 'u':
-			if i+6 > len(raw) {
-				r.fail()
-				return ""
-			}
-			v, err := strconv.ParseUint(string(raw[i+2:i+6]), 16, 32)
-			if err != nil {
-				r.fail()
-				return ""
-			}
-			cp := rune(v)
-			i += 6
-			if utf16.IsSurrogate(cp) {
-				if i+6 <= len(raw) && raw[i] == '\\' && raw[i+1] == 'u' {
-					v2, err := strconv.ParseUint(string(raw[i+2:i+6]), 16, 32)
-					if err != nil {
-						r.fail()
-						return ""
-					}
-					if dec := utf16.DecodeRune(cp, rune(v2)); dec != utf8.RuneError {
-						cp = dec
-						i += 6
-					} else {
-						cp = utf8.RuneError
-					}
-				} else {
-					cp = utf8.RuneError
-				}
-			}
-			out = utf8.AppendRune(out, cp)
-		default:
-			r.fail()
-			return ""
-		}
-	}
-	return string(out)
-}
-
-// numToken consumes a numeric literal and returns its text.
-func (r *jsonReader) numToken() []byte {
-	r.skipSpace()
-	start := r.pos
-	for r.pos < len(r.buf) {
-		switch c := r.buf[r.pos]; {
-		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			r.pos++
-		default:
-			if r.pos == start {
-				r.fail()
-				return nil
-			}
-			return r.buf[start:r.pos]
-		}
-	}
-	if r.pos == start {
-		r.fail()
-		return nil
-	}
-	return r.buf[start:r.pos]
-}
-
-// intVal parses an integer field with the given bit size.
+// intVal reads an integer field with the given bit size.
 func (r *jsonReader) intVal(bits int) int64 {
-	tok := r.numToken()
 	if !r.ok {
+		return 0
+	}
+	tok, err := r.s.ScanNumber()
+	if !r.check(err) {
 		return 0
 	}
 	v, err := strconv.ParseInt(string(tok), 10, bits)
-	if err != nil {
-		r.fail()
-		return 0
-	}
+	r.check(err)
 	return v
 }
 
-// floatVal parses a number field.
+// floatVal reads a float64 field.
 func (r *jsonReader) floatVal() float64 {
-	tok := r.numToken()
 	if !r.ok {
+		return 0
+	}
+	tok, err := r.s.ScanNumber()
+	if !r.check(err) {
 		return 0
 	}
 	v, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		r.fail()
-		return 0
-	}
+	r.check(err)
 	return v
 }
 
-// boolVal parses true/false.
+// boolVal reads true or false.
 func (r *jsonReader) boolVal() bool {
-	r.skipSpace()
-	rest := r.buf[r.pos:]
-	if len(rest) >= 4 && rest[0] == 't' && rest[1] == 'r' && rest[2] == 'u' && rest[3] == 'e' {
-		r.pos += 4
-		return true
-	}
-	if len(rest) >= 5 && rest[0] == 'f' && rest[1] == 'a' && rest[2] == 'l' && rest[3] == 's' && rest[4] == 'e' {
-		r.pos += 5
+	if !r.ok {
 		return false
 	}
-	r.fail()
-	return false
+	c, err := r.s.ScanLiteral()
+	if r.check(err) && c == 'n' {
+		r.fail()
+	}
+	return c == 't'
 }
 
-// timeVal parses a quoted RFC 3339 timestamp.
-func (r *jsonReader) timeVal() time.Time {
-	s := r.str()
+// timeVal reads a timestamp through time.Time.UnmarshalJSON, handing it
+// the raw value as encoding/json does.
+func (r *jsonReader) timeVal() (t time.Time) {
 	if !r.ok {
-		return time.Time{}
+		return t
 	}
-	t, err := time.Parse(time.RFC3339Nano, s)
-	if err != nil {
-		r.fail()
-		return time.Time{}
+	raw, err := r.s.Raw()
+	if r.check(err) {
+		r.check(t.UnmarshalJSON(raw))
 	}
 	return t
 }
 
-// addrVal parses a quoted IP address ("" meaning the zero Addr).
+// addrVal reads a quoted IP address ("" meaning the zero Addr).
 func (r *jsonReader) addrVal() netip.Addr {
 	s := r.str()
 	if !r.ok || s == "" {
 		return netip.Addr{}
 	}
 	ip, err := netip.ParseAddr(s)
-	if err != nil {
-		r.fail()
-		return netip.Addr{}
-	}
+	r.check(err)
 	return ip
 }

@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -154,6 +155,54 @@ func TestNDJSONCorruptLineModes(t *testing.T) {
 	}
 	if !s.Sealed() || s.Len() != n-1 {
 		t.Fatalf("tolerant load: sealed=%v len=%d want %d", s.Sealed(), s.Len(), n-1)
+	}
+}
+
+// A line encoding/json rejects fails a strict read, named by its line
+// number, even when the fast decoder could read everything else on it: a
+// leading zero, a plus sign, a raw control byte in a string. SkipCorrupt
+// drops and counts it. A raw invalid UTF-8 byte is valid JSON and loads as
+// U+FFFD, as encoding/json decodes it.
+func TestNDJSONStrictRejectsNonJSON(t *testing.T) {
+	src := mixedStore(40)
+	lines := dumpLines(t, src)
+	at := -1 // index of the first Search record line
+	for i, l := range lines {
+		if strings.Contains(l, `"Query":"bank"`) {
+			at = i
+			break
+		}
+	}
+	if at < 0 || !strings.Contains(lines[at], `"Account":1,`) {
+		t.Fatalf("no Search line to mangle in %q", lines)
+	}
+	mangled := func(old, new string) string {
+		bad := append([]string(nil), lines...)
+		bad[at] = strings.Replace(bad[at], old, new, 1)
+		return strings.Join(bad, "\n") + "\n"
+	}
+	for _, c := range []struct{ old, new string }{
+		{`"Account":1,`, `"Account":01,`},
+		{`"Account":1,`, `"Account":+1,`},
+		{`"Query":"bank"`, "\"Query\":\"ba\x01nk\""},
+	} {
+		in := mangled(c.old, c.new)
+		want := fmt.Sprintf("line %d:", at+1)
+		if _, _, err := ReadNDJSONWith(strings.NewReader(in), ReadOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("strict read of %q: err = %v, want %q", c.new, err, want)
+		}
+		s, st, err := ReadNDJSONWith(strings.NewReader(in), ReadOptions{SkipCorrupt: true})
+		if err != nil || st.Dropped != 1 || s.Len() != src.Len()-1 {
+			t.Errorf("tolerant read of %q: err=%v stats=%+v, want 1 of %d dropped", c.new, err, st, src.Len())
+		}
+	}
+
+	s, err := ReadNDJSON(strings.NewReader(mangled(`"Query":"bank"`, "\"Query\":\"ba\xffnk\"")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := Select[event.Search](s)[0].Query; q != "ba\U0000FFFDnk" {
+		t.Fatalf("invalid UTF-8 loaded as %q, want U+FFFD in its place", q)
 	}
 }
 

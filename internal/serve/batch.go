@@ -35,6 +35,7 @@ import (
 
 	"manualhijack/internal/challenge"
 	"manualhijack/internal/identity"
+	"manualhijack/internal/jsonx"
 )
 
 // BatchOp selects what a BatchItem does.
@@ -75,19 +76,19 @@ func AppendBatchItem(b []byte, r *BatchItem) []byte {
 	b = append(b, '{')
 	if r.Op != "" {
 		b = append(b, `"op":`...)
-		b = appendString(b, r.Op)
+		b = jsonx.AppendString(b, r.Op)
 		b = append(b, ',')
 	}
 	b = append(b, `"account":`...)
 	b = strconv.AppendInt(b, int64(r.Account), 10)
 	b = append(b, `,"ip":`...)
-	b = appendString(b, r.IP)
+	b = jsonx.AppendString(b, r.IP)
 	if r.DeviceID != "" {
 		b = append(b, `,"device_id":`...)
-		b = appendString(b, r.DeviceID)
+		b = jsonx.AppendString(b, r.DeviceID)
 	}
 	b = append(b, `,"at":`...)
-	b = appendTime(b, r.At)
+	b = jsonx.AppendTime(b, r.At)
 	if r.PasswordOK {
 		b = append(b, `,"password_ok":true`...)
 	}
@@ -104,8 +105,9 @@ func AppendBatchItem(b []byte, r *BatchItem) []byte {
 // DecodeBatchItem parses one NDJSON line; same decode contract as
 // DecodeScoreRequest.
 func DecodeBatchItem(data []byte, r *BatchItem) error {
-	d := &decodeState{data: data}
+	d := &decodeState{jsonx.NewScanner(data)}
 	return d.object(func(key []byte) error {
+		key = foldRunes(key)
 		switch {
 		case foldEq(key, "op"):
 			return d.fieldString(&r.Op, "op")
@@ -116,7 +118,7 @@ func DecodeBatchItem(data []byte, r *BatchItem) error {
 		case foldEq(key, "device_id"):
 			return d.fieldString(&r.DeviceID, "device_id")
 		case foldEq(key, "at"):
-			return d.fieldTime(&r.At, "at")
+			return d.fieldTime(&r.At)
 		case foldEq(key, "password_ok"):
 			return d.fieldBool(&r.PasswordOK, "password_ok")
 		case foldEq(key, "principal"):
@@ -124,7 +126,7 @@ func DecodeBatchItem(data []byte, r *BatchItem) error {
 		case foldEq(key, "success"):
 			return d.fieldBool(&r.Success, "success")
 		default:
-			return d.skipValue()
+			return d.Skip()
 		}
 	})
 }
@@ -230,6 +232,6 @@ func (s *Server) serveBatchLine(out []byte, line []byte) []byte {
 
 func appendBatchError(out []byte, msg string) []byte {
 	out = append(out, `{"error":`...)
-	out = appendString(out, msg)
+	out = jsonx.AppendString(out, msg)
 	return append(out, '}', '\n')
 }

@@ -7,19 +7,22 @@ package serve
 // decoder allocates per token, and together they put the handler an order
 // of magnitude above the 1.33 µs in-process pipeline (BENCH_5). This file
 // replaces both directions with append-based encoders and a single-pass
-// scanner over a pooled body buffer, under two contracts the tests in
-// codec_test.go enforce:
+// scanner over a pooled body buffer. The JSON text itself (escaping,
+// number and time formatting, the validating scanner) is internal/jsonx;
+// this file holds the wire struct layouts and encoding/json's rules for
+// mapping JSON onto them, under two contracts the tests in codec_test.go
+// enforce:
 //
 //   - Byte-level encode equivalence: for every wire struct, Append*
 //     produces exactly the bytes json.Marshal produces — same field order,
-//     same omitempty behavior, same float formatting (including the
-//     exponent-trim quirk), same string escaping (HTML escaping, U+FFFD
-//     replacement, U+2028/U+2029) — so clients cannot tell the codecs
-//     apart and either side can be swapped independently.
+//     same omitempty behavior, jsonx's float and string formatting — so
+//     clients cannot tell the codecs apart and either side can be swapped
+//     independently.
 //   - Decode parity: Decode* accepts exactly what a json.Decoder.Decode
 //     into the same struct accepts (case-folded keys, unknown fields,
-//     null semantics, duplicate-key last-wins, ignored trailing data) and
-//     rejects what it rejects, yielding an identical struct on success.
+//     null semantics, duplicate-key last-wins, ignored trailing data,
+//     the 10000-level nesting limit) and rejects what it rejects, yielding
+//     an identical struct on success.
 //
 // Allocation discipline: decoding a ScoreRequest costs one allocation per
 // retained string (IP, DeviceID — they outlive the pooled body buffer
@@ -28,116 +31,19 @@ package serve
 // allocates nothing. TestWireAllocFences pins the decode+encode round
 // trip at ≤ 4 allocs.
 //
-// Known, deliberate divergences from encoding/json, none observable on
-// the wire: key case-folding is ASCII-only (encoding/json also folds
-// U+212A/U+017F into k/s); NaN/±Inf encode as literals instead of
-// erroring (the wire structs never carry them — scores live in [0,1],
-// latencies are finite).
+// Known, deliberate divergence from encoding/json, not observable on the
+// wire: a NaN or ±Inf float encodes as jsonx.AppendFloat's non-JSON
+// NaN/+Inf/-Inf token instead of failing the encode (the wire structs
+// never carry one — scores live in [0,1], latencies are finite).
 
 import (
-	"errors"
-	"fmt"
-	"math"
+	"bytes"
 	"strconv"
 	"time"
-	"unicode/utf16"
 	"unicode/utf8"
+
+	"manualhijack/internal/jsonx"
 )
-
-// ---------------------------------------------------------------------------
-// Encoding primitives
-// ---------------------------------------------------------------------------
-
-const hexDigits = "0123456789abcdef"
-
-// appendString appends s as a JSON string literal, matching
-// encoding/json's default (HTML-escaping) encoder byte for byte.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				// Control chars and the HTML trio <, >, & get \u00XX, as
-				// encoding/json does with HTML escaping on.
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
-}
-
-// appendFloat matches encoding/json's float64 encoder: %f in the
-// human-scale range, %e outside it, with the two-digit exponent trimmed.
-func appendFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// Trim e-09 to e-9, as encoding/json does.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, "true"...)
-	}
-	return append(b, "false"...)
-}
-
-// appendTime appends t as a quoted RFC3339Nano literal, the exact bytes
-// time.Time.MarshalJSON produces for in-range years.
-func appendTime(b []byte, t time.Time) []byte {
-	b = append(b, '"')
-	b = t.AppendFormat(b, time.RFC3339Nano)
-	return append(b, '"')
-}
 
 // ---------------------------------------------------------------------------
 // Wire-struct encoders
@@ -148,26 +54,26 @@ func appendTime(b []byte, t time.Time) []byte {
 // beyond buffer growth.
 func AppendScoreResponse(b []byte, r *ScoreResponse) []byte {
 	b = append(b, `{"score":`...)
-	b = appendFloat(b, r.Score)
+	b = jsonx.AppendFloat(b, r.Score)
 	b = append(b, `,"signals":{"NewCountry":`...)
-	b = appendBool(b, r.Signals.NewCountry)
+	b = jsonx.AppendBool(b, r.Signals.NewCountry)
 	b = append(b, `,"ImpossibleHop":`...)
-	b = appendBool(b, r.Signals.ImpossibleHop)
+	b = jsonx.AppendBool(b, r.Signals.ImpossibleHop)
 	b = append(b, `,"NewDevice":`...)
-	b = appendBool(b, r.Signals.NewDevice)
+	b = jsonx.AppendBool(b, r.Signals.NewDevice)
 	b = append(b, `,"IPFanout":`...)
-	b = appendFloat(b, r.Signals.IPFanout)
+	b = jsonx.AppendFloat(b, r.Signals.IPFanout)
 	b = append(b, `,"RecentFailures":`...)
-	b = appendFloat(b, r.Signals.RecentFailures)
+	b = jsonx.AppendFloat(b, r.Signals.RecentFailures)
 	b = append(b, `},"verdict":`...)
-	b = appendString(b, string(r.Verdict))
+	b = jsonx.AppendString(b, string(r.Verdict))
 	if r.ChallengeMethod != "" {
 		b = append(b, `,"challenge_method":`...)
-		b = appendString(b, string(r.ChallengeMethod))
+		b = jsonx.AppendString(b, string(r.ChallengeMethod))
 	}
 	if r.ChallengePassed != nil {
 		b = append(b, `,"challenge_passed":`...)
-		b = appendBool(b, *r.ChallengePassed)
+		b = jsonx.AppendBool(b, *r.ChallengePassed)
 	}
 	return append(b, '}')
 }
@@ -176,7 +82,7 @@ func AppendScoreResponse(b []byte, r *ScoreResponse) []byte {
 // (verdict map keys in sorted order).
 func AppendStatzResponse(b []byte, r *StatzResponse) []byte {
 	b = append(b, `{"uptime_s":`...)
-	b = appendFloat(b, r.UptimeS)
+	b = jsonx.AppendFloat(b, r.UptimeS)
 	b = append(b, `,"score_requests":`...)
 	b = strconv.AppendInt(b, r.Score, 10)
 	b = append(b, `,"outcome_requests":`...)
@@ -192,13 +98,13 @@ func AppendStatzResponse(b []byte, r *StatzResponse) []byte {
 	b = append(b, `,"latency":{"n":`...)
 	b = strconv.AppendInt(b, int64(r.Latency.N), 10)
 	b = append(b, `,"p50_us":`...)
-	b = appendFloat(b, r.Latency.P50us)
+	b = jsonx.AppendFloat(b, r.Latency.P50us)
 	b = append(b, `,"p95_us":`...)
-	b = appendFloat(b, r.Latency.P95us)
+	b = jsonx.AppendFloat(b, r.Latency.P95us)
 	b = append(b, `,"p99_us":`...)
-	b = appendFloat(b, r.Latency.P99us)
+	b = jsonx.AppendFloat(b, r.Latency.P99us)
 	b = append(b, `,"max_us":`...)
-	b = appendFloat(b, r.Latency.MaxUs)
+	b = jsonx.AppendFloat(b, r.Latency.MaxUs)
 	return append(b, `}}`...)
 }
 
@@ -227,7 +133,7 @@ func appendVerdictMap(b []byte, m map[Verdict]int64) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendString(b, string(keys[i]))
+		b = jsonx.AppendString(b, string(keys[i]))
 		b = append(b, ':')
 		b = strconv.AppendInt(b, m[keys[i]], 10)
 	}
@@ -240,15 +146,15 @@ func AppendScoreRequest(b []byte, r *ScoreRequest) []byte {
 	b = append(b, `{"account":`...)
 	b = strconv.AppendInt(b, int64(r.Account), 10)
 	b = append(b, `,"ip":`...)
-	b = appendString(b, r.IP)
+	b = jsonx.AppendString(b, r.IP)
 	if r.DeviceID != "" {
 		b = append(b, `,"device_id":`...)
-		b = appendString(b, r.DeviceID)
+		b = jsonx.AppendString(b, r.DeviceID)
 	}
 	b = append(b, `,"at":`...)
-	b = appendTime(b, r.At)
+	b = jsonx.AppendTime(b, r.At)
 	b = append(b, `,"password_ok":`...)
-	b = appendBool(b, r.PasswordOK)
+	b = jsonx.AppendBool(b, r.PasswordOK)
 	if r.Principal != nil {
 		b = append(b, `,"principal":`...)
 		b = appendPrincipal(b, r.Principal)
@@ -265,7 +171,7 @@ func appendPrincipal(b []byte, p *PrincipalWire) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendString(b, ph)
+			b = jsonx.AppendString(b, ph)
 		}
 		b = append(b, ']')
 		first = false
@@ -275,7 +181,7 @@ func appendPrincipal(b []byte, p *PrincipalWire) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, `"knowledge_skill":`...)
-		b = appendFloat(b, p.KnowledgeSkill)
+		b = jsonx.AppendFloat(b, p.KnowledgeSkill)
 	}
 	return append(b, '}')
 }
@@ -286,15 +192,15 @@ func AppendOutcomeRequest(b []byte, r *OutcomeRequest) []byte {
 	b = append(b, `{"account":`...)
 	b = strconv.AppendInt(b, int64(r.Account), 10)
 	b = append(b, `,"ip":`...)
-	b = appendString(b, r.IP)
+	b = jsonx.AppendString(b, r.IP)
 	if r.DeviceID != "" {
 		b = append(b, `,"device_id":`...)
-		b = appendString(b, r.DeviceID)
+		b = jsonx.AppendString(b, r.DeviceID)
 	}
 	b = append(b, `,"at":`...)
-	b = appendTime(b, r.At)
+	b = jsonx.AppendTime(b, r.At)
 	b = append(b, `,"success":`...)
-	b = appendBool(b, r.Success)
+	b = jsonx.AppendBool(b, r.Success)
 	return append(b, '}')
 }
 
@@ -302,408 +208,85 @@ func AppendOutcomeRequest(b []byte, r *OutcomeRequest) []byte {
 // Decoder
 // ---------------------------------------------------------------------------
 
-// errUnexpectedEOF reports input that ends mid-value. (Input that ends
-// after a complete value is fine: like json.Decoder.Decode, the decoders
-// stop at the first complete JSON value and ignore anything after it.)
-var errUnexpectedEOF = errors.New("serve: json: unexpected end of input")
+// decodeState applies encoding/json's struct rules over a jsonx.Scanner,
+// which owns the JSON grammar. Like json.Decoder.Decode, the decoders stop
+// after the first complete value and ignore anything behind it.
+type decodeState struct{ jsonx.Scanner }
 
-type decodeState struct {
-	data []byte
-	off  int
-}
-
-func (d *decodeState) errorf(format string, args ...any) error {
-	return fmt.Errorf("serve: json: "+format+" (offset %d)", append(args, d.off)...)
-}
-
-func (d *decodeState) skipWS() {
-	for d.off < len(d.data) {
-		switch d.data[d.off] {
-		case ' ', '\t', '\r', '\n':
-			d.off++
-		default:
-			return
-		}
-	}
-}
-
-// peek returns the next non-whitespace byte without consuming it.
-func (d *decodeState) peek() (byte, error) {
-	d.skipWS()
-	if d.off >= len(d.data) {
-		return 0, errUnexpectedEOF
-	}
-	return d.data[d.off], nil
-}
-
-func (d *decodeState) expect(c byte) error {
-	got, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if got != c {
-		return d.errorf("expected %q, found %q", c, got)
-	}
-	d.off++
-	return nil
-}
-
-// literal consumes true/false/null, returning the first byte consumed.
-func (d *decodeState) literal() (byte, error) {
-	c := d.data[d.off]
-	var want string
-	switch c {
-	case 't':
-		want = "true"
-	case 'f':
-		want = "false"
-	case 'n':
-		want = "null"
-	default:
-		return 0, d.errorf("unexpected %q", c)
-	}
-	if len(d.data)-d.off < len(want) || string(d.data[d.off:d.off+len(want)]) != want {
-		return 0, d.errorf("invalid literal")
-	}
-	d.off += len(want)
-	return c, nil
-}
-
-// scanString consumes a string literal (opening quote already verified by
-// the caller's peek) and returns the raw bytes between the quotes plus
-// whether they contain escapes. The scan validates escape syntax and
-// rejects raw control characters, exactly as the encoding/json scanner
-// does; it does not validate UTF-8 (encoding/json doesn't either — bad
-// sequences are replaced at materialization time).
-func (d *decodeState) scanString() (raw []byte, hasEsc bool, err error) {
-	d.off++ // opening quote
-	start := d.off
-	for d.off < len(d.data) {
-		c := d.data[d.off]
-		switch {
-		case c == '"':
-			raw = d.data[start:d.off]
-			d.off++
-			return raw, hasEsc, nil
-		case c == '\\':
-			hasEsc = true
-			d.off++
-			if d.off >= len(d.data) {
-				return nil, false, errUnexpectedEOF
-			}
-			switch d.data[d.off] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				d.off++
-			case 'u':
-				d.off++
-				if len(d.data)-d.off < 4 {
-					return nil, false, errUnexpectedEOF
-				}
-				for i := 0; i < 4; i++ {
-					if !isHex(d.data[d.off+i]) {
-						return nil, false, d.errorf("invalid \\u escape")
-					}
-				}
-				d.off += 4
-			default:
-				return nil, false, d.errorf("invalid escape character %q", d.data[d.off])
-			}
-		case c < 0x20:
-			return nil, false, d.errorf("invalid control character %#x in string", c)
-		default:
-			d.off++
-		}
-	}
-	return nil, false, errUnexpectedEOF
-}
-
-func isHex(c byte) bool {
-	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
-}
-
-func hexVal(c byte) rune {
-	switch {
-	case c >= '0' && c <= '9':
-		return rune(c - '0')
-	case c >= 'a' && c <= 'f':
-		return rune(c-'a') + 10
-	default:
-		return rune(c-'A') + 10
-	}
-}
-
-// unquote materializes a scanned string. The fast path — printable ASCII,
-// no escapes — is a single allocation; the slow path resolves escapes
-// (including surrogate pairs) and replaces invalid UTF-8 with U+FFFD,
-// matching encoding/json's unquote.
-func unquote(raw []byte, hasEsc bool) string {
-	if !hasEsc {
-		ascii := true
-		for _, c := range raw {
-			if c >= utf8.RuneSelf {
-				ascii = false
-				break
-			}
-		}
-		if ascii {
-			return string(raw)
-		}
-	}
-	out := make([]byte, 0, len(raw)+8)
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		switch {
-		case c == '\\':
-			i++
-			switch raw[i] {
-			case '"', '\\', '/':
-				out = append(out, raw[i])
-				i++
-			case 'b':
-				out = append(out, '\b')
-				i++
-			case 'f':
-				out = append(out, '\f')
-				i++
-			case 'n':
-				out = append(out, '\n')
-				i++
-			case 'r':
-				out = append(out, '\r')
-				i++
-			case 't':
-				out = append(out, '\t')
-				i++
-			case 'u':
-				r := hexVal(raw[i+1])<<12 | hexVal(raw[i+2])<<8 | hexVal(raw[i+3])<<4 | hexVal(raw[i+4])
-				i += 5
-				if utf16.IsSurrogate(r) {
-					r2 := rune(utf8.RuneError)
-					if i+5 < len(raw) && raw[i] == '\\' && raw[i+1] == 'u' {
-						lo := hexVal(raw[i+2])<<12 | hexVal(raw[i+3])<<8 | hexVal(raw[i+4])<<4 | hexVal(raw[i+5])
-						if r2 = utf16.DecodeRune(r, lo); r2 != utf8.RuneError {
-							i += 6
-						}
-					}
-					r = r2
-				}
-				out = utf8.AppendRune(out, r)
-			}
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(raw[i:])
-			out = utf8.AppendRune(out, r) // RuneError replaces bad sequences
-			i += size
-		}
-	}
-	return string(out)
-}
-
-// scanNumber consumes a number token, validating full JSON number syntax.
-func (d *decodeState) scanNumber() ([]byte, error) {
-	start := d.off
-	if d.off < len(d.data) && d.data[d.off] == '-' {
-		d.off++
-	}
-	// Integer part: 0, or [1-9][0-9]*.
-	switch {
-	case d.off < len(d.data) && d.data[d.off] == '0':
-		d.off++
-	case d.off < len(d.data) && d.data[d.off] >= '1' && d.data[d.off] <= '9':
-		for d.off < len(d.data) && isDigit(d.data[d.off]) {
-			d.off++
-		}
-	default:
-		return nil, d.errorf("invalid number")
-	}
-	if d.off < len(d.data) && d.data[d.off] == '.' {
-		d.off++
-		if d.off >= len(d.data) || !isDigit(d.data[d.off]) {
-			return nil, d.errorf("invalid number: missing fraction digits")
-		}
-		for d.off < len(d.data) && isDigit(d.data[d.off]) {
-			d.off++
-		}
-	}
-	if d.off < len(d.data) && (d.data[d.off] == 'e' || d.data[d.off] == 'E') {
-		d.off++
-		if d.off < len(d.data) && (d.data[d.off] == '+' || d.data[d.off] == '-') {
-			d.off++
-		}
-		if d.off >= len(d.data) || !isDigit(d.data[d.off]) {
-			return nil, d.errorf("invalid number: missing exponent digits")
-		}
-		for d.off < len(d.data) && isDigit(d.data[d.off]) {
-			d.off++
-		}
-	}
-	return d.data[start:d.off], nil
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-// skipValue consumes any JSON value, validating its syntax — unknown
-// fields are fully checked, as encoding/json's scanner does.
-func (d *decodeState) skipValue() error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case '{':
-		d.off++
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		if c == '}' {
-			d.off++
-			return nil
-		}
-		for {
-			if c, err := d.peek(); err != nil {
-				return err
-			} else if c != '"' {
-				return d.errorf("expected object key")
-			}
-			if _, _, err := d.scanString(); err != nil {
-				return err
-			}
-			if err := d.expect(':'); err != nil {
-				return err
-			}
-			if err := d.skipValue(); err != nil {
-				return err
-			}
-			c, err := d.peek()
-			if err != nil {
-				return err
-			}
-			d.off++
-			if c == '}' {
-				return nil
-			}
-			if c != ',' {
-				return d.errorf("expected ',' or '}' in object")
-			}
-		}
-	case '[':
-		d.off++
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		if c == ']' {
-			d.off++
-			return nil
-		}
-		for {
-			if err := d.skipValue(); err != nil {
-				return err
-			}
-			c, err := d.peek()
-			if err != nil {
-				return err
-			}
-			d.off++
-			if c == ']' {
-				return nil
-			}
-			if c != ',' {
-				return d.errorf("expected ',' or ']' in array")
-			}
-		}
-	case '"':
-		_, _, err := d.scanString()
-		return err
-	case 't', 'f', 'n':
-		_, err := d.literal()
-		return err
-	default:
-		_, err := d.scanNumber()
-		return err
-	}
-}
-
-// foldEq reports whether raw (an unescaped key) equals name under ASCII
-// case-folding — the match rule encoding/json applies to field names.
-func foldEq(raw []byte, name string) bool {
-	if len(raw) != len(name) {
+// foldEq reports whether key names the field name (lower-case ASCII)
+// under ASCII case folding. Callers pass keys through foldRunes first.
+func foldEq(key []byte, name string) bool {
+	if len(key) != len(name) {
 		return false
 	}
-	for i := 0; i < len(raw); i++ {
-		a, b := raw[i], name[i]
-		if a >= 'A' && a <= 'Z' {
-			a += 'a' - 'A'
+	for i := 0; i < len(key); i++ {
+		c := key[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
 		}
-		if b >= 'A' && b <= 'Z' {
-			b += 'a' - 'A'
-		}
-		if a != b {
+		if c != name[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// key scans an object key and returns its unescaped bytes (aliasing the
-// input when escape-free).
-func (d *decodeState) key() ([]byte, error) {
-	c, err := d.peek()
-	if err != nil {
-		return nil, err
+// foldRunes maps U+212A KELVIN SIGN to k and U+017F LONG S to s, the only
+// non-ASCII runes whose Unicode case folding, which encoding/json applies
+// to keys, reaches an ASCII letter. An ASCII key is returned as is.
+func foldRunes(key []byte) []byte {
+	for _, c := range key {
+		if c >= utf8.RuneSelf {
+			return foldNonASCII(key)
+		}
 	}
-	if c != '"' {
-		return nil, d.errorf("expected object key")
-	}
-	raw, hasEsc, err := d.scanString()
-	if err != nil {
-		return nil, err
-	}
-	if hasEsc {
-		return []byte(unquote(raw, true)), nil
-	}
-	return raw, nil
+	return key
+}
+
+// foldNonASCII is foldRunes' slow path, kept apart so foldRunes inlines
+// into the decoders' per-key hot path.
+func foldNonASCII(key []byte) []byte {
+	key = bytes.ReplaceAll(key, []byte("\u212a"), []byte("k"))
+	return bytes.ReplaceAll(key, []byte("\u017f"), []byte("s"))
+}
+
+// null consumes a null literal (the caller peeked 'n').
+func (d *decodeState) null() error {
+	_, err := d.ScanLiteral()
+	return err
 }
 
 // fieldString decodes a string value into dst. JSON null leaves dst
 // unchanged, as encoding/json does for non-pointer strings.
 func (d *decodeState) fieldString(dst *string, name string) error {
-	c, err := d.peek()
+	c, err := d.Peek()
 	if err != nil {
 		return err
 	}
 	switch c {
 	case '"':
-		raw, hasEsc, err := d.scanString()
+		raw, escaped, err := d.ScanString()
 		if err != nil {
 			return err
 		}
-		*dst = unquote(raw, hasEsc)
+		*dst = jsonx.Unquote(raw, escaped)
 		return nil
 	case 'n':
-		if lit, err := d.literal(); err != nil {
-			return err
-		} else if lit != 'n' {
-			return d.errorf("cannot unmarshal bool into field %s of type string", name)
-		}
-		return nil
+		return d.null()
 	default:
-		return d.errorf("cannot unmarshal value into field %s of type string", name)
+		return d.Errorf("cannot unmarshal value into field %s of type string", name)
 	}
 }
 
 // fieldBool decodes a bool value into dst; null leaves it unchanged.
 func (d *decodeState) fieldBool(dst *bool, name string) error {
-	c, err := d.peek()
+	c, err := d.Peek()
 	if err != nil {
 		return err
 	}
 	switch c {
 	case 't', 'f', 'n':
-		lit, err := d.literal()
+		lit, err := d.ScanLiteral()
 		if err != nil {
 			return err
 		}
@@ -712,35 +295,37 @@ func (d *decodeState) fieldBool(dst *bool, name string) error {
 		}
 		return nil
 	default:
-		return d.errorf("cannot unmarshal value into field %s of type bool", name)
+		return d.Errorf("cannot unmarshal value into field %s of type bool", name)
 	}
+}
+
+// number scans a number field's token; ok is false for null, which leaves
+// the field unchanged.
+func (d *decodeState) number(typ, name string) (tok []byte, ok bool, err error) {
+	c, err := d.Peek()
+	if err != nil {
+		return nil, false, err
+	}
+	switch c {
+	case 'n':
+		return nil, false, d.null()
+	case '"', 't', 'f', '{', '[':
+		return nil, false, d.Errorf("cannot unmarshal value into field %s of type %s", name, typ)
+	}
+	tok, err = d.ScanNumber()
+	return tok, err == nil, err
 }
 
 // fieldInt32 decodes an integer into dst; null leaves it unchanged.
 func (d *decodeState) fieldInt32(dst *int32, name string) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if lit, err := d.literal(); err != nil {
-			return err
-		} else if lit != 'n' {
-			return d.errorf("cannot unmarshal bool into field %s of type int32", name)
-		}
-		return nil
-	}
-	tok, err := d.scanNumber()
-	if err != nil {
-		if c == '"' || c == 't' || c == 'f' || c == '{' || c == '[' {
-			return d.errorf("cannot unmarshal value into field %s of type int32", name)
-		}
+	tok, ok, err := d.number("int32", name)
+	if !ok {
 		return err
 	}
 	// strconv's param does not escape, so string(tok) stays on the stack.
 	v, err := strconv.ParseInt(string(tok), 10, 32)
 	if err != nil {
-		return d.errorf("cannot unmarshal number %s into field %s of type int32", tok, name)
+		return d.Errorf("cannot unmarshal number %s into field %s of type int32", tok, name)
 	}
 	*dst = int32(v)
 	return nil
@@ -748,134 +333,70 @@ func (d *decodeState) fieldInt32(dst *int32, name string) error {
 
 // fieldFloat decodes a float64 into dst; null leaves it unchanged.
 func (d *decodeState) fieldFloat(dst *float64, name string) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if lit, err := d.literal(); err != nil {
-			return err
-		} else if lit != 'n' {
-			return d.errorf("cannot unmarshal bool into field %s of type float64", name)
-		}
-		return nil
-	}
-	tok, err := d.scanNumber()
-	if err != nil {
-		if c == '"' || c == 't' || c == 'f' || c == '{' || c == '[' {
-			return d.errorf("cannot unmarshal value into field %s of type float64", name)
-		}
+	tok, ok, err := d.number("float64", name)
+	if !ok {
 		return err
 	}
 	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
-		return d.errorf("cannot unmarshal number %s into field %s of type float64", tok, name)
+		return d.Errorf("cannot unmarshal number %s into field %s of type float64", tok, name)
 	}
 	*dst = v
 	return nil
 }
 
 // fieldTime decodes a time.Time via its UnmarshalJSON, handing it the raw
-// scalar token exactly as encoding/json does (null is a no-op inside
+// value exactly as encoding/json does (null is a no-op inside
 // time.UnmarshalJSON itself).
-func (d *decodeState) fieldTime(dst *time.Time, name string) error {
-	c, err := d.peek()
+func (d *decodeState) fieldTime(dst *time.Time) error {
+	raw, err := d.Raw()
 	if err != nil {
 		return err
 	}
-	start := d.off
-	switch c {
-	case '"':
-		if _, _, err := d.scanString(); err != nil {
-			return err
-		}
-	case 't', 'f', 'n':
-		if _, err := d.literal(); err != nil {
-			return err
-		}
-	case '{', '[':
-		return d.errorf("cannot unmarshal value into field %s of type time.Time", name)
-	default:
-		if _, err := d.scanNumber(); err != nil {
-			return err
-		}
-	}
-	return dst.UnmarshalJSON(d.data[start:d.off])
+	return dst.UnmarshalJSON(raw)
 }
 
-// object drives a key/value loop: field is called with the cursor on each
-// value and must consume it. An initial null is accepted as a no-op (the
-// json.Decoder contract for struct targets).
+// object decodes a struct: field is called with the cursor on each value
+// and must consume it. A null is accepted as a no-op (the json.Decoder
+// contract for struct targets).
 func (d *decodeState) object(field func(key []byte) error) error {
-	c, err := d.peek()
+	c, err := d.Peek()
 	if err != nil {
 		return err
 	}
-	if c == 'n' {
-		_, err := d.literal()
-		return err
+	switch c {
+	case 'n':
+		return d.null()
+	case '{':
+		return d.Object(field)
 	}
-	if c != '{' {
-		return d.errorf("cannot unmarshal non-object value")
-	}
-	d.off++
-	if c, err := d.peek(); err != nil {
-		return err
-	} else if c == '}' {
-		d.off++
-		return nil
-	}
-	for {
-		key, err := d.key()
-		if err != nil {
-			return err
-		}
-		if err := d.expect(':'); err != nil {
-			return err
-		}
-		if err := field(key); err != nil {
-			return err
-		}
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		d.off++
-		if c == '}' {
-			return nil
-		}
-		if c != ',' {
-			return d.errorf("expected ',' or '}' in object")
-		}
-	}
+	return d.Errorf("cannot unmarshal non-object value")
 }
 
 // decodePrincipal parses a PrincipalWire value, honoring encoding/json's
 // pointer-null semantics: null stores nil, an object allocates.
 func (d *decodeState) decodePrincipal(dst **PrincipalWire) error {
-	c, err := d.peek()
+	c, err := d.Peek()
 	if err != nil {
 		return err
 	}
 	if c == 'n' {
-		if _, err := d.literal(); err != nil {
-			return err
-		}
 		*dst = nil
-		return nil
+		return d.null()
 	}
 	p := *dst
 	if p == nil {
 		p = &PrincipalWire{}
 	}
 	err = d.object(func(key []byte) error {
+		key = foldRunes(key)
 		switch {
 		case foldEq(key, "phones"):
 			return d.decodeStringSlice(&p.Phones)
 		case foldEq(key, "knowledge_skill"):
 			return d.fieldFloat(&p.KnowledgeSkill, "knowledge_skill")
 		default:
-			return d.skipValue()
+			return d.Skip()
 		}
 	})
 	if err != nil {
@@ -885,55 +406,37 @@ func (d *decodeState) decodePrincipal(dst **PrincipalWire) error {
 	return nil
 }
 
-// decodeStringSlice parses a []string; null stores nil, [] stores an
-// empty non-nil slice, and null elements decode to "" — all matching
-// encoding/json.
+// decodeStringSlice parses a []string with encoding/json's conventions:
+// null stores nil, [] an empty non-nil slice, and elements decode in place
+// over the old backing array, so a null element keeps whatever string its
+// slot held (nothing, in a fresh slice: "").
 func (d *decodeState) decodeStringSlice(dst *[]string) error {
-	c, err := d.peek()
+	c, err := d.Peek()
 	if err != nil {
 		return err
 	}
 	if c == 'n' {
-		if _, err := d.literal(); err != nil {
-			return err
-		}
 		*dst = nil
-		return nil
+		return d.null()
 	}
 	if c != '[' {
-		return d.errorf("cannot unmarshal non-array into []string")
+		return d.Errorf("cannot unmarshal non-array into []string")
 	}
-	d.off++
 	out := (*dst)[:0]
 	if out == nil {
 		out = []string{}
 	}
-	if c, err := d.peek(); err != nil {
-		return err
-	} else if c == ']' {
-		d.off++
-		*dst = out
-		return nil
-	}
-	for {
+	err = d.Array(func() error {
 		var s string
-		if err := d.fieldString(&s, "phones"); err != nil {
-			return err
+		if len(out) < cap(out) {
+			s = out[:len(out)+1][len(out)]
 		}
+		err := d.fieldString(&s, "phones")
 		out = append(out, s)
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		d.off++
-		if c == ']' {
-			*dst = out
-			return nil
-		}
-		if c != ',' {
-			return d.errorf("expected ',' or ']' in array")
-		}
-	}
+		return err
+	})
+	*dst = out
+	return err
 }
 
 // DecodeScoreRequest parses data into r with the semantics of
@@ -941,8 +444,9 @@ func (d *decodeState) decodeStringSlice(dst *[]string) error {
 // match case-insensitively, null fields are no-ops, duplicate keys take
 // the last value, and trailing data after the first value is ignored.
 func DecodeScoreRequest(data []byte, r *ScoreRequest) error {
-	d := &decodeState{data: data}
+	d := &decodeState{jsonx.NewScanner(data)}
 	return d.object(func(key []byte) error {
+		key = foldRunes(key)
 		switch {
 		case foldEq(key, "account"):
 			return d.fieldInt32((*int32)(&r.Account), "account")
@@ -951,13 +455,13 @@ func DecodeScoreRequest(data []byte, r *ScoreRequest) error {
 		case foldEq(key, "device_id"):
 			return d.fieldString(&r.DeviceID, "device_id")
 		case foldEq(key, "at"):
-			return d.fieldTime(&r.At, "at")
+			return d.fieldTime(&r.At)
 		case foldEq(key, "password_ok"):
 			return d.fieldBool(&r.PasswordOK, "password_ok")
 		case foldEq(key, "principal"):
 			return d.decodePrincipal(&r.Principal)
 		default:
-			return d.skipValue()
+			return d.Skip()
 		}
 	})
 }
@@ -965,8 +469,9 @@ func DecodeScoreRequest(data []byte, r *ScoreRequest) error {
 // DecodeOutcomeRequest parses data into r; same contract as
 // DecodeScoreRequest.
 func DecodeOutcomeRequest(data []byte, r *OutcomeRequest) error {
-	d := &decodeState{data: data}
+	d := &decodeState{jsonx.NewScanner(data)}
 	return d.object(func(key []byte) error {
+		key = foldRunes(key)
 		switch {
 		case foldEq(key, "account"):
 			return d.fieldInt32((*int32)(&r.Account), "account")
@@ -975,11 +480,11 @@ func DecodeOutcomeRequest(data []byte, r *OutcomeRequest) error {
 		case foldEq(key, "device_id"):
 			return d.fieldString(&r.DeviceID, "device_id")
 		case foldEq(key, "at"):
-			return d.fieldTime(&r.At, "at")
+			return d.fieldTime(&r.At)
 		case foldEq(key, "success"):
 			return d.fieldBool(&r.Success, "success")
 		default:
-			return d.skipValue()
+			return d.Skip()
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,26 +192,45 @@ func TestDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// decodeParity runs one input through both decoders and fails the test on
-// any accept/reject or decoded-value disagreement.
-func decodeParity(t *testing.T, input []byte) {
+// decodeParity runs one input through a fast decoder and json.Decoder and
+// fails the test on any accept/reject or decoded-value disagreement.
+func decodeParity[T any](t *testing.T, input []byte, decode func([]byte, *T) error) {
 	t.Helper()
-	var fast, std serve.ScoreRequest
-	fastErr := serve.DecodeScoreRequest(input, &fast)
+	var fast, std T
+	fastErr := decode(input, &fast)
 	stdErr := json.NewDecoder(bytes.NewReader(input)).Decode(&std)
 	if (fastErr == nil) != (stdErr == nil) {
-		t.Fatalf("rejection parity broken on %q:\nfast err: %v\nstd err:  %v", input, fastErr, stdErr)
+		t.Fatalf("%T: rejection parity broken on %q:\nfast err: %v\nstd err:  %v", fast, truncate(input), fastErr, stdErr)
 	}
 	if fastErr == nil && !reflect.DeepEqual(fast, std) {
-		t.Fatalf("decoded values diverge on %q:\nfast %+v\nstd  %+v", input, fast, std)
+		t.Fatalf("%T: decoded values diverge on %q:\nfast %+v\nstd  %+v", fast, truncate(input), fast, std)
 	}
 }
 
-// TestDecodeRejectionParity feeds the fast decoder the malformed-input
-// corpus plus random mutations of valid documents and asserts it accepts
-// and rejects exactly what json.Decoder.Decode accepts and rejects.
-func TestDecodeRejectionParity(t *testing.T) {
-	corpus := []string{
+// decodeParities checks every request decoder on input.
+func decodeParities(t *testing.T, input []byte) {
+	t.Helper()
+	decodeParity(t, input, serve.DecodeScoreRequest)
+	decodeParity(t, input, serve.DecodeOutcomeRequest)
+	decodeParity(t, input, serve.DecodeBatchItem)
+}
+
+func truncate(b []byte) []byte {
+	if len(b) > 120 {
+		return append(b[:120:120], "..."...)
+	}
+	return b
+}
+
+// nested returns an object whose unknown field holds n nested arrays.
+func nested(n int) string {
+	return `{"account":1,"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}`
+}
+
+// parityCorpus is the malformed- and edge-input corpus the request
+// decoders must judge exactly as json.Decoder does.
+func parityCorpus() []string {
+	return []string{
 		// The old handler's bad-request cases.
 		`{nope`,
 		`{"account":1,"ip":"not-an-ip","at":"2012-11-02T09:00:00Z"}`,
@@ -255,9 +275,28 @@ func TestDecodeRejectionParity(t *testing.T) {
 		// Structural.
 		`{"account":1,}`, `{"account" 1}`, `{"account":1 "ip":"x"}`, `{,}`,
 		"\t\r\n {\"account\":  8 } \n",
+		// Nesting: json.Decoder allows 10000 levels (the object plus 9999
+		// arrays), not 10001.
+		nested(9999), nested(10000),
+		// Keys matching through the non-ASCII runes Unicode case folding
+		// sends to ASCII letters (KELVIN SIGN to k, LONG S to s), raw and
+		// escaped.
+		"{\"password_o\U0000212a\":true,\"\U0000017fuccess\":true}",
+		"{\"pa\\u017fsword_ok\":true,\"principal\":{\"\\u212Anowledge_\\u017Fkill\":0.5}}",
+		"{\"password_\U0000212a\":true}",
+		// Duplicate arrays decode in place: a null element keeps the old one.
+		`{"principal":{"phones":["a","b","c"],"phones":["x",null]}}`,
+		`{"principal":{"phones":["a","b"],"phones":[null,null,null]}}`,
+		`{"principal":{"knowledge_skill":1},"principal":{"phones":["a"]}}`,
 	}
-	for _, in := range corpus {
-		decodeParity(t, []byte(in))
+}
+
+// TestDecodeRejectionParity feeds the fast decoders the malformed-input
+// corpus plus random mutations of valid documents and asserts they accept
+// and reject exactly what json.Decoder.Decode accepts and rejects.
+func TestDecodeRejectionParity(t *testing.T) {
+	for _, in := range parityCorpus() {
+		decodeParities(t, []byte(in))
 	}
 
 	// Mutation fuzz: valid documents with random truncations, byte flips,
@@ -282,7 +321,41 @@ func TestDecodeRejectionParity(t *testing.T) {
 				doc = append(doc[:p], doc[p+1:]...)
 			}
 		}
-		decodeParity(t, doc)
+		decodeParities(t, doc)
+	}
+}
+
+// FuzzDecodeScoreRequest holds DecodeScoreRequest to json.Decoder: the
+// same accept/reject verdict and, on success, the same struct.
+func FuzzDecodeScoreRequest(f *testing.F) {
+	addParitySeeds(f)
+	f.Fuzz(func(t *testing.T, in []byte) { decodeParity(t, in, serve.DecodeScoreRequest) })
+}
+
+// FuzzDecodeBatchItem is FuzzDecodeScoreRequest for the /v1/score.batch
+// line decoder.
+func FuzzDecodeBatchItem(f *testing.F) {
+	addParitySeeds(f)
+	rng := rand.New(rand.NewSource(79))
+	for i := 0; i < 16; i++ {
+		req := randScoreRequest(rng)
+		item := serve.ScoreItem(req)
+		if i%2 == 1 {
+			item = serve.OutcomeItem(serve.OutcomeRequest{Account: req.Account, IP: req.IP, At: req.At, Success: true})
+		}
+		f.Add(serve.AppendBatchItem(nil, &item))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) { decodeParity(t, in, serve.DecodeBatchItem) })
+}
+
+func addParitySeeds(f *testing.F) {
+	for _, in := range parityCorpus() {
+		f.Add([]byte(in))
+	}
+	rng := rand.New(rand.NewSource(73))
+	for i := 0; i < 16; i++ {
+		req := randScoreRequest(rng)
+		f.Add(serve.AppendScoreRequest(nil, &req))
 	}
 }
 
