@@ -20,9 +20,9 @@ import (
 	"manualhijack/internal/core"
 	"manualhijack/internal/event"
 	"manualhijack/internal/geo"
-	"manualhijack/internal/hijacker"
 	"manualhijack/internal/identity"
 	"manualhijack/internal/logstore"
+	"manualhijack/internal/playbook"
 	"manualhijack/internal/recovery"
 	"manualhijack/internal/stats"
 )
@@ -655,7 +655,7 @@ func BenchmarkAblationNotifications(b *testing.B) {
 // restore-on-recovery enabled, hijacker mass deletion stops costing
 // victims their mail.
 func BenchmarkAblationRestore(b *testing.B) {
-	tactics := hijacker.Tactics2011() // mass deletion at its 2011 rate
+	tactics := playbook.Tactics2011() // mass deletion at its 2011 rate
 	// Metric: mean end-of-window mailbox size of accounts that suffered a
 	// hijacker mass deletion. With restore enabled, recovery puts the
 	// history back; without it the victim keeps only post-deletion mail.
@@ -698,7 +698,7 @@ func BenchmarkAblationRestore(b *testing.B) {
 	}
 }
 
-func withTactics(specs []core.CrewSpec, t hijacker.Tactics) []core.CrewSpec {
+func withTactics(specs []core.CrewSpec, t playbook.Tactics) []core.CrewSpec {
 	out := make([]core.CrewSpec, len(specs))
 	for i, s := range specs {
 		s.Config.Tactics = t

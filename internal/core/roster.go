@@ -2,7 +2,7 @@ package core
 
 import (
 	"manualhijack/internal/geo"
-	"manualhijack/internal/hijacker"
+	"manualhijack/internal/playbook"
 )
 
 // crewEntry is one roster row: origin, language, relative activity weight,
@@ -10,7 +10,7 @@ import (
 type crewEntry struct {
 	name     string
 	country  geo.Country
-	lang     hijacker.Language
+	lang     playbook.Language
 	weight   float64
 	usePhone bool
 	// startUTC staggers working hours by rough home-timezone so the fleet
@@ -18,13 +18,11 @@ type crewEntry struct {
 	startUTC int
 }
 
-func buildRoster(entries []crewEntry, tactics hijacker.Tactics) []CrewSpec {
+func buildRoster(entries []crewEntry, tactics playbook.Tactics) []CrewSpec {
 	specs := make([]CrewSpec, 0, len(entries))
 	for _, e := range entries {
-		cfg := hijacker.DefaultConfig(e.name, e.country, e.lang)
+		cfg := playbook.DefaultCrewConfig(e.name, e.country, e.lang)
 		cfg.WorkStartUTC = e.startUTC
-		cfg.WorkEndUTC = e.startUTC + 9
-		cfg.LunchUTC = e.startUTC + 4
 		cfg.Tactics = tactics
 		if !e.usePhone {
 			cfg.Tactics.TwoSVLockoutRate = 0
@@ -38,13 +36,13 @@ func buildRoster(entries []crewEntry, tactics hijacker.Tactics) []CrewSpec {
 // dominate; the 2SV phone tactic has not appeared yet.
 func Roster2011() []CrewSpec {
 	return buildRoster([]crewEntry{
-		{"ci-alpha", geo.IvoryCoast, hijacker.LangFR, 20, false, 8},
-		{"ng-alpha", geo.Nigeria, hijacker.LangEN, 18, false, 8},
-		{"za-alpha", geo.SouthAfrica, hijacker.LangEN, 5, false, 7},
-		{"cn-alpha", geo.China, hijacker.LangZH, 12, false, 1},
-		{"my-alpha", geo.Malaysia, hijacker.LangEN, 8, false, 1},
-		{"ve-alpha", geo.Venezuela, hijacker.LangES, 2, false, 13},
-	}, hijacker.Tactics2011())
+		{"ci-alpha", geo.IvoryCoast, playbook.LangFR, 20, false, 8},
+		{"ng-alpha", geo.Nigeria, playbook.LangEN, 18, false, 8},
+		{"za-alpha", geo.SouthAfrica, playbook.LangEN, 5, false, 7},
+		{"cn-alpha", geo.China, playbook.LangZH, 12, false, 1},
+		{"my-alpha", geo.Malaysia, playbook.LangEN, 8, false, 1},
+		{"ve-alpha", geo.Venezuela, playbook.LangES, 2, false, 13},
+	}, playbook.Tactics2011())
 }
 
 // Roster2012 is the November 2012 mix: the same groups, now with the
@@ -55,19 +53,19 @@ func Roster2011() []CrewSpec {
 // ML 6.1%, IN 3.3%, small VN/AF/VE/BR).
 func Roster2012() []CrewSpec {
 	return buildRoster([]crewEntry{
-		{"ci-alpha", geo.IvoryCoast, hijacker.LangFR, 20.0, true, 8},
-		{"ng-alpha", geo.Nigeria, hijacker.LangEN, 18.0, true, 8},
-		{"za-alpha", geo.SouthAfrica, hijacker.LangEN, 5.0, true, 7},
-		{"fr-alpha", geo.France, hijacker.LangFR, 3.8, true, 8},
-		{"ml-alpha", geo.Mali, hijacker.LangFR, 3.6, true, 8},
-		{"in-alpha", geo.India, hijacker.LangEN, 2.0, true, 4},
-		{"vn-alpha", geo.Vietnam, hijacker.LangEN, 1.5, true, 2},
-		{"af-alpha", geo.Afghanistan, hijacker.LangEN, 1.2, true, 4},
-		{"ve-alpha", geo.Venezuela, hijacker.LangES, 1.2, true, 13},
-		{"br-alpha", geo.Brazil, hijacker.LangES, 1.2, true, 12},
-		{"cn-alpha", geo.China, hijacker.LangZH, 12.0, false, 1},
-		{"my-alpha", geo.Malaysia, hijacker.LangEN, 8.0, false, 1},
-	}, hijacker.Tactics2012())
+		{"ci-alpha", geo.IvoryCoast, playbook.LangFR, 20.0, true, 8},
+		{"ng-alpha", geo.Nigeria, playbook.LangEN, 18.0, true, 8},
+		{"za-alpha", geo.SouthAfrica, playbook.LangEN, 5.0, true, 7},
+		{"fr-alpha", geo.France, playbook.LangFR, 3.8, true, 8},
+		{"ml-alpha", geo.Mali, playbook.LangFR, 3.6, true, 8},
+		{"in-alpha", geo.India, playbook.LangEN, 2.0, true, 4},
+		{"vn-alpha", geo.Vietnam, playbook.LangEN, 1.5, true, 2},
+		{"af-alpha", geo.Afghanistan, playbook.LangEN, 1.2, true, 4},
+		{"ve-alpha", geo.Venezuela, playbook.LangES, 1.2, true, 13},
+		{"br-alpha", geo.Brazil, playbook.LangES, 1.2, true, 12},
+		{"cn-alpha", geo.China, playbook.LangZH, 12.0, false, 1},
+		{"my-alpha", geo.Malaysia, playbook.LangEN, 8.0, false, 1},
+	}, playbook.Tactics2012())
 }
 
 // Roster2014 is the January 2014 mix: the Chinese and Malaysian groups now
@@ -76,17 +74,17 @@ func Roster2012() []CrewSpec {
 // reproduce Figure 11's IP country mix (CN and MY ≈36% each, ZA ≈9%).
 func Roster2014() []CrewSpec {
 	return buildRoster([]crewEntry{
-		{"cn-alpha", geo.China, hijacker.LangZH, 35.7, false, 1},
-		{"my-alpha", geo.Malaysia, hijacker.LangEN, 35.7, false, 1},
-		{"za-alpha", geo.SouthAfrica, hijacker.LangEN, 9.1, false, 7},
-		{"ci-alpha", geo.IvoryCoast, hijacker.LangFR, 3.2, false, 8},
-		{"ng-alpha", geo.Nigeria, hijacker.LangEN, 3.2, false, 8},
-		{"ve-alpha", geo.Venezuela, hijacker.LangES, 2.4, false, 13},
-		{"us-alpha", geo.US, hijacker.LangEN, 2.3, false, 14},
-		{"br-alpha", geo.Brazil, hijacker.LangES, 2.0, false, 12},
-		{"in-alpha", geo.India, hijacker.LangEN, 2.1, false, 4},
-		{"ml-alpha", geo.Mali, hijacker.LangFR, 1.7, false, 8},
-		{"af-alpha", geo.Afghanistan, hijacker.LangEN, 1.3, false, 4},
-		{"vn-alpha", geo.Vietnam, hijacker.LangEN, 1.3, false, 2},
-	}, hijacker.Tactics2014())
+		{"cn-alpha", geo.China, playbook.LangZH, 35.7, false, 1},
+		{"my-alpha", geo.Malaysia, playbook.LangEN, 35.7, false, 1},
+		{"za-alpha", geo.SouthAfrica, playbook.LangEN, 9.1, false, 7},
+		{"ci-alpha", geo.IvoryCoast, playbook.LangFR, 3.2, false, 8},
+		{"ng-alpha", geo.Nigeria, playbook.LangEN, 3.2, false, 8},
+		{"ve-alpha", geo.Venezuela, playbook.LangES, 2.4, false, 13},
+		{"us-alpha", geo.US, playbook.LangEN, 2.3, false, 14},
+		{"br-alpha", geo.Brazil, playbook.LangES, 2.0, false, 12},
+		{"in-alpha", geo.India, playbook.LangEN, 2.1, false, 4},
+		{"ml-alpha", geo.Mali, playbook.LangFR, 1.7, false, 8},
+		{"af-alpha", geo.Afghanistan, playbook.LangEN, 1.3, false, 4},
+		{"vn-alpha", geo.Vietnam, playbook.LangEN, 1.3, false, 2},
+	}, playbook.Tactics2014())
 }

@@ -22,7 +22,6 @@ import (
 	"manualhijack/internal/challenge"
 	"manualhijack/internal/event"
 	"manualhijack/internal/geo"
-	"manualhijack/internal/hijacker"
 	"manualhijack/internal/identity"
 	"manualhijack/internal/logstore"
 	"manualhijack/internal/mail"
@@ -41,7 +40,7 @@ import (
 // crews proportionally, so a crew's hijack volume tracks its weight — the
 // lever that calibrates the attribution figures (11 and 12).
 type CrewSpec struct {
-	Config hijacker.Config
+	Config playbook.CrewConfig
 	Weight float64
 }
 
@@ -169,7 +168,7 @@ type World struct {
 	Vict  *victim.Manager
 	Inf   *phishkit.Infrastructure
 	SB    *safebrowsing.Pipeline
-	Crews []*hijacker.Crew
+	Crews []*playbook.Crew
 	// Actors are the playbook archetypes fielded next to the crews.
 	Actors []playbook.Actor
 	// Guard is the online behavioral defense (nil unless enabled).
@@ -257,19 +256,20 @@ func NewWorld(cfg Config) *World {
 		w.Guard = newGuardian(w, behavior.DefaultConfig())
 	}
 
+	// One wiring for every attacker. Crews come first, then archetypes:
+	// that order is the credential-sink order and the start order, and
+	// simtime breaks same-instant ties FIFO.
+	env := playbook.Env{
+		Clock: clock, Log: log, Rng: rng, Dir: dir, Mail: mailSvc,
+		Auth: authSvc, Inf: inf, Plan: plan, Listener: vict, Recovery: rec,
+	}
 	var sinks []phishkit.CredentialSink
 	var weights []float64
 	for _, spec := range cfg.Crews {
-		crew := hijacker.NewCrew(spec.Config, clock, log, rng, dir, mailSvc, authSvc, inf, plan)
-		crew.SetListener(vict)
-		crew.SetRecovery(rec)
+		crew := playbook.NewCrew(spec.Config, env)
 		w.Crews = append(w.Crews, crew)
 		sinks = append(sinks, crew)
 		weights = append(weights, spec.Weight)
-	}
-	env := playbook.Env{
-		Clock: clock, Log: log, Rng: rng, Dir: dir, Mail: mailSvc,
-		Auth: authSvc, Inf: inf, Plan: plan, Listener: vict,
 	}
 	for _, spec := range cfg.Archetypes {
 		weight := spec.Weight
@@ -277,9 +277,7 @@ func NewWorld(cfg Config) *World {
 			weight = defaultArchetypeWeight
 		}
 		for i := 0; i < spec.Count; i++ {
-			actor, err := playbook.New(spec.Archetype, playbook.Config{
-				Name: fmt.Sprintf("%s-%d", spec.Archetype, i+1),
-			}, env)
+			actor, err := playbook.New(spec.Archetype, fmt.Sprintf("%s-%d", spec.Archetype, i+1), env)
 			if err != nil {
 				panic("core: " + err.Error())
 			}

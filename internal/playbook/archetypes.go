@@ -19,9 +19,10 @@ import (
 // phisher, impersonation-as-a-service). Each registers a constructor,
 // embeds *Scaffold, and emits its characteristic signal signature —
 // the shape a detector would key on, and what the per-archetype unit
-// tests assert.
+// tests assert. The manual crew lives in hijacker.go.
 
 func init() {
+	Register(ManualArchetype, newManual)
 	Register("smashgrab", newSmashGrab)
 	Register("lowslow", newLowSlow)
 	Register("hopper", newHopper)
@@ -34,12 +35,6 @@ func init() {
 	Register("impaas", newIMPaaS)
 }
 
-func defaultCountry(cfg *Config, c geo.Country) {
-	if cfg.Country == "" {
-		cfg.Country = c
-	}
-}
-
 // ---------------------------------------------------------------------
 // smashgrab — maximum extraction before the owner can react: login,
 // download contacts and inbox, blast 80–200 scam recipient slots within
@@ -50,25 +45,16 @@ func defaultCountry(cfg *Config, c geo.Country) {
 
 type smashGrab struct{ *Scaffold }
 
-func newSmashGrab(cfg Config, env Env) Actor {
-	defaultCountry(&cfg, geo.Nigeria)
-	return &smashGrab{NewScaffold("smashgrab", cfg, env)}
+func newSmashGrab(name string, env Env) Actor {
+	return &smashGrab{newScaffold("smashgrab", name, geo.Nigeria, env)}
 }
 
 func (a *smashGrab) Start(end time.Time) { a.StartTicks(9*time.Minute, end, a.tick) }
 
 func (a *smashGrab) tick() {
-	if !a.Working(a.E.Clock.Now()) {
-		return
-	}
 	for i := 0; i < 3; i++ {
-		cred, ok := a.PopCred()
+		cred, ip, ok := a.NextCred()
 		if !ok {
-			return
-		}
-		ip, ok := a.PickIP(cred.Account)
-		if !ok {
-			a.Requeue(cred)
 			return
 		}
 		a.Processed++
@@ -111,12 +97,11 @@ func (a *smashGrab) tick() {
 
 type lowSlow struct{ *Scaffold }
 
-func newLowSlow(cfg Config, env Env) Actor {
-	defaultCountry(&cfg, geo.IvoryCoast)
-	return &lowSlow{NewScaffold("lowslow", cfg, env)}
+func newLowSlow(name string, env Env) Actor {
+	return &lowSlow{newScaffold("lowslow", name, geo.IvoryCoast, env)}
 }
 
-func (a *lowSlow) Start(end time.Time) { a.MarkStarted(end) }
+func (a *lowSlow) Start(time.Time) { a.MarkStarted() }
 
 // CredentialCaptured schedules the whole slow arc directly: no tick
 // loop, nothing to batch — the point is that nothing ever bursts.
@@ -137,7 +122,7 @@ func (a *lowSlow) CredentialCaptured(cred phishkit.Credential) {
 func (a *lowSlow) begin(cred phishkit.Credential) {
 	ip, ok := a.PickIP(cred.Account)
 	if !ok {
-		ip = a.FreshIP(a.Cfg.Country)
+		ip = a.FreshIP(a.Country())
 	}
 	a.Processed++
 	res := a.Login(cred.Account, cred.Password, ip, a.Device())
@@ -188,10 +173,9 @@ type hopper struct {
 	route []geo.Country
 }
 
-func newHopper(cfg Config, env Env) Actor {
-	defaultCountry(&cfg, geo.Malaysia)
+func newHopper(name string, env Env) Actor {
 	return &hopper{
-		Scaffold: NewScaffold("hopper", cfg, env),
+		Scaffold: newScaffold("hopper", name, geo.Malaysia, env),
 		route: []geo.Country{
 			geo.Malaysia, geo.Nigeria, geo.China, geo.Venezuela, geo.SouthAfrica,
 		},
@@ -270,22 +254,16 @@ func (a *hopper) hop(cred phishkit.Credential, country geo.Country, st *hopperSt
 
 type dataThief struct{ *Scaffold }
 
-func newDataThief(cfg Config, env Env) Actor {
-	defaultCountry(&cfg, geo.China)
-	return &dataThief{NewScaffold("datathief", cfg, env)}
+func newDataThief(name string, env Env) Actor {
+	return &dataThief{newScaffold("datathief", name, geo.China, env)}
 }
 
 func (a *dataThief) Start(end time.Time) { a.StartTicks(8*time.Minute, end, a.tick) }
 
 func (a *dataThief) tick() {
 	for i := 0; i < 4; i++ {
-		cred, ok := a.PopCred()
+		cred, ip, ok := a.NextCred()
 		if !ok {
-			return
-		}
-		ip, ok := a.PickIP(cred.Account)
-		if !ok {
-			a.Requeue(cred)
 			return
 		}
 		a.Processed++
@@ -323,9 +301,8 @@ func (a *dataThief) tick() {
 
 type stuffer struct{ *Scaffold }
 
-func newStuffer(cfg Config, env Env) Actor {
-	defaultCountry(&cfg, geo.Vietnam)
-	return &stuffer{NewScaffold("stuffer", cfg, env)}
+func newStuffer(name string, env Env) Actor {
+	return &stuffer{newScaffold("stuffer", name, geo.Vietnam, env)}
 }
 
 func (a *stuffer) Start(end time.Time) { a.StartTicks(13*time.Minute, end, a.tick) }
@@ -338,7 +315,7 @@ func (a *stuffer) tick() {
 	if q := a.QueueLen(); n > q {
 		n = q
 	}
-	ip := a.FreshIP(a.Cfg.Country)
+	ip := a.FreshIP(a.Country())
 	now := a.E.Clock.Now()
 	for i := 0; i < n; i++ {
 		cred, ok := a.PopCred()
@@ -374,9 +351,8 @@ func (a *stuffer) validate(cred phishkit.Credential, ip netip.Addr) {
 
 type spamCannon struct{ *Scaffold }
 
-func newSpamCannon(cfg Config, env Env) Actor {
-	defaultCountry(&cfg, geo.Brazil)
-	return &spamCannon{NewScaffold("spamcannon", cfg, env)}
+func newSpamCannon(name string, env Env) Actor {
+	return &spamCannon{newScaffold("spamcannon", name, geo.Brazil, env)}
 }
 
 func (a *spamCannon) Start(end time.Time) { a.StartTicks(10*time.Minute, end, a.tick) }
@@ -388,7 +364,7 @@ func (a *spamCannon) tick() {
 			return
 		}
 		a.Processed++
-		res := a.Login(cred.Account, cred.Password, a.FreshIP(a.Cfg.Country), a.Device())
+		res := a.Login(cred.Account, cred.Password, a.FreshIP(a.Country()), a.Device())
 		if res.Outcome != event.LoginSuccess {
 			continue
 		}
@@ -424,21 +400,15 @@ func (a *spamCannon) tick() {
 
 type sleeper struct{ *Scaffold }
 
-func newSleeper(cfg Config, env Env) Actor {
-	defaultCountry(&cfg, geo.India)
-	return &sleeper{NewScaffold("sleeper", cfg, env)}
+func newSleeper(name string, env Env) Actor {
+	return &sleeper{newScaffold("sleeper", name, geo.India, env)}
 }
 
 func (a *sleeper) Start(end time.Time) { a.StartTicks(12*time.Minute, end, a.tick) }
 
 func (a *sleeper) tick() {
-	cred, ok := a.PopCred()
+	cred, ip, ok := a.NextCred()
 	if !ok {
-		return
-	}
-	ip, ok := a.PickIP(cred.Account)
-	if !ok {
-		a.Requeue(cred)
 		return
 	}
 	a.Processed++
@@ -456,7 +426,7 @@ func (a *sleeper) tick() {
 }
 
 func (a *sleeper) wake(cred phishkit.Credential, firstEntry time.Time) {
-	res := a.Login(cred.Account, cred.Password, a.FreshIP(a.Cfg.Country), a.Device())
+	res := a.Login(cred.Account, cred.Password, a.FreshIP(a.Country()), a.Device())
 	if res.Outcome != event.LoginSuccess {
 		// The nap cost the access (password rotated, risk engine woke up).
 		a.LogEnd(cred.Account, firstEntry, false, false)
@@ -481,22 +451,16 @@ func (a *sleeper) wake(cred phishkit.Credential, firstEntry time.Time) {
 
 type ransomer struct{ *Scaffold }
 
-func newRansomer(cfg Config, env Env) Actor {
-	defaultCountry(&cfg, geo.SouthAfrica)
-	return &ransomer{NewScaffold("ransomer", cfg, env)}
+func newRansomer(name string, env Env) Actor {
+	return &ransomer{newScaffold("ransomer", name, geo.SouthAfrica, env)}
 }
 
 func (a *ransomer) Start(end time.Time) { a.StartTicks(14*time.Minute, end, a.tick) }
 
 func (a *ransomer) tick() {
 	for i := 0; i < 2; i++ {
-		cred, ok := a.PopCred()
+		cred, ip, ok := a.NextCred()
 		if !ok {
-			return
-		}
-		ip, ok := a.PickIP(cred.Account)
-		if !ok {
-			a.Requeue(cred)
 			return
 		}
 		a.Processed++
@@ -534,22 +498,16 @@ func (a *ransomer) tick() {
 
 type lateralPhisher struct{ *Scaffold }
 
-func newLateralPhisher(cfg Config, env Env) Actor {
-	defaultCountry(&cfg, geo.US)
-	return &lateralPhisher{NewScaffold("lateralphisher", cfg, env)}
+func newLateralPhisher(name string, env Env) Actor {
+	return &lateralPhisher{newScaffold("lateralphisher", name, geo.US, env)}
 }
 
 func (a *lateralPhisher) Start(end time.Time) { a.StartTicks(10*time.Minute, end, a.tick) }
 
 func (a *lateralPhisher) tick() {
 	for i := 0; i < 2; i++ {
-		cred, ok := a.PopCred()
+		cred, ip, ok := a.NextCred()
 		if !ok {
-			return
-		}
-		ip, ok := a.PickIP(cred.Account)
-		if !ok {
-			a.Requeue(cred)
 			return
 		}
 		a.Processed++
@@ -567,13 +525,7 @@ func (a *lateralPhisher) tick() {
 		}
 		// A targeted page whose captures flow back into this actor's
 		// queue: each generation of victims seeds the next.
-		camp := phishkit.DefaultCampaign(event.TargetMail, len(contacts))
-		camp.Victims = contacts
-		camp.Sink = a
-		camp.ClickRate = 0.30
-		camp.Conversion = 0.20
-		camp.ClickDelayMean = 20 * time.Hour
-		pageID := a.E.Inf.Launch(camp)
+		pageID := a.ContactCampaign(contacts, len(contacts))
 		sent := a.SendBatches(cred.Account, res.Session, contacts,
 			len(contacts), 3, event.ClassPhish, true,
 			[]string{"document", "shared", "review"}, pageID)
@@ -597,9 +549,8 @@ func (a *lateralPhisher) tick() {
 
 type impaas struct{ *Scaffold }
 
-func newIMPaaS(cfg Config, env Env) Actor {
-	defaultCountry(&cfg, geo.France)
-	return &impaas{NewScaffold("impaas", cfg, env)}
+func newIMPaaS(name string, env Env) Actor {
+	return &impaas{newScaffold("impaas", name, geo.France, env)}
 }
 
 func (a *impaas) Start(end time.Time) { a.StartTicks(15*time.Minute, end, a.tick) }

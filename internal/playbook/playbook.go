@@ -1,12 +1,24 @@
-// Package playbook is the pluggable attacker subsystem: the actor
-// contract the manual hijacker crews (internal/hijacker) already satisfy
-// — credential intake from phishing pages, scheduled ticks off the
+// Package playbook is the attacker subsystem: the actor contract —
+// credential intake from phishing pages, scheduled ticks off the
 // simulation clock, IP/device selection, event emission into the log —
-// extracted into an interface plus shared scaffolding, with a registry of
-// named attacker archetypes behind it.
+// one shared base (Scaffold) that every attacker embeds, and a registry
+// of named attacker archetypes built on it.
 //
-// The manual crew of the source paper is the first registered playbook;
-// the rest come from the anti-abuse FRAUD_TYPES catalog (smash & grab,
+// The manual crew of the source paper (Crew, the "manual" archetype) is
+// the first registered playbook: it collects phished credentials, logs
+// in fast from a disciplined IP pool, spends ~3 minutes assessing the
+// account's value (mailbox searches for financial terms, significant-
+// folder opens, a contact-list view), abandons low-value accounts,
+// exploits valuable ones with semi-personalized scams or contact-targeted
+// phishing, and applies retention tactics (lockout, recovery-option
+// changes, filters, Reply-To doppelgangers, 2-step-verification lockout
+// with crew phones). §5.5's "ordinary office job" evidence is modeled
+// directly: crew members work a tight daily schedule with a synchronized
+// one-hour lunch break and weekends off, share tooling (one device
+// fingerprint per crew) and phone pools, and work different victims from
+// different IPs in parallel.
+//
+// The rest come from the anti-abuse FRAUD_TYPES catalog (smash & grab,
 // low & slow, country hopper, data thief, credential stuffer, and
 // friends) and from related work: the enterprise lateral phisher that
 // spreads account→contacts inside the org graph (Ho et al. 2019, Shah et
@@ -29,7 +41,6 @@ import (
 
 	"manualhijack/internal/auth"
 	"manualhijack/internal/geo"
-	"manualhijack/internal/hijacker"
 	"manualhijack/internal/identity"
 	"manualhijack/internal/logstore"
 	"manualhijack/internal/mail"
@@ -41,7 +52,8 @@ import (
 // Actor is the attacker contract: an agent that receives phished
 // credentials, schedules its own activity against the simulation clock,
 // and works accounts through the same provider services victims use.
-// hijacker.Crew satisfies it; so does every scaffolded archetype here.
+// Crew and every other archetype here satisfy it by embedding Scaffold
+// and adding Start.
 type Actor interface {
 	phishkit.CredentialSink
 	// Name identifies the actor instance (unique within a world).
@@ -56,14 +68,14 @@ type Actor interface {
 }
 
 // StatsProvider is the optional counters surface actors expose for CLI
-// tables and calibration (both hijacker.Crew and Scaffold implement it).
+// tables and calibration (Scaffold implements it).
 type StatsProvider interface {
 	ActorStats() (processed, loggedIn, exploited int)
 }
 
-// Env is the world wiring an actor operates against. Rng is the world's
-// root stream: every actor forks its own substream by name, so actor
-// construction order cannot perturb anyone else's randomness.
+// Env is the world wiring every actor operates against. Rng is the
+// world's root stream: every actor forks its own substream by name, so
+// actor construction order cannot perturb anyone else's randomness.
 type Env struct {
 	Clock *simtime.Clock
 	Log   *logstore.Store
@@ -75,30 +87,28 @@ type Env struct {
 	Plan  *geo.IPPlan
 	// Listener receives hijack-ended callbacks (the victim manager);
 	// optional.
-	Listener hijacker.Listener
+	Listener Listener
+	// Recovery is the recovery service manual crews abuse for impostor
+	// claims; optional.
+	Recovery RecoveryFiler
 }
 
-// Config is the archetype-independent knob set. Zero values mean the
-// archetype's own defaults (each constructor fills in a home country, a
-// working schedule, and IP discipline appropriate to its pattern).
-type Config struct {
-	Name    string
-	Country geo.Country
-	// IPPoolSize / MaxAccountsPerIPDay bound the per-day disciplined IP
-	// pool (§5.1's under-10-accounts-per-IP discipline). Archetypes that
-	// deliberately break the discipline (the credential stuffer) ignore
-	// the cap by design.
-	IPPoolSize          int
-	MaxAccountsPerIPDay int
-	// WorkStartUTC/WorkEndUTC bound the working day; equal values mean
-	// around-the-clock operation. WeekendsOff keeps Saturday/Sunday idle.
-	WorkStartUTC int
-	WorkEndUTC   int
-	WeekendsOff  bool
+// Listener receives hijack lifecycle callbacks (wired to the victim and
+// recovery machinery by the world assembler).
+type Listener interface {
+	// HijackEnded fires when an actor finishes with an account.
+	HijackEnded(crew string, acct identity.AccountID, hijackedAt time.Time, lockedOut, exploited bool)
 }
 
-// Constructor builds one actor instance of an archetype.
-type Constructor func(cfg Config, env Env) Actor
+// RecoveryFiler is the slice of the recovery service crews abuse for
+// impostor claims.
+type RecoveryFiler interface {
+	FileFraudClaim(acct identity.AccountID, onSuccess func(newPassword string))
+}
+
+// Constructor builds one named actor instance of an archetype. Each
+// archetype picks its own home country, schedule, and IP discipline.
+type Constructor func(name string, env Env) Actor
 
 var archetypes = map[string]Constructor{}
 
@@ -122,18 +132,19 @@ func Names() []string {
 	return out
 }
 
-// New builds an actor of the named archetype. Unknown names error (they
-// would silently drop attack traffic otherwise).
-func New(archetype string, cfg Config, env Env) (Actor, error) {
+// New builds an actor of the named archetype; an empty name defaults to
+// the archetype's. Unknown archetypes error (they would silently drop
+// attack traffic otherwise).
+func New(archetype, name string, env Env) (Actor, error) {
 	ctor, ok := archetypes[archetype]
 	if !ok {
 		return nil, fmt.Errorf("playbook: unknown archetype %q (have %s)",
 			archetype, strings.Join(Names(), ", "))
 	}
-	if cfg.Name == "" {
-		cfg.Name = archetype
+	if name == "" {
+		name = archetype
 	}
-	return ctor(cfg, env), nil
+	return ctor(name, env), nil
 }
 
 // RosterEntry is one parsed `-archetypes` element: an archetype and how
@@ -174,36 +185,4 @@ func ParseRoster(spec string) ([]RosterEntry, error) {
 		out = append(out, RosterEntry{Archetype: name, Count: count})
 	}
 	return out, nil
-}
-
-// newManual wraps a manual hijacker crew (the paper's attacker) as a
-// registered playbook. It runs the crew's full pipeline — office-hours
-// queue work, ~3-minute value assessment, scam/contact-phishing
-// exploitation, retention tactics.
-func newManual(cfg Config, env Env) Actor {
-	if cfg.Country == "" {
-		cfg.Country = geo.IvoryCoast
-	}
-	hcfg := hijacker.DefaultConfig(cfg.Name, cfg.Country, hijacker.LangEN)
-	if cfg.IPPoolSize > 0 {
-		hcfg.IPPoolSize = cfg.IPPoolSize
-	}
-	if cfg.MaxAccountsPerIPDay > 0 {
-		hcfg.MaxAccountsPerIPDay = cfg.MaxAccountsPerIPDay
-	}
-	if cfg.WorkEndUTC > cfg.WorkStartUTC {
-		hcfg.WorkStartUTC = cfg.WorkStartUTC
-		hcfg.WorkEndUTC = cfg.WorkEndUTC
-		hcfg.LunchUTC = cfg.WorkStartUTC + (cfg.WorkEndUTC-cfg.WorkStartUTC)/2
-	}
-	crew := hijacker.NewCrew(hcfg, env.Clock, env.Log, env.Rng,
-		env.Dir, env.Mail, env.Auth, env.Inf, env.Plan)
-	if env.Listener != nil {
-		crew.SetListener(env.Listener)
-	}
-	return crew
-}
-
-func init() {
-	Register(hijacker.ManualArchetype, newManual)
 }

@@ -14,6 +14,7 @@ import (
 	"manualhijack/internal/phishkit"
 	"manualhijack/internal/playbook"
 	"manualhijack/internal/randx"
+	"manualhijack/internal/recovery"
 	"manualhijack/internal/simtime"
 )
 
@@ -56,7 +57,7 @@ func newHarness(t *testing.T, seed int64, accounts int) *harness {
 // actor builds and starts one archetype instance with the given horizon.
 func (h *harness) actor(t *testing.T, archetype string, days int) playbook.Actor {
 	t.Helper()
-	a, err := playbook.New(archetype, playbook.Config{}, h.env)
+	a, err := playbook.New(archetype, "", h.env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestParseRoster(t *testing.T) {
 
 func TestUnknownArchetypeErrors(t *testing.T) {
 	h := newHarness(t, 1, 10)
-	if _, err := playbook.New("nosuch", playbook.Config{}, h.env); err == nil {
+	if _, err := playbook.New("nosuch", "", h.env); err == nil {
 		t.Fatal("unknown archetype did not error")
 	}
 }
@@ -212,6 +213,34 @@ func TestManualSignature(t *testing.T) {
 	if st, _ := h.hijackSpan(t, "manual"); st.Archetype != "manual" {
 		t.Errorf("HijackStarted archetype = %q", st.Archetype)
 	}
+}
+
+// A manual crew built through the registry gets the recovery service
+// from Env like a roster crew, so stale credentials draw §6.3 impostor
+// claims at the crew's recovery-fraud rate.
+func TestManualRegistryCrewFilesFraudClaims(t *testing.T) {
+	h := newHarness(t, 21, 60)
+	h.env.Recovery = recovery.NewService(recovery.DefaultConfig(), h.clock, h.log,
+		h.env.Rng, h.dir, h.env.Auth, h.env.Mail)
+	a := h.actor(t, "manual", 6)
+	for id := identity.AccountID(1); id <= 20; id++ {
+		acct := h.dir.Get(id)
+		a.CredentialCaptured(phishkit.Credential{
+			Account: id, Addr: acct.Addr, Password: acct.Password + "-stale", At: h.clock.Now(),
+		})
+	}
+	h.run(6)
+
+	claims := 0
+	h.scan(func(e event.Event) {
+		if c, ok := e.(event.ClaimFiled); ok && c.Trigger == "fraud" && c.Actor == event.ActorHijacker {
+			claims++
+		}
+	})
+	if claims == 0 {
+		t.Fatal("registry-built manual crew filed no fraud claims for 20 stale credentials")
+	}
+	t.Logf("%d fraud claims", claims)
 }
 
 // Signature: contact exfil plus a 80–200-slot scam burst within hours of

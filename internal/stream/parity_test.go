@@ -7,6 +7,7 @@ import (
 
 	"manualhijack/internal/core"
 	"manualhijack/internal/event"
+	"manualhijack/internal/playbook"
 	"manualhijack/internal/stream"
 )
 
@@ -44,20 +45,16 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	})
 
 	// A mixed-archetype world exercises the scorecard rows: every playbook
-	// fielded at once, so the streaming scorecard must agree with batch on
-	// a log containing every archetype tag.
+	// fielded at once (one instance of each registered archetype, so the
+	// roster cannot drift from the registry), and the streaming scorecard
+	// must agree with batch on a log containing every archetype tag.
 	t.Run("mixed-archetype-world", func(t *testing.T) {
 		cfg := core.DefaultConfig(23)
 		cfg.PopulationN = 600
 		cfg.Days = 12
 		cfg.DecoyN = 10
-		cfg.Archetypes = []core.ArchetypeSpec{
-			{Archetype: "smashgrab", Count: 2},
-			{Archetype: "stuffer", Count: 2},
-			{Archetype: "datathief", Count: 1},
-			{Archetype: "hopper", Count: 1},
-			{Archetype: "lowslow", Count: 1},
-			{Archetype: "impaas", Count: 1},
+		for _, name := range playbook.Names() {
+			cfg.Archetypes = append(cfg.Archetypes, core.ArchetypeSpec{Archetype: name, Count: 1})
 		}
 		assertParity(t, cfg, time.Duration(cfg.Days)*16*time.Hour)
 	})

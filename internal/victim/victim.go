@@ -71,7 +71,7 @@ func DefaultConfig() Config {
 }
 
 // Manager drives every organic user. It implements auth.Notifier and
-// hijacker.Listener.
+// playbook.Listener.
 type Manager struct {
 	cfg   Config
 	clock *simtime.Clock
@@ -365,7 +365,7 @@ func (m *Manager) Notified(acct identity.AccountID, reason string) {
 	}
 }
 
-// HijackEnded implements hijacker.Listener: records the ground-truth
+// HijackEnded implements playbook.Listener: records the ground-truth
 // anchor, and for in-the-shadow hijacks (no lockout) gives the owner a
 // chance to notice the strange sent mail eventually.
 func (m *Manager) HijackEnded(crew string, acct identity.AccountID, hijackedAt time.Time, lockedOut, exploited bool) {
