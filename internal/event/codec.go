@@ -3,20 +3,14 @@ package event
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"sort"
 )
 
-// The registry maps every record kind to its JSON decoder and every
-// concrete record type back to its kind. The reverse mapping is what lets
-// logstore route a generic Select[T] to the matching kind partition of a
-// sealed store instead of scanning the whole log.
-var (
-	decoders   = map[Kind]func([]byte) (Event, error){}
-	kindByType = map[reflect.Type]Kind{}
-)
+// decoders maps every record kind to its encoding/json decoder, the
+// fallback for lines DecodeLineFast does not read.
+var decoders = map[Kind]func([]byte) (Event, error){}
 
-// register wires one concrete record type to its kind in both directions.
+// register wires one concrete record type's kind to its decoder.
 func register[T Event](kind Kind) {
 	decoders[kind] = func(data []byte) (Event, error) {
 		var v T
@@ -25,7 +19,6 @@ func register[T Event](kind Kind) {
 		}
 		return v, nil
 	}
-	kindByType[reflect.TypeFor[T]()] = kind
 }
 
 func init() {
@@ -59,12 +52,17 @@ func init() {
 	register[Remission](KindRemission)
 }
 
-// KindFor reports the Kind emitted by the concrete record type T. ok is
-// false when T is not a registered concrete type (notably the Event
-// interface itself), in which case callers must fall back to scanning.
+// KindFor reports the Kind emitted by the record value type T, read from
+// T's zero value. ok is false when T is an interface (notably Event
+// itself), whose zero value is nil; callers must then fall back to
+// scanning. This is what lets logstore route a generic Select[T] to the
+// matching kind partition of a sealed store.
 func KindFor[T Event]() (k Kind, ok bool) {
-	k, ok = kindByType[reflect.TypeFor[T]()]
-	return k, ok
+	var zero T
+	if any(zero) == nil {
+		return "", false
+	}
+	return zero.EventKind(), true
 }
 
 // RegisteredKinds returns every kind with a registered decoder, sorted —

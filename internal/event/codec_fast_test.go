@@ -12,9 +12,9 @@ import (
 	"manualhijack/internal/identity"
 )
 
-// encodeJSONLine reproduces the logstore envelope path exactly:
-// json.Marshal of the record, wrapped by a json.Encoder (which appends
-// the newline and HTML-escapes, matching writeSegmentFile/WriteNDJSON).
+// encodeJSONLine is AppendLine's encoding/json reference: json.Marshal
+// of the record, wrapped in the envelope by a json.Encoder (which appends
+// the newline and HTML-escapes).
 func encodeJSONLine(t *testing.T, e Event) []byte {
 	t.Helper()
 	data, err := json.Marshal(e)
@@ -53,10 +53,14 @@ func decodeJSONLine(t *testing.T, line []byte) Event {
 // fastCodecSamples exercises every kind with adversarial field values:
 // HTML-escaped characters, JSON escapes (\b and \f among them),
 // U+2028/U+2029, invalid UTF-8, floats in both encoding/json formats,
-// zero and nanosecond times, zero and v4/v6 addresses (one with a zone
-// JSON must escape), nil/empty/multi recipient slices.
+// zero and nanosecond times, year 0 and a zone offset just under 24 hours
+// (the edges time.Time.MarshalJSON still writes), zero and v4/v6
+// addresses (one with a zone JSON must escape), nil/empty/multi recipient
+// slices.
 func fastCodecSamples() []Event {
 	at := time.Date(2012, 11, 2, 9, 30, 15, 123456789, time.UTC)
+	year0 := time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC)
+	farWest := time.Date(2012, 1, 1, 0, 0, 0, 0, time.FixedZone("", -(24*3600-60)))
 	coarse := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
 	micro := time.Date(2011, 7, 4, 23, 59, 59, 500000, time.UTC)
 	nasty := "a<b>&\"c\\d\ne\tf g h\x01i\x7fjé\U0001F600\b\f"
@@ -108,6 +112,7 @@ func fastCodecSamples() []Event {
 		NotificationSent{Base{at}, 42, ChannelSMS, "new-device <login> & risk"},
 		ClaimFiled{Base{at}, 42, "lockout", micro, ActorOwner},
 		ClaimFiled{Base{at}, 42, "fraud", time.Time{}, ActorHijacker},
+		ClaimFiled{Base{year0}, 42, "noticed", farWest, ActorOwner},
 		ClaimAttempt{Base{at}, 42, MethodSMS, false, "gateway", ActorOwner},
 		ClaimResolved{Base{at}, 42, true, MethodEmail, micro, coarse, ActorOwner},
 		ClaimResolved{Base{at}, 42, false, "", time.Time{}, time.Time{}, ActorHijacker},
@@ -141,6 +146,31 @@ func TestFastCodecMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestWireAllocFences fences the codec's allocations over the samples.
+// AppendLine allocates nothing, apart from ip.String() for the zoned IPv6
+// PageHit. DecodeLineFast allocates only what the record keeps (the boxed
+// record, its strings, slices and zones): 157 over the samples. The walk
+// and the wire stay on the stack; dispatching walk through a generic
+// dictionary or a closure makes both escape, which this fence catches.
+func TestWireAllocFences(t *testing.T) {
+	buf := make([]byte, 0, 4096)
+	decodes := 0.0
+	for _, e := range fastCodecSamples() {
+		want := 0.0
+		if hit, ok := e.(PageHit); ok && hit.IP.Zone() != "" {
+			want = 1
+		}
+		if got := testing.AllocsPerRun(100, func() { AppendLine(buf[:0], e) }); got != want {
+			t.Errorf("AppendLine(%T): %.1f allocs, fence is %.0f", e, got, want)
+		}
+		line := bytes.TrimSuffix(encodeJSONLine(t, e), []byte("\n"))
+		decodes += testing.AllocsPerRun(100, func() { DecodeLineFast(line) })
+	}
+	if decodes > 157 {
+		t.Errorf("DecodeLineFast: %.0f allocs over the samples, fence is 157", decodes)
+	}
+}
+
 // TestFastCodecAppendsToPrefix pins the append contract: AppendLine
 // extends dst in place and leaves it untouched on refusal.
 func TestFastCodecAppendsToPrefix(t *testing.T) {
@@ -150,13 +180,27 @@ func TestFastCodecAppendsToPrefix(t *testing.T) {
 	if !ok || !bytes.HasPrefix(out, prefix) {
 		t.Fatalf("AppendLine lost prefix: ok=%v out=%s", ok, out)
 	}
-	bad := Login{Base: Base{time.Date(2012, 1, 1, 0, 0, 0, 0, time.UTC)}, RiskScore: math.NaN()}
-	out, ok = AppendLine(append([]byte(nil), prefix...), bad)
-	if ok {
-		t.Fatal("AppendLine accepted NaN RiskScore")
-	}
-	if !bytes.Equal(out, prefix) {
-		t.Fatalf("refused AppendLine altered dst: %q", out)
+	// Values encoding/json refuses to marshal: a non-finite float, and the
+	// times time.Time.MarshalJSON refuses (a zone offset of 24 hours or
+	// more, a year outside [0, 9999]).
+	for _, bad := range []Event{
+		Login{Base: Base{time.Date(2012, 1, 1, 0, 0, 0, 0, time.UTC)}, RiskScore: math.NaN()},
+		PageDetected{Base{time.Date(2012, 1, 1, 0, 0, 0, 0, time.FixedZone("", 25*3600))}, 5},
+		PageDetected{Base{time.Date(2012, 1, 1, 0, 0, 0, 0, time.FixedZone("", -24*3600))}, 5},
+		PageDetected{Base{time.Date(2012, 1, 1, 0, 0, 0, 0, time.FixedZone("", 100*3600))}, 5},
+		PageDetected{Base{time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC)}, 5},
+		ClaimFiled{Base: Base{time.Date(2012, 1, 1, 0, 0, 0, 0, time.UTC)}, HijackedAt: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
+	} {
+		if _, err := json.Marshal(bad); err == nil {
+			t.Errorf("encoding/json marshals %+v; it is no refusal case", bad)
+		}
+		out, ok = AppendLine(append([]byte(nil), prefix...), bad)
+		if ok {
+			t.Errorf("AppendLine accepted %+v: %s", bad, out)
+		}
+		if !bytes.Equal(out, prefix) {
+			t.Errorf("refused AppendLine altered dst: %q", out)
+		}
 	}
 }
 
@@ -224,7 +268,7 @@ func TestFastCodecCoversAllKinds(t *testing.T) {
 	}
 	for _, k := range RegisteredKinds() {
 		if !covered[k] {
-			t.Errorf("no fast-codec sample for kind %s — add one and a codec_fast.go case", k)
+			t.Errorf("no fast-codec sample for kind %s — add one, a walk method and its codec_fast.go cases", k)
 		}
 	}
 }
@@ -256,10 +300,12 @@ func FuzzDecodeLineFast(f *testing.F) {
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("decode mismatch on %q:\nfast: %#v\njson: %#v", line, fast, slow)
 		}
-		if out, ok := AppendLine(nil, fast); ok {
-			if want := encodeJSONLine(t, fast); !bytes.Equal(out, want) {
-				t.Fatalf("re-encode mismatch:\nfast: %s\njson: %s", out, want)
-			}
+		out, ok := AppendLine(nil, fast)
+		if !ok {
+			t.Fatalf("AppendLine refused decoded record %#v", fast)
+		}
+		if want := encodeJSONLine(t, fast); !bytes.Equal(out, want) {
+			t.Fatalf("re-encode mismatch:\nfast: %s\njson: %s", out, want)
 		}
 	})
 }

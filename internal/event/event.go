@@ -63,7 +63,10 @@ const (
 	ActorSystem   Actor = "system"
 )
 
-// Event is one log record.
+// Event is one log record. Each record type also has a walk method, next
+// to its struct below: its one list of wire fields, in declaration order,
+// which writes the record to an NDJSON line and reads it back
+// (codec_fast.go).
 type Event interface {
 	When() time.Time
 	EventKind() Kind
@@ -113,6 +116,20 @@ type Login struct {
 // EventKind implements Event.
 func (Login) EventKind() Kind { return KindLogin }
 
+func (v *Login) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	addr(w, "IP", &v.IP)
+	str(w, "DeviceID", &v.DeviceID)
+	boolean(w, "PasswordOK", &v.PasswordOK)
+	str(w, "Outcome", &v.Outcome)
+	boolean(w, "Challenged", &v.Challenged)
+	float(w, "RiskScore", &v.RiskScore)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+	archetype(w, &v.Archetype)
+}
+
 // PasswordChanged records a password change.
 type PasswordChanged struct {
 	Base
@@ -123,6 +140,13 @@ type PasswordChanged struct {
 
 // EventKind implements Event.
 func (PasswordChanged) EventKind() Kind { return KindPasswordChanged }
+
+func (v *PasswordChanged) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+}
 
 // RecoveryChanged records a change to recovery options (secondary email,
 // phone, or secret question).
@@ -137,6 +161,14 @@ type RecoveryChanged struct {
 // EventKind implements Event.
 func (RecoveryChanged) EventKind() Kind { return KindRecoveryChanged }
 
+func (v *RecoveryChanged) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "What", &v.What)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+}
+
 // TwoSVEnrolled records 2-step-verification enrollment with a phone.
 type TwoSVEnrolled struct {
 	Base
@@ -148,6 +180,14 @@ type TwoSVEnrolled struct {
 
 // EventKind implements Event.
 func (TwoSVEnrolled) EventKind() Kind { return KindTwoSVEnrolled }
+
+func (v *TwoSVEnrolled) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "Phone", &v.Phone)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+}
 
 // MessageClass is the ground-truth class of a sent message.
 type MessageClass string
@@ -184,6 +224,20 @@ type MessageSent struct {
 // EventKind implements Event.
 func (MessageSent) EventKind() Kind { return KindMessageSent }
 
+func (v *MessageSent) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "ID", &v.ID)
+	str(w, "From", &v.From)
+	integer(w, "FromAcct", &v.FromAcct)
+	addrs(w, "Recipients", &v.Recipients)
+	str(w, "Class", &v.Class)
+	boolean(w, "Customized", &v.Customized)
+	str(w, "ReplyTo", &v.ReplyTo)
+	integer(w, "PageID", &v.PageID)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+}
+
 // Search records a mailbox search.
 type Search struct {
 	Base
@@ -195,6 +249,14 @@ type Search struct {
 
 // EventKind implements Event.
 func (Search) EventKind() Kind { return KindSearch }
+
+func (v *Search) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "Query", &v.Query)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+}
 
 // Folder names a mailbox system folder.
 type Folder string
@@ -221,6 +283,14 @@ type FolderOpened struct {
 // EventKind implements Event.
 func (FolderOpened) EventKind() Kind { return KindFolderOpened }
 
+func (v *FolderOpened) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "Folder", &v.Folder)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+}
+
 // ContactsViewed records viewing the contact list.
 type ContactsViewed struct {
 	Base
@@ -231,6 +301,13 @@ type ContactsViewed struct {
 
 // EventKind implements Event.
 func (ContactsViewed) EventKind() Kind { return KindContactsViewed }
+
+func (v *ContactsViewed) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+}
 
 // FilterCreated records creation of a mail filter (the hijacker retention
 // tactic redirects incoming mail to Trash/Spam or forwards it out).
@@ -245,6 +322,14 @@ type FilterCreated struct {
 // EventKind implements Event.
 func (FilterCreated) EventKind() Kind { return KindFilterCreated }
 
+func (v *FilterCreated) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "ForwardTo", &v.ForwardTo)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+}
+
 // ReplyToSet records configuring an outbound Reply-To address.
 type ReplyToSet struct {
 	Base
@@ -256,6 +341,14 @@ type ReplyToSet struct {
 
 // EventKind implements Event.
 func (ReplyToSet) EventKind() Kind { return KindReplyToSet }
+
+func (v *ReplyToSet) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "Addr", &v.Addr)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+}
 
 // MassDeletion records bulk deletion of messages/contacts.
 type MassDeletion struct {
@@ -269,6 +362,14 @@ type MassDeletion struct {
 // EventKind implements Event.
 func (MassDeletion) EventKind() Kind { return KindMassDeletion }
 
+func (v *MassDeletion) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	integer(w, "Deleted", &v.Deleted)
+	integer(w, "Session", &v.Session)
+	str(w, "Actor", &v.Actor)
+}
+
 // SpamReported records a recipient flagging a message as spam/phishing.
 type SpamReported struct {
 	Base
@@ -281,6 +382,15 @@ type SpamReported struct {
 
 // EventKind implements Event.
 func (SpamReported) EventKind() Kind { return KindSpamReported }
+
+func (v *SpamReported) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Reporter", &v.Reporter)
+	integer(w, "Message", &v.Message)
+	str(w, "From", &v.From)
+	integer(w, "FromAcct", &v.FromAcct)
+	str(w, "Class", &v.Class)
+}
 
 // PageID identifies a phishing page.
 type PageID int64
@@ -314,6 +424,15 @@ type PageCreated struct {
 // EventKind implements Event.
 func (PageCreated) EventKind() Kind { return KindPageCreated }
 
+func (v *PageCreated) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Page", &v.Page)
+	str(w, "Target", &v.Target)
+	float(w, "Quality", &v.Quality)
+	boolean(w, "OnForms", &v.OnForms)
+	boolean(w, "Targeted", &v.Targeted)
+}
+
 // PageHit records one HTTP request to a phishing page.
 type PageHit struct {
 	Base
@@ -327,6 +446,15 @@ type PageHit struct {
 // EventKind implements Event.
 func (PageHit) EventKind() Kind { return KindPageHit }
 
+func (v *PageHit) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Page", &v.Page)
+	str(w, "Method", &v.Method)
+	str(w, "Referrer", &v.Referrer)
+	str(w, "Victim", &v.Victim)
+	addr(w, "IP", &v.IP)
+}
+
 // PageDetected records the anti-phishing pipeline flagging a page.
 type PageDetected struct {
 	Base
@@ -336,6 +464,11 @@ type PageDetected struct {
 // EventKind implements Event.
 func (PageDetected) EventKind() Kind { return KindPageDetected }
 
+func (v *PageDetected) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Page", &v.Page)
+}
+
 // PageTakedown records a page being disabled.
 type PageTakedown struct {
 	Base
@@ -344,6 +477,11 @@ type PageTakedown struct {
 
 // EventKind implements Event.
 func (PageTakedown) EventKind() Kind { return KindPageTakedown }
+
+func (v *PageTakedown) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Page", &v.Page)
+}
 
 // LureSent records a phishing lure email delivered to a victim (external
 // campaign traffic; hijacked-account phishing is a MessageSent with
@@ -361,6 +499,16 @@ type LureSent struct {
 // EventKind implements Event.
 func (LureSent) EventKind() Kind { return KindLureSent }
 
+func (v *LureSent) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Campaign", &v.Campaign)
+	integer(w, "Page", &v.Page)
+	str(w, "Victim", &v.Victim)
+	str(w, "Target", &v.Target)
+	boolean(w, "HasURL", &v.HasURL)
+	boolean(w, "Reported", &v.Reported)
+}
+
 // CredentialPhished records a provider credential captured by a phishing
 // page — the hand-off from the phishing substrate to hijacker crews.
 type CredentialPhished struct {
@@ -372,6 +520,13 @@ type CredentialPhished struct {
 
 // EventKind implements Event.
 func (CredentialPhished) EventKind() Kind { return KindCredentialPhished }
+
+func (v *CredentialPhished) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	integer(w, "Page", &v.Page)
+	boolean(w, "Decoy", &v.Decoy)
+}
 
 // HijackStarted marks ground truth: a hijacker crew began working an
 // account.
@@ -388,6 +543,14 @@ type HijackStarted struct {
 // EventKind implements Event.
 func (HijackStarted) EventKind() Kind { return KindHijackStarted }
 
+func (v *HijackStarted) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "Crew", &v.Crew)
+	integer(w, "Session", &v.Session)
+	archetype(w, &v.Archetype)
+}
+
 // HijackAssessed marks the end of the value-assessment phase (§5.2).
 type HijackAssessed struct {
 	Base
@@ -401,6 +564,15 @@ type HijackAssessed struct {
 // EventKind implements Event.
 func (HijackAssessed) EventKind() Kind { return KindHijackAssessed }
 
+func (v *HijackAssessed) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "Crew", &v.Crew)
+	integer(w, "Duration", &v.Duration)
+	boolean(w, "Exploited", &v.Exploited)
+	archetype(w, &v.Archetype)
+}
+
 // HijackEnded marks the crew finishing with an account.
 type HijackEnded struct {
 	Base
@@ -412,6 +584,14 @@ type HijackEnded struct {
 
 // EventKind implements Event.
 func (HijackEnded) EventKind() Kind { return KindHijackEnded }
+
+func (v *HijackEnded) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "Crew", &v.Crew)
+	boolean(w, "LockedOut", &v.LockedOut)
+	archetype(w, &v.Archetype)
+}
 
 // ScamReply records a plea recipient responding to a scam message — the
 // first step of the two-round Mugged-in-City flow (§5.4 notes "even the
@@ -431,6 +611,14 @@ type ScamReply struct {
 // EventKind implements Event.
 func (ScamReply) EventKind() Kind { return KindScamReply }
 
+func (v *ScamReply) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "VictimAccount", &v.VictimAccount)
+	integer(w, "Recipient", &v.Recipient)
+	boolean(w, "ReachedHijacker", &v.ReachedHijacker)
+	str(w, "Via", &v.Via)
+}
+
 // MoneyWired records a completed scam payment (Western Union-style
 // transfer, §5.3) — the monetization event the whole hijack exists for.
 type MoneyWired struct {
@@ -443,6 +631,14 @@ type MoneyWired struct {
 
 // EventKind implements Event.
 func (MoneyWired) EventKind() Kind { return KindMoneyWired }
+
+func (v *MoneyWired) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "VictimAccount", &v.VictimAccount)
+	integer(w, "Recipient", &v.Recipient)
+	str(w, "Crew", &v.Crew)
+	float(w, "Amount", &v.Amount)
+}
 
 // NotificationChannel is an out-of-band user notification channel.
 type NotificationChannel string
@@ -464,6 +660,13 @@ type NotificationSent struct {
 // EventKind implements Event.
 func (NotificationSent) EventKind() Kind { return KindNotificationSent }
 
+func (v *NotificationSent) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "Channel", &v.Channel)
+	str(w, "Reason", &v.Reason)
+}
+
 // ClaimFiled records someone starting account recovery — usually the
 // victim, but §6.3's impostor risk is real: hijackers file fraudulent
 // claims hoping to pass the knowledge fallback.
@@ -481,6 +684,14 @@ type ClaimFiled struct {
 
 // EventKind implements Event.
 func (ClaimFiled) EventKind() Kind { return KindClaimFiled }
+
+func (v *ClaimFiled) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "Trigger", &v.Trigger)
+	stamp(w, "HijackedAt", &v.HijackedAt)
+	str(w, "Actor", &v.Actor)
+}
 
 // RecoveryMethod is a recovery verification method (Figure 10's rows).
 type RecoveryMethod string
@@ -506,6 +717,15 @@ type ClaimAttempt struct {
 // EventKind implements Event.
 func (ClaimAttempt) EventKind() Kind { return KindClaimAttempt }
 
+func (v *ClaimAttempt) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	str(w, "Method", &v.Method)
+	boolean(w, "Success", &v.Success)
+	str(w, "Reason", &v.Reason)
+	str(w, "Actor", &v.Actor)
+}
+
 // ClaimResolved records the claim outcome.
 type ClaimResolved struct {
 	Base
@@ -523,6 +743,16 @@ type ClaimResolved struct {
 // EventKind implements Event.
 func (ClaimResolved) EventKind() Kind { return KindClaimResolved }
 
+func (v *ClaimResolved) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	boolean(w, "Success", &v.Success)
+	str(w, "Method", &v.Method)
+	stamp(w, "HijackedAt", &v.HijackedAt)
+	stamp(w, "FlaggedAt", &v.FlaggedAt)
+	str(w, "Actor", &v.Actor)
+}
+
 // Remission records post-recovery cleanup (§6.4).
 type Remission struct {
 	Base
@@ -533,3 +763,10 @@ type Remission struct {
 
 // EventKind implements Event.
 func (Remission) EventKind() Kind { return KindRemission }
+
+func (v *Remission) walk(w *wire) {
+	stamp(w, "Time", &v.Time)
+	integer(w, "Account", &v.Account)
+	integer(w, "RestoredMessages", &v.RestoredMessages)
+	boolean(w, "ClearedSettings", &v.ClearedSettings)
+}

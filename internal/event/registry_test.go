@@ -1,6 +1,9 @@
 package event
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 func TestKindForConcreteTypes(t *testing.T) {
 	cases := []struct {
@@ -30,21 +33,30 @@ func TestKindForInterfaceFallsBack(t *testing.T) {
 	}
 }
 
-// Every kind with a decoder must have a reverse type mapping and vice
-// versa — a gap would silently route Select[T] to a scan (correct but
-// slow) or break NDJSON decoding.
+// Every registered kind must decode to a record of that kind: a decoder
+// registered under the wrong kind would read that kind's dump lines back
+// as records of another kind.
 func TestRegistryBidirectional(t *testing.T) {
-	if len(decoders) != len(kindByType) {
-		t.Fatalf("decoders=%d kindByType=%d, registry out of sync", len(decoders), len(kindByType))
+	samples := map[Kind]Event{}
+	for _, e := range fastCodecSamples() {
+		samples[e.EventKind()] = e
 	}
-	seen := map[Kind]bool{}
-	for _, k := range kindByType {
-		if seen[k] {
-			t.Fatalf("kind %q registered for two types", k)
+	for _, k := range RegisteredKinds() {
+		e, ok := samples[k]
+		if !ok {
+			t.Errorf("kind %q has no fastCodecSamples record", k)
+			continue
 		}
-		seen[k] = true
-		if _, ok := decoders[k]; !ok {
-			t.Errorf("kind %q has a type mapping but no decoder", k)
+		data, err := json.Marshal(e)
+		if err != nil {
+			t.Fatalf("marshal %T: %v", e, err)
+		}
+		got, err := Decode(k, data)
+		if err != nil {
+			t.Fatalf("decode %s: %v", k, err)
+		}
+		if got.EventKind() != k {
+			t.Errorf("Decode(%q) returned a %T of kind %q", k, got, got.EventKind())
 		}
 	}
 }

@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"time"
 
@@ -108,6 +109,19 @@ func benchReadNDJSON(b *testing.B, shards int) {
 
 func BenchmarkReadNDJSONSequential(b *testing.B) { benchReadNDJSON(b, 1) }
 func BenchmarkReadNDJSONParallel(b *testing.B)   { benchReadNDJSON(b, 0) }
+
+// BenchmarkWriteNDJSON times the encoder alone: the store the read
+// benchmarks decode, written to io.Discard.
+func BenchmarkWriteNDJSON(b *testing.B) {
+	s := benchStore(200000)
+	b.SetBytes(int64(len(ndjsonFixture(b))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteNDJSON(io.Discard, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkKindCountsScan(b *testing.B) {
 	s := benchStore(200000)

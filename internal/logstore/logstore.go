@@ -288,7 +288,7 @@ func SelectWhere[T event.Event](s *Store, pred func(T) bool) []T {
 
 // forEachOfType visits every record of concrete type T in log order,
 // routing through the kind index when the store is sealed and T is a
-// registered record type.
+// record value type (event.KindFor).
 func forEachOfType[T event.Event](s *Store, fn func(T)) {
 	if k, ok := event.KindFor[T](); ok {
 		if s.Segmented() {

@@ -75,8 +75,7 @@ func WriteNDJSON(w io.Writer, s *Store) error {
 // cmd/analyze reads.
 func WriteNDJSONMeta(w io.Writer, s *Store, m Meta) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(header{
+	if err := json.NewEncoder(bw).Encode(header{
 		Format:  FormatName,
 		Version: FormatVersion,
 		Records: s.Len(),
@@ -86,7 +85,7 @@ func WriteNDJSONMeta(w io.Writer, s *Store, m Meta) error {
 	}); err != nil {
 		return err
 	}
-	ew := &envelopeWriter{w: bw, enc: enc}
+	ew := &envelopeWriter{w: bw}
 	var err error
 	s.Scan(func(e event.Event) {
 		if err != nil {
@@ -100,33 +99,24 @@ func WriteNDJSONMeta(w io.Writer, s *Store, m Meta) error {
 	return bw.Flush()
 }
 
-// envelopeWriter writes record lines in the dump wire format. The fast
-// per-kind codec handles every registered value type; anything it
-// declines (unregistered type, non-finite float) goes through the
-// encoding/json path, which produces the same bytes — the fast path is a
-// byte-identical shortcut, pinned by TestFastCodecMatchesEncodingJSON
-// and TestNDJSONRewriteByteIdentical.
+// envelopeWriter writes record lines in the dump wire format through
+// event.AppendLine, which writes exactly the bytes the encoding/json
+// envelope would (TestFastCodecMatchesEncodingJSON) and refuses exactly
+// the records encoding/json cannot marshal.
 type envelopeWriter struct {
 	w       io.Writer
-	enc     *json.Encoder
 	scratch []byte
 }
 
-func newEnvelopeWriter(w io.Writer) *envelopeWriter {
-	return &envelopeWriter{w: w, enc: json.NewEncoder(w)}
-}
-
 func (ew *envelopeWriter) writeEvent(e event.Event) error {
-	if out, ok := event.AppendLine(ew.scratch[:0], e); ok {
-		ew.scratch = out[:0]
-		_, err := ew.w.Write(out)
-		return err
+	out, ok := event.AppendLine(ew.scratch[:0], e)
+	if !ok {
+		return fmt.Errorf("logstore: cannot encode %s record %+v: an unregistered type, or a NaN, infinite or out-of-range value",
+			e.EventKind(), e)
 	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	return ew.enc.Encode(envelope{Kind: e.EventKind(), Data: data})
+	ew.scratch = out[:0]
+	_, err := ew.w.Write(out)
+	return err
 }
 
 // WriteNDJSONFile dumps s to path, gzip-compressing when the name ends in

@@ -3,6 +3,8 @@ package logstore
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -412,5 +414,49 @@ func TestNDJSONSkipCorruptCleanInput(t *testing.T) {
 	}
 	if st.Dropped+st.OutOfOrder+st.Missing != 0 || st.Truncated || st.Records != src.Len() {
 		t.Fatalf("clean input reported dirty: %+v", st)
+	}
+}
+
+// appendNaNLogin appends a valid login and then one whose RiskScore is
+// NaN, which encoding/json cannot marshal.
+func appendNaNLogin(s *Store) {
+	s.Append(login(t0, 1, event.ActorOwner))
+	bad := login(t0.Add(time.Second), 2, event.ActorOwner)
+	bad.RiskScore = math.NaN()
+	s.Append(bad)
+}
+
+// A record with no JSON encoding fails the dump with an error naming its
+// kind, not a line no reader accepts.
+func TestWriteNDJSONNamesUnencodableKind(t *testing.T) {
+	s := New()
+	appendNaNLogin(s)
+	err := WriteNDJSON(io.Discard, s)
+	if err == nil || !strings.Contains(err.Error(), string(event.KindLogin)) {
+		t.Fatalf("WriteNDJSON = %v, want an error naming %s", err, event.KindLogin)
+	}
+}
+
+// The same record in a spilled store fails its segment's write, and Seal
+// reports the kind and the segment.
+func TestSpillNamesUnencodableKindAndSegment(t *testing.T) {
+	s := New()
+	if err := s.EnableSpill(SpillConfig{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	appendNaNLogin(s)
+	msg := func() (m string) {
+		defer func() {
+			if r := recover(); r != nil {
+				m = fmt.Sprint(r)
+			}
+		}()
+		s.Seal()
+		return ""
+	}()
+	for _, want := range []string{"logstore: spill:", "seg-000001", string(event.KindLogin)} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("Seal panic %q does not name %q", msg, want)
+		}
 	}
 }

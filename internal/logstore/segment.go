@@ -75,12 +75,10 @@ type SpillConfig struct {
 	// hands the filled segment over and keeps simulating; writers absorb
 	// the JSON encode, compression, and disk I/O.
 	Writers int
-	// Compress gzips segment files.
+	// Compress gzips segment files at gzip.BestSpeed: the spill path
+	// favors throughput (archival dumps via WriteNDJSONFile keep
+	// gzip.DefaultCompression).
 	Compress bool
-	// GzipLevel is the compression level when Compress is set (0 means
-	// gzip.BestSpeed — the spill path favors throughput; archival dumps
-	// via WriteNDJSONFile keep gzip.DefaultCompression).
-	GzipLevel int
 	// ScanWorkers sets how many segments an ordered scan decodes ahead
 	// of the one being folded (<= 0 means 1, the classic
 	// prefetch-next). Delivery order is unaffected — builders always
@@ -226,12 +224,6 @@ func (s *Store) EnableSpill(cfg SpillConfig) error {
 	}
 	if cfg.ScanWorkers <= 0 {
 		cfg.ScanWorkers = 1
-	}
-	if cfg.GzipLevel == 0 {
-		cfg.GzipLevel = gzip.BestSpeed
-	}
-	if cfg.GzipLevel < gzip.HuffmanOnly || cfg.GzipLevel > gzip.BestCompression {
-		return fmt.Errorf("logstore: invalid gzip level %d", cfg.GzipLevel)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("logstore: spill dir: %w", err)
@@ -386,21 +378,12 @@ func writeSegmentFile(path string, events []event.Event, info segmentInfo, cfg S
 	var w io.Writer = f
 	var zw *gzip.Writer
 	if cfg.Compress {
-		level := cfg.GzipLevel
-		if level == 0 {
-			// Direct callers (tests) that skip EnableSpill's defaulting
-			// still get the spill-path default.
-			level = gzip.BestSpeed
-		}
-		zw, err = gzip.NewWriterLevel(f, level)
-		if err != nil {
-			return 0, err
-		}
+		zw, _ = gzip.NewWriterLevel(f, gzip.BestSpeed) // errs only on an invalid level
 		w = zw
 	}
 	cw := &countingWriter{w: bufio.NewWriterSize(w, 1<<20)}
-	ew := newEnvelopeWriter(cw)
-	if err := ew.enc.Encode(header{
+	ew := &envelopeWriter{w: cw}
+	if err := json.NewEncoder(cw).Encode(header{
 		Format:  FormatName,
 		Version: FormatVersion,
 		Records: info.Records,
