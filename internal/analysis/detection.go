@@ -45,31 +45,11 @@ func NewBehaviorEvalBuilder(cfg behavior.Config) *BehaviorEvalBuilder {
 
 // Observe feeds one event to the detector.
 func (b *BehaviorEvalBuilder) Observe(e event.Event) {
-	observe := func(sess event.SessionID, a behavior.Action) {
-		if sess != 0 {
-			b.det.Observe(sess, a)
-		}
-	}
-	switch ev := e.(type) {
-	case event.Login:
-		if ev.Outcome == event.LoginSuccess {
-			b.det.Begin(ev.Session, ev.When())
-			b.sessionActor[ev.Session] = ev.Actor
-		}
-	case event.Search:
-		observe(ev.Session, behavior.Action{Type: behavior.ActionSearch, Query: ev.Query, At: ev.When()})
-	case event.FolderOpened:
-		observe(ev.Session, behavior.Action{Type: behavior.ActionFolderOpen, Folder: ev.Folder, At: ev.When()})
-	case event.ContactsViewed:
-		observe(ev.Session, behavior.Action{Type: behavior.ActionContactsView, At: ev.When()})
-	case event.FilterCreated:
-		observe(ev.Session, behavior.Action{Type: behavior.ActionFilterCreate, ForwardOut: ev.ForwardTo != "", At: ev.When()})
-	case event.ReplyToSet:
-		observe(ev.Session, behavior.Action{Type: behavior.ActionReplyToSet, At: ev.When()})
-	case event.MessageSent:
-		observe(ev.Session, behavior.Action{Type: behavior.ActionSend, Recipients: len(ev.Recipients), At: ev.When()})
-	case event.MassDeletion:
-		observe(ev.Session, behavior.Action{Type: behavior.ActionMassDelete, At: ev.When()})
+	if sess, a, ok := behavior.ActionOf(e); ok {
+		b.det.Observe(sess, a)
+	} else if l, ok := e.(event.Login); ok && l.Outcome == event.LoginSuccess {
+		b.det.Begin(l.Session, l.When())
+		b.sessionActor[l.Session] = l.Actor
 	}
 }
 

@@ -44,6 +44,32 @@ type Action struct {
 	At         time.Time
 }
 
+// ActionOf maps a logged mailbox record to the in-session action it
+// records, with its session. ok is false for any other record and for a
+// record made outside a session.
+func ActionOf(e event.Event) (sess event.SessionID, a Action, ok bool) {
+	switch ev := e.(type) {
+	case event.Search:
+		sess, a = ev.Session, Action{Type: ActionSearch, Query: ev.Query}
+	case event.FolderOpened:
+		sess, a = ev.Session, Action{Type: ActionFolderOpen, Folder: ev.Folder}
+	case event.ContactsViewed:
+		sess, a = ev.Session, Action{Type: ActionContactsView}
+	case event.FilterCreated:
+		sess, a = ev.Session, Action{Type: ActionFilterCreate, ForwardOut: ev.ForwardTo != ""}
+	case event.ReplyToSet:
+		sess, a = ev.Session, Action{Type: ActionReplyToSet}
+	case event.MessageSent:
+		sess, a = ev.Session, Action{Type: ActionSend, Recipients: len(ev.Recipients)}
+	case event.MassDeletion:
+		sess, a = ev.Session, Action{Type: ActionMassDelete}
+	default:
+		return 0, Action{}, false
+	}
+	a.At = e.When()
+	return sess, a, sess != 0
+}
+
 // Weights assigns playbook-similarity increments per action pattern. Each
 // weight reflects how characteristic the pattern is of the manual-hijacker
 // playbook relative to organic use.

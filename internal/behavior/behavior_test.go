@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"manualhijack/internal/event"
+	"manualhijack/internal/identity"
 )
 
 var t0 = time.Date(2012, 11, 5, 9, 0, 0, 0, time.UTC)
@@ -125,5 +126,38 @@ func TestChineseFinanceTermMatches(t *testing.T) {
 	v := d.Observe(8, Action{Type: ActionSearch, Query: "账单", At: t0})
 	if v.Score == 0 {
 		t.Fatal("Chinese finance term not matched")
+	}
+}
+
+func TestActionOf(t *testing.T) {
+	b := event.Base{Time: t0}
+	cases := []struct {
+		e    event.Event
+		want Action
+	}{
+		{event.Search{Base: b, Query: "bank", Session: 3}, Action{Type: ActionSearch, Query: "bank"}},
+		{event.FolderOpened{Base: b, Folder: event.FolderDrafts, Session: 3}, Action{Type: ActionFolderOpen, Folder: event.FolderDrafts}},
+		{event.ContactsViewed{Base: b, Session: 3}, Action{Type: ActionContactsView}},
+		{event.FilterCreated{Base: b, ForwardTo: "x@y.test", Session: 3}, Action{Type: ActionFilterCreate, ForwardOut: true}},
+		{event.FilterCreated{Base: b, Session: 3}, Action{Type: ActionFilterCreate}},
+		{event.ReplyToSet{Base: b, Addr: "x@y.test", Session: 3}, Action{Type: ActionReplyToSet}},
+		{event.MessageSent{Base: b, Recipients: []identity.Address{"a@b.test", "c@d.test"}, Session: 3}, Action{Type: ActionSend, Recipients: 2}},
+		{event.MassDeletion{Base: b, Deleted: 9, Session: 3}, Action{Type: ActionMassDelete}},
+	}
+	for _, c := range cases {
+		c.want.At = t0
+		if sess, a, ok := ActionOf(c.e); !ok || sess != 3 || a != c.want {
+			t.Errorf("ActionOf(%+v) = %d, %+v, %v; want 3, %+v, true", c.e, sess, a, ok, c.want)
+		}
+	}
+	// Not a mailbox action, or not in a session.
+	for _, e := range []event.Event{
+		event.Login{Base: b, Session: 3, Outcome: event.LoginSuccess},
+		event.Search{Base: b, Query: "bank"},
+		event.MessageSent{Base: b, Recipients: []identity.Address{"a@b.test"}},
+	} {
+		if _, _, ok := ActionOf(e); ok {
+			t.Errorf("ActionOf(%+v) ok, want not an in-session action", e)
+		}
 	}
 }

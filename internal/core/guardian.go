@@ -6,7 +6,6 @@ import (
 	"manualhijack/internal/behavior"
 	"manualhijack/internal/event"
 	"manualhijack/internal/identity"
-	"manualhijack/internal/mail"
 )
 
 // Guardian runs the post-login behavioral detector *online*: it watches
@@ -40,35 +39,14 @@ func newGuardian(w *World, cfg behavior.Config) *Guardian {
 		g.det.Begin(sess, at)
 		g.ids[sess] = acct
 	})
-	w.Mail.SetActionHook(func(acct identity.AccountID, sess event.SessionID, a mail.ActionInfo) {
-		g.observe(acct, sess, a)
-	})
+	w.Mail.SetActionHook(g.observe)
 	return g
 }
 
-// observe feeds one action and suspends on a fresh flag.
-func (g *Guardian) observe(acct identity.AccountID, sess event.SessionID, a mail.ActionInfo) {
-	action := behavior.Action{At: g.w.Clock.Now()}
-	switch a.Type {
-	case "search":
-		action.Type = behavior.ActionSearch
-		action.Query = a.Query
-	case "folder_open":
-		action.Type = behavior.ActionFolderOpen
-		action.Folder = a.Folder
-	case "contacts_view":
-		action.Type = behavior.ActionContactsView
-	case "filter_create":
-		action.Type = behavior.ActionFilterCreate
-		action.ForwardOut = a.ForwardOut
-	case "replyto_set":
-		action.Type = behavior.ActionReplyToSet
-	case "send":
-		action.Type = behavior.ActionSend
-		action.Recipients = a.Recipients
-	case "mass_delete":
-		action.Type = behavior.ActionMassDelete
-	default:
+// observe feeds one mailbox record and suspends on a fresh flag.
+func (g *Guardian) observe(acct identity.AccountID, e event.Event) {
+	sess, action, ok := behavior.ActionOf(e)
+	if !ok {
 		return
 	}
 	v := g.det.Observe(sess, action)

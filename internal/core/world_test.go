@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 	"time"
 
@@ -117,6 +120,21 @@ func TestBehavioralDefenseSuspends(t *testing.T) {
 	}
 	if blockedAfter == 0 {
 		t.Fatal("no blocked logins after suspensions")
+	}
+	// The guardian's suspensions and the log they shape (107,316 records)
+	// are pinned on linux/amd64, as in TestSeed7Digests.
+	if runtime.GOOS == "linux" && runtime.GOARCH == "amd64" {
+		if on.Guard.Suspended != 39 {
+			t.Errorf("guardian suspended %d accounts, want 39", on.Guard.Suspended)
+		}
+		h := sha256.New()
+		if err := logstore.WriteNDJSON(h, on.Log); err != nil {
+			t.Fatal(err)
+		}
+		const want = "9f8fe6b28a1d471d8d2a5892303789f3ea2fa1e2efedade17495d3c1503b9bb8"
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("log: sha256 %s, want %s (%d records)", got, want, on.Log.Len())
+		}
 	}
 	// With the defense off, nothing is suspended.
 	off := smallWorld(21, nil)

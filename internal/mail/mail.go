@@ -22,20 +22,23 @@ import (
 	"manualhijack/internal/simtime"
 )
 
-// Message is one stored message. Content is modeled as a set of keyword
-// phrases; search matches against them.
+// Message is one delivered message as the delivery hook sees it.
 type Message struct {
-	ID       event.MessageID
-	From     identity.Address
-	Keywords []string
-	Class    event.MessageClass
-	Folder   event.Folder
-	Starred  bool
-	Received time.Time
-	PageID   event.PageID // for lures: the linked phishing page
-	ReplyTo  identity.Address
+	ID      event.MessageID
+	From    identity.Address
+	Class   event.MessageClass
+	ReplyTo identity.Address
 	// Forwarded marks messages that a hijacker-created filter diverted.
 	Forwarded bool
+}
+
+// stored is what a mailbox keeps of a message. Content is modeled as a
+// set of keyword phrases; search matches against them. Starred is a flag,
+// not a folder, as in real mail systems.
+type stored struct {
+	keywords []string
+	folder   event.Folder
+	starred  bool
 }
 
 // Filter is a mailbox rule. ForwardTo != "" forwards matching incoming
@@ -48,31 +51,20 @@ type Filter struct {
 
 // Mailbox is one account's mail state.
 type Mailbox struct {
-	Account   identity.AccountID
-	messages  map[event.MessageID]*Message
-	order     []event.MessageID // delivery order, for deterministic scans
+	msgs      []stored // live messages in delivery order
 	Filters   []Filter
 	ReplyTo   identity.Address
 	replyToBy event.Actor
 	// backup holds messages removed by MassDelete so Restore can undo the
 	// hijacker's deletion (the defense added between 2011 and 2012).
-	backup []*Message
+	backup []stored
 	// deletedContacts holds the contact list if a hijacker wiped it.
 	deletedContacts []identity.Address
 	contactsWiped   bool
 }
 
 // Len returns the number of live messages.
-func (mb *Mailbox) Len() int { return len(mb.messages) }
-
-// scan iterates live messages in delivery order.
-func (mb *Mailbox) scan(fn func(*Message)) {
-	for _, id := range mb.order {
-		if m, ok := mb.messages[id]; ok {
-			fn(m)
-		}
-	}
-}
+func (mb *Mailbox) Len() int { return len(mb.msgs) }
 
 // CountMatching returns how many live messages match the query. Besides
 // plain keyword-phrase matching, two operators from the hijackers'
@@ -83,19 +75,19 @@ func (mb *Mailbox) scan(fn func(*Message)) {
 func (mb *Mailbox) CountMatching(query string) int {
 	match := parseQuery(query)
 	n := 0
-	mb.scan(func(m *Message) {
-		if match(m) {
+	for i := range mb.msgs {
+		if match(&mb.msgs[i]) {
 			n++
 		}
-	})
+	}
 	return n
 }
 
 // parseQuery compiles a search query into a message predicate.
-func parseQuery(query string) func(*Message) bool {
+func parseQuery(query string) func(*stored) bool {
 	q := strings.ToLower(strings.TrimSpace(query))
 	if q == "is:starred" {
-		return func(m *Message) bool { return m.Starred }
+		return func(m *stored) bool { return m.starred }
 	}
 	if rest, ok := strings.CutPrefix(q, "filename:"); ok {
 		rest = strings.Trim(rest, "() ")
@@ -105,7 +97,7 @@ func parseQuery(query string) func(*Message) bool {
 				terms = append(terms, part)
 			}
 		}
-		return func(m *Message) bool {
+		return func(m *stored) bool {
 			for _, t := range terms {
 				if keywordContains(m, t) {
 					return true
@@ -114,11 +106,11 @@ func parseQuery(query string) func(*Message) bool {
 			return false
 		}
 	}
-	return func(m *Message) bool { return keywordContains(m, q) }
+	return func(m *stored) bool { return keywordContains(m, q) }
 }
 
-func keywordContains(m *Message, q string) bool {
-	for _, k := range m.Keywords {
+func keywordContains(m *stored, q string) bool {
+	for _, k := range m.keywords {
 		if strings.Contains(strings.ToLower(k), q) {
 			return true
 		}
@@ -126,22 +118,16 @@ func keywordContains(m *Message, q string) bool {
 	return false
 }
 
-// InFolder returns the message IDs in a folder (starred is a flag, not a
-// location, mirroring real mail systems).
-func (mb *Mailbox) InFolder(f event.Folder) []event.MessageID {
-	var out []event.MessageID
-	mb.scan(func(m *Message) {
-		if f == event.FolderStarred {
-			if m.Starred {
-				out = append(out, m.ID)
-			}
-			return
+// InFolder returns the number of live messages in a folder; for
+// FolderStarred, the number of starred messages in any folder.
+func (mb *Mailbox) InFolder(f event.Folder) int {
+	n := 0
+	for _, m := range mb.msgs {
+		if f == event.FolderStarred && m.starred || f != event.FolderStarred && m.folder == f {
+			n++
 		}
-		if m.Folder == f {
-			out = append(out, m.ID)
-		}
-	})
-	return out
+	}
+	return n
 }
 
 // HasForwardingFilter reports whether any filter forwards mail out.
@@ -165,37 +151,30 @@ type Service struct {
 
 	// deliveryHook, when set, observes every message delivered to a
 	// provider mailbox (the victim agents react to scams/phish this way).
-	deliveryHook func(rcpt identity.AccountID, m *Message)
+	deliveryHook func(rcpt identity.AccountID, m Message)
 
-	// actionHook, when set, observes every in-session mailbox action —
-	// the live feed for online behavioral risk analysis (§8.2).
-	actionHook func(acct identity.AccountID, sess event.SessionID, a ActionInfo)
-}
-
-// ActionInfo describes one observable in-session action for the behavioral
-// feed.
-type ActionInfo struct {
-	Type       string // "search" | "folder_open" | "contacts_view" | "filter_create" | "replyto_set" | "send" | "mass_delete"
-	Query      string
-	Folder     event.Folder
-	Recipients int
-	ForwardOut bool
+	// actionHook, when set, observes the record of every in-session
+	// mailbox action — the live feed for online behavioral risk analysis
+	// (§8.2).
+	actionHook func(acct identity.AccountID, e event.Event)
 }
 
 // SetDeliveryHook installs the per-delivery observer.
-func (s *Service) SetDeliveryHook(fn func(rcpt identity.AccountID, m *Message)) {
+func (s *Service) SetDeliveryHook(fn func(rcpt identity.AccountID, m Message)) {
 	s.deliveryHook = fn
 }
 
 // SetActionHook installs the in-session action observer.
-func (s *Service) SetActionHook(fn func(acct identity.AccountID, sess event.SessionID, a ActionInfo)) {
+func (s *Service) SetActionHook(fn func(acct identity.AccountID, e event.Event)) {
 	s.actionHook = fn
 }
 
-// observe feeds the action hook if installed.
-func (s *Service) observe(acct identity.AccountID, sess event.SessionID, a ActionInfo) {
+// record logs an action's record and, inside a session, feeds it to the
+// action hook.
+func (s *Service) record(acct identity.AccountID, sess event.SessionID, e event.Event) {
+	s.log.Append(e)
 	if s.actionHook != nil && sess != 0 {
-		s.actionHook(acct, sess, a)
+		s.actionHook(acct, e)
 	}
 }
 
@@ -209,10 +188,7 @@ func NewService(dir *identity.Directory, clock *simtime.Clock, log *logstore.Sto
 		boxes: make(map[identity.AccountID]*Mailbox, dir.Len()),
 	}
 	dir.All(func(a *identity.Account) {
-		s.boxes[a.ID] = &Mailbox{
-			Account:  a.ID,
-			messages: make(map[event.MessageID]*Message),
-		}
+		s.boxes[a.ID] = &Mailbox{}
 	})
 	return s
 }
@@ -264,10 +240,12 @@ func DefaultSeedConfig() SeedConfig {
 }
 
 // Seed populates every mailbox with pre-study message history. It does not
-// log events (history predates the measurement window).
+// log events (history predates the measurement window). It still draws a
+// sender and a receipt time for each message, and allocates its ID, so
+// the random stream and the IDs of later mail stay those of a history
+// that kept them.
 func (s *Service) Seed(r *randx.Rand, cfg SeedConfig) {
 	gen := r.Fork("mailseed")
-	now := s.clock.Now()
 	s.dir.All(func(a *identity.Account) {
 		mb := s.boxes[a.ID]
 		hasFinance := gen.Bool(cfg.FinanceAccountRate)
@@ -284,30 +262,18 @@ func (s *Service) Seed(r *randx.Rand, cfg SeedConfig) {
 			default:
 				kw = []string{randx.Pick(gen, FillerKeywords)}
 			}
-			from := a.Addr
-			folder := event.FolderInbox
 			if len(a.Contacts) > 0 {
-				from = randx.Pick(gen, a.Contacts)
+				randx.Pick(gen, a.Contacts) // sender
 			}
+			folder := event.FolderInbox
 			if gen.Bool(cfg.DraftRate) {
 				folder = event.FolderDrafts
-				from = a.Addr
 			} else if gen.Bool(0.3) {
 				folder = event.FolderSent
-				from = a.Addr
 			}
 			s.nextMsg++
-			m := &Message{
-				ID:       s.nextMsg,
-				From:     from,
-				Keywords: kw,
-				Class:    event.ClassOrganic,
-				Folder:   folder,
-				Starred:  gen.Bool(cfg.StarRate),
-				Received: now.Add(-gen.ExpDuration(90 * 24 * time.Hour)),
-			}
-			mb.messages[m.ID] = m
-			mb.order = append(mb.order, m.ID)
+			mb.msgs = append(mb.msgs, stored{keywords: kw, folder: folder, starred: gen.Bool(cfg.StarRate)})
+			gen.ExpDuration(90 * 24 * time.Hour) // receipt time
 		}
 	})
 }
@@ -331,21 +297,12 @@ type SendReq struct {
 func (s *Service) Send(req SendReq) event.MessageID {
 	s.nextMsg++
 	id := s.nextMsg
-	now := s.clock.Now()
 
 	var replyTo identity.Address
-	if req.FromAcct != identity.None {
-		if mb := s.boxes[req.FromAcct]; mb != nil {
-			replyTo = mb.ReplyTo
-			// Record a copy in the sender's Sent folder.
-			sent := &Message{
-				ID: id, From: req.FromAddr, Keywords: req.Keywords,
-				Class: req.Class, Folder: event.FolderSent, Received: now,
-				PageID: req.PageID, ReplyTo: replyTo,
-			}
-			mb.messages[id] = sent
-			mb.order = append(mb.order, id)
-		}
+	if mb := s.boxes[req.FromAcct]; mb != nil {
+		replyTo = mb.ReplyTo
+		// Record a copy in the sender's Sent folder.
+		mb.msgs = append(mb.msgs, stored{keywords: req.Keywords, folder: event.FolderSent})
 	}
 
 	for _, rcpt := range req.Recipients {
@@ -354,31 +311,27 @@ func (s *Service) Send(req SendReq) event.MessageID {
 			continue // external recipient: delivery is out of scope
 		}
 		mb := s.boxes[rid]
-		copyID := s.nextCopyID()
-		m := &Message{
-			ID: copyID, From: req.FromAddr, Keywords: req.Keywords,
-			Class: req.Class, Folder: event.FolderInbox, Received: now,
-			PageID: req.PageID, ReplyTo: replyTo,
-		}
+		s.nextMsg++
+		m := Message{ID: s.nextMsg, From: req.FromAddr, Class: req.Class, ReplyTo: replyTo}
+		folder := event.FolderInbox
 		// Apply the recipient's filters (hijacker rules diverting or
 		// forwarding incoming mail).
 		for _, f := range mb.Filters {
 			if f.ToTrash {
-				m.Folder = event.FolderTrash
+				folder = event.FolderTrash
 			}
 			if f.ForwardTo != "" {
 				m.Forwarded = true
 			}
 		}
-		mb.messages[copyID] = m
-		mb.order = append(mb.order, copyID)
+		mb.msgs = append(mb.msgs, stored{keywords: req.Keywords, folder: folder})
 		if s.deliveryHook != nil {
 			s.deliveryHook(rid, m)
 		}
 	}
 
-	s.log.Append(event.MessageSent{
-		Base:       event.Base{Time: now},
+	s.record(req.FromAcct, req.Session, event.MessageSent{
+		Base:       event.Base{Time: s.clock.Now()},
 		ID:         id,
 		From:       req.FromAddr,
 		FromAcct:   req.FromAcct,
@@ -390,41 +343,30 @@ func (s *Service) Send(req SendReq) event.MessageID {
 		Session:    req.Session,
 		Actor:      req.Actor,
 	})
-	s.observe(req.FromAcct, req.Session, ActionInfo{Type: "send", Recipients: len(req.Recipients)})
 	return id
 }
 
-func (s *Service) nextCopyID() event.MessageID {
-	s.nextMsg++
-	return s.nextMsg
-}
-
-// Search runs a mailbox search, logs it, and returns the number of hits.
-func (s *Service) Search(acct identity.AccountID, query string, sess event.SessionID, actor event.Actor) int {
-	mb := s.boxes[acct]
-	if mb == nil {
-		return 0
+// Search logs a mailbox search. Mailbox.CountMatching counts what it
+// finds.
+func (s *Service) Search(acct identity.AccountID, query string, sess event.SessionID, actor event.Actor) {
+	if s.boxes[acct] == nil {
+		return
 	}
-	s.log.Append(event.Search{
+	s.record(acct, sess, event.Search{
 		Base: event.Base{Time: s.clock.Now()}, Account: acct, Query: query,
 		Session: sess, Actor: actor,
 	})
-	s.observe(acct, sess, ActionInfo{Type: "search", Query: query})
-	return mb.CountMatching(query)
 }
 
-// OpenFolder logs a folder view and returns the messages in it.
-func (s *Service) OpenFolder(acct identity.AccountID, f event.Folder, sess event.SessionID, actor event.Actor) []event.MessageID {
-	mb := s.boxes[acct]
-	if mb == nil {
-		return nil
+// OpenFolder logs a folder view. Mailbox.InFolder counts what it shows.
+func (s *Service) OpenFolder(acct identity.AccountID, f event.Folder, sess event.SessionID, actor event.Actor) {
+	if s.boxes[acct] == nil {
+		return
 	}
-	s.log.Append(event.FolderOpened{
+	s.record(acct, sess, event.FolderOpened{
 		Base: event.Base{Time: s.clock.Now()}, Account: acct, Folder: f,
 		Session: sess, Actor: actor,
 	})
-	s.observe(acct, sess, ActionInfo{Type: "folder_open", Folder: f})
-	return mb.InFolder(f)
 }
 
 // ViewContacts logs a contact-list view and returns the contacts.
@@ -434,11 +376,10 @@ func (s *Service) ViewContacts(acct identity.AccountID, sess event.SessionID, ac
 	if a == nil || mb == nil {
 		return nil
 	}
-	s.log.Append(event.ContactsViewed{
+	s.record(acct, sess, event.ContactsViewed{
 		Base: event.Base{Time: s.clock.Now()}, Account: acct,
 		Session: sess, Actor: actor,
 	})
-	s.observe(acct, sess, ActionInfo{Type: "contacts_view"})
 	if mb.contactsWiped {
 		return nil
 	}
@@ -453,11 +394,10 @@ func (s *Service) CreateFilter(acct identity.AccountID, f Filter, sess event.Ses
 	}
 	f.CreatedBy = actor
 	mb.Filters = append(mb.Filters, f)
-	s.log.Append(event.FilterCreated{
+	s.record(acct, sess, event.FilterCreated{
 		Base: event.Base{Time: s.clock.Now()}, Account: acct,
 		ForwardTo: f.ForwardTo, Session: sess, Actor: actor,
 	})
-	s.observe(acct, sess, ActionInfo{Type: "filter_create", ForwardOut: f.ForwardTo != ""})
 }
 
 // SetReplyTo configures the outbound Reply-To address and logs it.
@@ -468,11 +408,10 @@ func (s *Service) SetReplyTo(acct identity.AccountID, addr identity.Address, ses
 	}
 	mb.ReplyTo = addr
 	mb.replyToBy = actor
-	s.log.Append(event.ReplyToSet{
+	s.record(acct, sess, event.ReplyToSet{
 		Base: event.Base{Time: s.clock.Now()}, Account: acct, Addr: addr,
 		Session: sess, Actor: actor,
 	})
-	s.observe(acct, sess, ActionInfo{Type: "replyto_set"})
 }
 
 // MassDelete removes every message and the contact list, keeping a backup
@@ -483,24 +422,17 @@ func (s *Service) MassDelete(acct identity.AccountID, sess event.SessionID, acto
 	if mb == nil || a == nil {
 		return 0
 	}
-	n := len(mb.messages)
-	for _, id := range mb.order {
-		if m, ok := mb.messages[id]; ok {
-			mb.backup = append(mb.backup, m)
-		}
-	}
-	mb.messages = make(map[event.MessageID]*Message)
-	mb.order = nil
+	n := len(mb.msgs)
+	mb.backup, mb.msgs = append(mb.backup, mb.msgs...), nil
 	if !mb.contactsWiped {
 		mb.deletedContacts = a.Contacts
 		a.Contacts = nil
 		mb.contactsWiped = true
 	}
-	s.log.Append(event.MassDeletion{
+	s.record(acct, sess, event.MassDeletion{
 		Base: event.Base{Time: s.clock.Now()}, Account: acct, Deleted: n,
 		Session: sess, Actor: actor,
 	})
-	s.observe(acct, sess, ActionInfo{Type: "mass_delete"})
 	return n
 }
 
@@ -514,14 +446,8 @@ func (s *Service) Restore(acct identity.AccountID) (restored int, cleared bool) 
 	if mb == nil || a == nil {
 		return 0, false
 	}
-	for _, m := range mb.backup {
-		if _, live := mb.messages[m.ID]; !live {
-			mb.messages[m.ID] = m
-			mb.order = append(mb.order, m.ID)
-			restored++
-		}
-	}
-	mb.backup = nil
+	restored = len(mb.backup)
+	mb.msgs, mb.backup = append(mb.msgs, mb.backup...), nil
 	if mb.contactsWiped {
 		a.Contacts = mb.deletedContacts
 		mb.deletedContacts = nil
@@ -555,9 +481,8 @@ func (s *Service) ReportSpam(reporter identity.AccountID, msgID event.MessageID,
 
 // FinancialValue scores how attractive a mailbox is to a manual hijacker:
 // the number of messages carrying financial keywords. The hijacker agent
-// uses its *search results* (not this method) to decide; this is the
-// ground-truth accessor used by tests and the behavioral detector's
-// evaluation.
+// uses its own searches (not this method) to decide; only tests read this
+// ground truth.
 func (s *Service) FinancialValue(acct identity.AccountID) int {
 	mb := s.boxes[acct]
 	if mb == nil {

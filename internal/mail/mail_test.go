@@ -1,6 +1,7 @@
 package mail
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -76,7 +77,7 @@ func TestSendDeliversToProviderRecipients(t *testing.T) {
 		t.Fatalf("recipient mailbox grew by %d, want 1", got-before)
 	}
 	// Sender keeps a Sent copy.
-	if got := len(f.svc.Mailbox(a.ID).InFolder(event.FolderSent)); got != 1 {
+	if got := f.svc.Mailbox(a.ID).InFolder(event.FolderSent); got != 1 {
 		t.Fatalf("sender sent-folder = %d, want 1", got)
 	}
 	sent := logstore.Select[event.MessageSent](f.log)
@@ -94,12 +95,14 @@ func TestSearchLogsAndCounts(t *testing.T) {
 		Keywords:   []string{"wire transfer", "urgent"}, Class: event.ClassOrganic,
 		Actor: event.ActorOwner,
 	})
-	hits := f.svc.Search(a.ID, "wire transfer", 1, event.ActorHijacker)
-	if hits != 1 {
+	mb := f.svc.Mailbox(a.ID)
+	f.svc.Search(a.ID, "wire transfer", 1, event.ActorHijacker)
+	if hits := mb.CountMatching("wire transfer"); hits != 1 {
 		t.Fatalf("hits = %d, want 1", hits)
 	}
 	// Case-insensitive substring match.
-	if got := f.svc.Search(a.ID, "WIRE", 1, event.ActorHijacker); got != 1 {
+	f.svc.Search(a.ID, "WIRE", 1, event.ActorHijacker)
+	if got := mb.CountMatching("WIRE"); got != 1 {
 		t.Fatalf("case-insensitive hits = %d, want 1", got)
 	}
 	searches := logstore.Select[event.Search](f.log)
@@ -112,22 +115,18 @@ func TestFolderAndStarredSemantics(t *testing.T) {
 	f := newFixture(t, 5, 5)
 	mb := f.svc.Mailbox(1)
 	// Hand-plant messages.
-	mb.messages = map[event.MessageID]*Message{
-		1: {ID: 1, Folder: event.FolderInbox, Starred: true},
-		2: {ID: 2, Folder: event.FolderDrafts},
-		3: {ID: 3, Folder: event.FolderSent, Starred: true},
+	mb.msgs = []stored{
+		{folder: event.FolderInbox, starred: true},
+		{folder: event.FolderDrafts},
+		{folder: event.FolderSent, starred: true},
 	}
-	mb.order = []event.MessageID{1, 2, 3}
-	if got := len(mb.InFolder(event.FolderStarred)); got != 2 {
+	if got := mb.InFolder(event.FolderStarred); got != 2 {
 		t.Fatalf("starred = %d, want 2 (flag spans folders)", got)
 	}
-	if got := len(mb.InFolder(event.FolderDrafts)); got != 1 {
+	if got := mb.InFolder(event.FolderDrafts); got != 1 {
 		t.Fatalf("drafts = %d", got)
 	}
-	ids := f.svc.OpenFolder(1, event.FolderDrafts, 9, event.ActorHijacker)
-	if len(ids) != 1 {
-		t.Fatalf("OpenFolder = %v", ids)
-	}
+	f.svc.OpenFolder(1, event.FolderDrafts, 9, event.ActorHijacker)
 	opens := logstore.Select[event.FolderOpened](f.log)
 	if len(opens) != 1 || opens[0].Folder != event.FolderDrafts {
 		t.Fatalf("folder events = %+v", opens)
@@ -137,6 +136,8 @@ func TestFolderAndStarredSemantics(t *testing.T) {
 func TestReplyToStampedOnOutbound(t *testing.T) {
 	f := newFixture(t, 5, 6)
 	a, b := f.dir.Get(1), f.dir.Get(2)
+	var delivered []Message
+	f.svc.SetDeliveryHook(func(_ identity.AccountID, m Message) { delivered = append(delivered, m) })
 	f.svc.SetReplyTo(a.ID, "doppel@evil.test", 1, event.ActorHijacker)
 	f.svc.Send(SendReq{
 		FromAcct: a.ID, FromAddr: a.Addr,
@@ -148,16 +149,16 @@ func TestReplyToStampedOnOutbound(t *testing.T) {
 		t.Fatalf("ReplyTo = %q", sent[0].ReplyTo)
 	}
 	// Delivered copy carries it too.
-	var delivered *Message
-	f.svc.Mailbox(b.ID).scan(func(m *Message) { delivered = m })
-	if delivered == nil || delivered.ReplyTo != "doppel@evil.test" {
-		t.Fatalf("delivered copy ReplyTo = %+v", delivered)
+	if len(delivered) != 1 || delivered[0].ReplyTo != "doppel@evil.test" {
+		t.Fatalf("delivered copies = %+v", delivered)
 	}
 }
 
 func TestFilterDivertsIncoming(t *testing.T) {
 	f := newFixture(t, 5, 7)
 	a, b := f.dir.Get(1), f.dir.Get(2)
+	var delivered []Message
+	f.svc.SetDeliveryHook(func(_ identity.AccountID, m Message) { delivered = append(delivered, m) })
 	f.svc.CreateFilter(a.ID, Filter{ToTrash: true, ForwardTo: "doppel@evil.test"}, 1, event.ActorHijacker)
 	f.svc.Send(SendReq{
 		FromAcct: b.ID, FromAddr: b.Addr,
@@ -165,17 +166,14 @@ func TestFilterDivertsIncoming(t *testing.T) {
 		Class:      event.ClassOrganic, Actor: event.ActorOwner,
 	})
 	mb := f.svc.Mailbox(a.ID)
-	trash := mb.InFolder(event.FolderTrash)
-	if len(trash) != 1 {
-		t.Fatalf("trash = %d, want 1 (filter should divert)", len(trash))
+	if trash := mb.InFolder(event.FolderTrash); trash != 1 {
+		t.Fatalf("trash = %d, want 1 (filter should divert)", trash)
 	}
 	if !mb.HasForwardingFilter() {
 		t.Fatal("forwarding filter not detected")
 	}
-	var m *Message
-	mb.scan(func(x *Message) { m = x })
-	if !m.Forwarded {
-		t.Fatal("message not marked forwarded")
+	if len(delivered) != 1 || !delivered[0].Forwarded {
+		t.Fatalf("message not marked forwarded: %+v", delivered)
 	}
 }
 
@@ -262,12 +260,10 @@ func TestSpamReportLogged(t *testing.T) {
 
 func TestUnknownAccountSafe(t *testing.T) {
 	f := newFixture(t, 3, 12)
-	if f.svc.Search(99, "x", 1, event.ActorOwner) != 0 {
-		t.Fatal("unknown account search")
-	}
-	if f.svc.OpenFolder(99, event.FolderInbox, 1, event.ActorOwner) != nil {
-		t.Fatal("unknown account folder")
-	}
+	f.svc.Search(99, "x", 1, event.ActorOwner)
+	f.svc.OpenFolder(99, event.FolderInbox, 1, event.ActorOwner)
+	f.svc.CreateFilter(99, Filter{ToTrash: true}, 1, event.ActorOwner)
+	f.svc.SetReplyTo(99, "x@y.test", 1, event.ActorOwner)
 	if f.svc.MassDelete(99, 1, event.ActorOwner) != 0 {
 		t.Fatal("unknown account delete")
 	}
@@ -276,6 +272,9 @@ func TestUnknownAccountSafe(t *testing.T) {
 	}
 	if f.svc.ViewContacts(99, 1, event.ActorOwner) != nil {
 		t.Fatal("unknown account contacts")
+	}
+	if f.log.Len() != 0 {
+		t.Fatalf("unknown account actions logged %d events", f.log.Len())
 	}
 }
 
@@ -292,7 +291,8 @@ func TestEventTimesAdvanceWithClock(t *testing.T) {
 }
 
 // Property: delivering any sequence of messages then mass-deleting and
-// restoring returns the mailbox to the same size, with no duplicates.
+// restoring returns the mailbox to the same size; a duplicated message
+// would show as a longer mailbox.
 func TestDeleteRestoreRoundTripProperty(t *testing.T) {
 	f := newFixture(t, 4, 14)
 	a, b := f.dir.Get(1), f.dir.Get(2)
@@ -309,18 +309,7 @@ func TestDeleteRestoreRoundTripProperty(t *testing.T) {
 		before := mb.Len()
 		f.svc.MassDelete(a.ID, 1, event.ActorHijacker)
 		restored, _ := f.svc.Restore(a.ID)
-		if restored != before || mb.Len() != before {
-			return false
-		}
-		seen := map[event.MessageID]bool{}
-		ok := true
-		mb.scan(func(m *Message) {
-			if seen[m.ID] {
-				ok = false
-			}
-			seen[m.ID] = true
-		})
-		return ok
+		return restored == before && mb.Len() == before
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -330,12 +319,11 @@ func TestDeleteRestoreRoundTripProperty(t *testing.T) {
 func TestSearchOperators(t *testing.T) {
 	f := newFixture(t, 5, 15)
 	mb := f.svc.Mailbox(1)
-	mb.messages = map[event.MessageID]*Message{
-		1: {ID: 1, Keywords: []string{"vacation", "jpg"}, Starred: true, Folder: event.FolderInbox},
-		2: {ID: 2, Keywords: []string{"report", "png"}, Folder: event.FolderInbox},
-		3: {ID: 3, Keywords: []string{"lunch"}, Folder: event.FolderInbox},
+	mb.msgs = []stored{
+		{keywords: []string{"vacation", "jpg"}, starred: true, folder: event.FolderInbox},
+		{keywords: []string{"report", "png"}, folder: event.FolderInbox},
+		{keywords: []string{"lunch"}, folder: event.FolderInbox},
 	}
-	mb.order = []event.MessageID{1, 2, 3}
 
 	if got := mb.CountMatching("is:starred"); got != 1 {
 		t.Fatalf("is:starred = %d, want 1", got)
@@ -349,5 +337,46 @@ func TestSearchOperators(t *testing.T) {
 	// Plain queries still work, case-insensitively.
 	if got := mb.CountMatching("LUNCH"); got != 1 {
 		t.Fatalf("plain query = %d, want 1", got)
+	}
+}
+
+// Each of the seven in-session actions hands the action hook exactly the
+// record it logged; the same actions outside a session reach the log
+// only.
+func TestActionHookSeesLoggedRecords(t *testing.T) {
+	f := newFixture(t, 5, 16)
+	a, b := f.dir.Get(1), f.dir.Get(2)
+	var hooked []event.Event
+	f.svc.SetActionHook(func(acct identity.AccountID, e event.Event) {
+		if acct != a.ID {
+			t.Errorf("hook account = %d, want %d", acct, a.ID)
+		}
+		hooked = append(hooked, e)
+	})
+	actions := func(sess event.SessionID) {
+		f.svc.Search(a.ID, "bank", sess, event.ActorHijacker)
+		f.svc.OpenFolder(a.ID, event.FolderStarred, sess, event.ActorHijacker)
+		f.svc.ViewContacts(a.ID, sess, event.ActorHijacker)
+		f.svc.CreateFilter(a.ID, Filter{ForwardTo: "doppel@evil.test"}, sess, event.ActorHijacker)
+		f.svc.SetReplyTo(a.ID, "doppel@evil.test", sess, event.ActorHijacker)
+		f.svc.Send(SendReq{
+			FromAcct: a.ID, FromAddr: a.Addr, Recipients: []identity.Address{b.Addr},
+			Class: event.ClassScam, Session: sess, Actor: event.ActorHijacker,
+		})
+		f.svc.MassDelete(a.ID, sess, event.ActorHijacker)
+	}
+	actions(7)
+	var logged []event.Event
+	f.log.Scan(func(e event.Event) { logged = append(logged, e) })
+	if !reflect.DeepEqual(hooked, logged) {
+		t.Fatalf("hook saw %+v\nlog holds %+v", hooked, logged)
+	}
+	if len(hooked) != 7 {
+		t.Fatalf("hook saw %d records, want 7", len(hooked))
+	}
+	hooked = nil
+	actions(0)
+	if len(hooked) != 0 || f.log.Len() != 14 {
+		t.Fatalf("outside a session: hook saw %d records, log holds %d, want 0 and 14", len(hooked), f.log.Len())
 	}
 }

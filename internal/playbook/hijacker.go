@@ -315,7 +315,8 @@ func (c *Crew) assess(acct identity.AccountID, sess event.SessionID, start time.
 		elapsed += step
 		c.E.Clock.Schedule(start.Add(elapsed), func() {
 			term := c.terms.Choose(c.Rng)
-			if c.E.Mail.Search(acct, term, sess, event.ActorHijacker) > 0 && isFinanceTerm(term) {
+			c.E.Mail.Search(acct, term, sess, event.ActorHijacker)
+			if isFinanceTerm(term) && c.E.Mail.Mailbox(acct).CountMatching(term) > 0 {
 				state.financeHits++
 			}
 		})

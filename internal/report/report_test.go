@@ -1,6 +1,9 @@
 package report
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -104,5 +107,22 @@ func TestRenderStudyZeroValue(t *testing.T) {
 	RenderStudy(&b, &core.StudyReport{})
 	if !strings.Contains(b.String(), "reproduction report") {
 		t.Fatal("header missing")
+	}
+}
+
+// TestStudyReportDigest pins the report `hijackstudy -scale 0.05 -seed 5`
+// prints above its timing footer. A change that moves the report on
+// purpose updates the digest and says why.
+func TestStudyReportDigest(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skip("digests are pinned on linux/amd64; elsewhere the compiler may fuse float multiply-adds, which moves the simulation")
+	}
+	sc := core.DefaultStudyConfig(5)
+	sc.Scale = 0.05
+	h := sha256.New()
+	RenderStudy(h, core.RunStudy(sc))
+	const want = "20f9c9aeb61907ce5c04faf8bb7608b63448528f7bb6db5c41dfc2e05802726e"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("report: sha256 %s, want %s", got, want)
 	}
 }

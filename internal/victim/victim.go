@@ -266,7 +266,7 @@ func (m *Manager) PrimeRisk() {
 // get reported at SpamReportRate; a sliver of organic mail is reported too
 // (the noise the paper had to curate away); and a small share of scam
 // recipients engage with the plea.
-func (m *Manager) onDelivery(rcpt identity.AccountID, msg *mail.Message) {
+func (m *Manager) onDelivery(rcpt identity.AccountID, msg mail.Message) {
 	if msg.Class == event.ClassScam {
 		m.maybeEngageScam(rcpt, msg)
 	}
@@ -291,7 +291,7 @@ func (m *Manager) onDelivery(rcpt identity.AccountID, msg *mail.Message) {
 // Reply-To, a forwarding filter, or retained account access (the victim
 // has not recovered yet); the criminal's follow-up with transfer details
 // sometimes converts to a wire.
-func (m *Manager) maybeEngageScam(rcpt identity.AccountID, msg *mail.Message) {
+func (m *Manager) maybeEngageScam(rcpt identity.AccountID, msg mail.Message) {
 	if !m.rng.Bool(m.cfg.ScamFallRate) {
 		return
 	}
