@@ -4,10 +4,10 @@
 // separation between log collection and map-reduce analysis the paper's
 // methodology describes.
 //
-// The load seals the store (a dumped log is complete by construction), so
-// every analysis gets the kind-indexed fast paths, and the full analysis
-// registry — the same list RunStudy iterates — fans out over a worker
-// pool. Only analyses needing the live account directory are skipped.
+// The load seals the store (a dumped log is complete by construction), and
+// the full analysis registry — the same list RunStudy iterates — fans out
+// over a worker pool. Only analyses needing the live account directory
+// are skipped.
 //
 // With -stream the dump is additionally replayed through the incremental
 // streaming path (internal/stream) and the live-relevant analyses are
@@ -17,21 +17,21 @@
 //
 // -events also accepts a segment directory (the layout `hijacksim
 // -spill-dir` produces): it is opened as a virtual store that pages
-// segments through a small cache (-cache-segments) instead of decoding
-// the whole log, so analysis RAM is bounded by the segment size. With
-// -spill-dir a *monolithic* dump is first re-segmented into that
-// directory and then analyzed the same bounded way — the one-time path
-// from an existing big dump to bounded-RAM analysis.
+// segments through a small cache instead of decoding the whole log, so
+// analysis RAM is bounded by the segment size. With -spill-dir a
+// *monolithic* dump is first re-segmented into that directory and then
+// analyzed the same bounded way — the one-time path from an existing big
+// dump to bounded-RAM analysis.
 //
 // Usage:
 //
 //	hijacksim -pop 8000 -days 30 -decoys 100 -events world.ndjson.gz
 //	analyze -events world.ndjson.gz [-skip-corrupt] [-par N] [-decode-shards N] [-stream]
-//	        [-cache-segments N] [-scan-workers N]
-//	        [-spill-dir d [-segment-records N] [-segment-gzip]]
+//	        [-scan-workers N] [-spill-dir d [-segment-records N] [-segment-gzip]]
 //
 // -scan-workers sets how many segments the analysis scans decode ahead of
-// the one being folded (report bytes are unaffected). After a segmented
+// the one being folded (report bytes are unaffected); the cache holds
+// that many plus the segment being folded. After a segmented
 // analysis the segment-cache counters (hits, decode misses, deduplicated
 // prefetches, evictions) are printed, so scan-pattern regressions —
 // thrash, dead prefetch — are visible from the CLI.
@@ -59,8 +59,6 @@ func main() {
 	shards := flag.Int("decode-shards", 0, "parallel NDJSON decode shards (0 = GOMAXPROCS, 1 = sequential)")
 	streaming := flag.Bool("stream", false,
 		"also replay the dump through the incremental streaming analyses and verify they match the batch output exactly")
-	cacheSegments := flag.Int("cache-segments", 0,
-		"decoded segments kept in RAM when reading a segment directory (0 = logstore default)")
 	scanWorkers := flag.Int("scan-workers", 0,
 		"segments decoded ahead during analysis scans over a segment directory (0 = 1)")
 	spillDir := flag.String("spill-dir", "",
@@ -74,10 +72,9 @@ func main() {
 	}
 
 	opts := logstore.ReadOptions{
-		SkipCorrupt:   *skipCorrupt,
-		Shards:        *shards,
-		CacheSegments: *cacheSegments,
-		ScanWorkers:   *scanWorkers,
+		SkipCorrupt: *skipCorrupt,
+		Shards:      *shards,
+		ScanWorkers: *scanWorkers,
 	}
 	start := time.Now()
 	var s *logstore.Store
@@ -87,7 +84,6 @@ func main() {
 		s, st, err = logstore.ResegmentNDJSONFile(*eventsIn, logstore.SpillConfig{
 			Dir:            *spillDir,
 			SegmentRecords: *segRecords,
-			CacheSegments:  *cacheSegments,
 			ScanWorkers:    *scanWorkers,
 			Compress:       *segGzip,
 		}, opts)
@@ -105,7 +101,7 @@ func main() {
 		fmt.Printf("loaded %d records from %s in %s (%d segment(s), cache-bounded reads)\n",
 			st.Records, *eventsIn, time.Since(start).Round(time.Millisecond), st.Segments)
 	} else {
-		fmt.Printf("loaded %d records from %s in %s (sealed, kind-indexed)\n",
+		fmt.Printf("loaded %d records from %s in %s (sealed)\n",
 			st.Records, *eventsIn, time.Since(start).Round(time.Millisecond))
 	}
 	if st.Legacy {
@@ -129,7 +125,7 @@ func main() {
 	}
 	fmt.Println()
 
-	// Log overview, answered from the sealed kind index.
+	// Log overview: a segmented store answers from its manifest.
 	kinds := s.KindCounts()
 	rows := [][]string{}
 	for _, k := range s.SortedKinds() {

@@ -7,7 +7,7 @@
 //
 //	hijacksim [-seed N] [-pop N] [-days N] [-decoys N] [-events file.ndjson]
 //	          [-archetypes smashgrab:3,stuffer:2]
-//	          [-spill-dir d] [-segment-records N] [-segment-bytes N] [-segment-gzip]
+//	          [-spill-dir d] [-segment-records N] [-segment-gzip]
 //	          [-spill-writers N] [-scan-workers N]
 //	          [-cpuprofile f] [-memprofile f] [-trace f]
 //
@@ -22,7 +22,7 @@
 // virtual store, no separate -events pass needed. -spill-writers sizes
 // the background encode/write pool that seals segments off the simulation
 // hot path; -scan-workers sets the decode-ahead depth of any post-run
-// reads (the -events re-dump, KindCounts).
+// reads (the -events re-dump; KindCounts reads the manifest).
 //
 // The profiling flags capture pprof CPU/heap profiles and a runtime trace
 // of the whole run for `go tool pprof` / `go tool trace` — the world
@@ -55,7 +55,6 @@ func main() {
 	spillDir := flag.String("spill-dir", "",
 		"build the log as spill-to-disk segments in this directory (bounded RAM; the directory is the dump)")
 	segRecords := flag.Int("segment-records", 0, "records per spilled segment (0 = logstore default)")
-	segBytes := flag.Int64("segment-bytes", 0, "additionally seal segments at this encoded byte size (0 = off)")
 	segGzip := flag.Bool("segment-gzip", false, "gzip spilled segment files")
 	spillWriters := flag.Int("spill-writers", 0, "background segment encode/write goroutines (0 = 1)")
 	scanWorkers := flag.Int("scan-workers", 0, "segments decoded ahead during post-run reads (0 = 1)")
@@ -90,7 +89,6 @@ func main() {
 		cfg.Spill = logstore.SpillConfig{
 			Dir:            *spillDir,
 			SegmentRecords: *segRecords,
-			SegmentBytes:   *segBytes,
 			Compress:       *segGzip,
 			Writers:        *spillWriters,
 			ScanWorkers:    *scanWorkers,

@@ -7,7 +7,7 @@
 //
 //	hijackstudy [-seed N] [-scale F] [-par N] [-spill-dir d]
 //	            [-archetypes smashgrab:3,stuffer:2]
-//	            [-segment-records N] [-segment-bytes N] [-segment-gzip]
+//	            [-segment-records N] [-segment-gzip]
 //	            [-spill-writers N] [-scan-workers N]
 //	            [-cpuprofile f] [-memprofile f] [-trace f]
 //
@@ -61,7 +61,6 @@ func main() {
 	spillDir := flag.String("spill-dir", "",
 		"run every era world with a spill-to-disk segmented log under this directory (bounded RAM, identical report)")
 	segRecords := flag.Int("segment-records", 0, "records per spilled segment (0 = logstore default)")
-	segBytes := flag.Int64("segment-bytes", 0, "additionally seal segments at this encoded byte size (0 = off)")
 	segGzip := flag.Bool("segment-gzip", false, "gzip spilled segment files")
 	spillWriters := flag.Int("spill-writers", 0, "background segment encode/write goroutines per world (0 = 1)")
 	scanWorkers := flag.Int("scan-workers", 0, "segments decoded ahead during analysis scans (0 = 1)")
@@ -90,7 +89,6 @@ func main() {
 	sc.Parallelism = *par
 	sc.SpillDir = *spillDir
 	sc.SegmentRecords = *segRecords
-	sc.SegmentBytes = *segBytes
 	sc.SpillGzip = *segGzip
 	sc.SpillWriters = *spillWriters
 	sc.ScanWorkers = *scanWorkers

@@ -35,11 +35,9 @@ type StudyConfig struct {
 	// a map-reduce over the segment files. The report is byte-identical
 	// to a monolithic run of the same Seed.
 	SpillDir string
-	// SegmentRecords caps records per segment (0 = logstore default);
-	// SegmentBytes optionally seals on encoded size instead. SpillGzip
-	// compresses segment files.
+	// SegmentRecords caps records per segment (0 = logstore default).
+	// SpillGzip compresses segment files.
 	SegmentRecords int
-	SegmentBytes   int64
 	SpillGzip      bool
 	// SpillWriters sizes each world's background segment encode/write
 	// pool; ScanWorkers sets how many segments the analysis scans decode
@@ -62,7 +60,6 @@ func (sc StudyConfig) spillFor(era string) logstore.SpillConfig {
 	return logstore.SpillConfig{
 		Dir:            filepath.Join(sc.SpillDir, era),
 		SegmentRecords: sc.SegmentRecords,
-		SegmentBytes:   sc.SegmentBytes,
 		Compress:       sc.SpillGzip,
 		Writers:        sc.SpillWriters,
 		ScanWorkers:    sc.ScanWorkers,

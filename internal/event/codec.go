@@ -52,19 +52,6 @@ func init() {
 	register[Remission](KindRemission)
 }
 
-// KindFor reports the Kind emitted by the record value type T, read from
-// T's zero value. ok is false when T is an interface (notably Event
-// itself), whose zero value is nil; callers must then fall back to
-// scanning. This is what lets logstore route a generic Select[T] to the
-// matching kind partition of a sealed store.
-func KindFor[T Event]() (k Kind, ok bool) {
-	var zero T
-	if any(zero) == nil {
-		return "", false
-	}
-	return zero.EventKind(), true
-}
-
 // RegisteredKinds returns every kind with a registered decoder, sorted —
 // the complete NDJSON vocabulary. Tests use it to ensure a new record
 // type cannot ship without codec (and so dump/load) coverage.

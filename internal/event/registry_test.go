@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-func TestKindForConcreteTypes(t *testing.T) {
-	cases := []struct {
-		got  func() (Kind, bool)
-		want Kind
-	}{
-		{KindFor[Login], KindLogin},
-		{KindFor[MessageSent], KindMessageSent},
-		{KindFor[PageHit], KindPageHit},
-		{KindFor[ClaimResolved], KindClaimResolved},
-		{KindFor[Remission], KindRemission},
-	}
-	for _, c := range cases {
-		k, ok := c.got()
-		if !ok || k != c.want {
-			t.Errorf("KindFor = %q, %v; want %q", k, ok, c.want)
-		}
-	}
-}
-
-// The Event interface itself satisfies the constraint but is not a
-// concrete record type; lookups through it must report ok=false so
-// logstore falls back to a full scan.
-func TestKindForInterfaceFallsBack(t *testing.T) {
-	if k, ok := KindFor[Event](); ok {
-		t.Errorf("KindFor[Event] = %q, want miss", k)
-	}
-}
-
 // Every registered kind must decode to a record of that kind: a decoder
 // registered under the wrong kind would read that kind's dump lines back
 // as records of another kind.

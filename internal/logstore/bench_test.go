@@ -12,9 +12,8 @@ import (
 
 // benchStore interleaves 28 kinds' worth of traffic shape: mostly logins
 // and page hits, with a thin stream of the rarer analysis targets. The
-// microbenchmarks select a rare kind (MoneyWired, ~1% of records) — the
-// regime where the kind index pays: an indexed select visits only the
-// matches while a scan visits everything.
+// select benchmark picks a rare kind (MoneyWired, ~1% of records), so it
+// times the scan that every select pays, not the copy of its matches.
 func benchStore(n int) *Store {
 	s := New()
 	for i := 0; i < n; i++ {
@@ -37,40 +36,6 @@ func BenchmarkSelectScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := Select[event.MoneyWired](s); len(got) != 2000 {
 			b.Fatalf("selected %d", len(got))
-		}
-	}
-}
-
-func BenchmarkSelectIndexed(b *testing.B) {
-	s := benchStore(200000)
-	s.Seal()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := Select[event.MoneyWired](s); len(got) != 2000 {
-			b.Fatalf("selected %d", len(got))
-		}
-	}
-}
-
-func BenchmarkBetweenScan(b *testing.B) {
-	s := benchStore(200000)
-	from, to := t0.Add(1000*time.Second), t0.Add(2000*time.Second)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.Between(from, to); len(got) == 0 {
-			b.Fatal("empty window")
-		}
-	}
-}
-
-func BenchmarkBetweenIndexed(b *testing.B) {
-	s := benchStore(200000)
-	s.Seal()
-	from, to := t0.Add(1000*time.Second), t0.Add(2000*time.Second)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.Between(from, to); len(got) == 0 {
-			b.Fatal("empty window")
 		}
 	}
 }
@@ -133,17 +98,6 @@ func BenchmarkKindCountsScan(b *testing.B) {
 	}
 }
 
-func BenchmarkKindCountsIndexed(b *testing.B) {
-	s := benchStore(200000)
-	s.Seal()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := s.KindCounts(); len(got) != 3 {
-			b.Fatalf("kinds = %d", len(got))
-		}
-	}
-}
-
 // BenchmarkAppend measures the simulation-side write path: one op is one
 // Append into a growing store (a fresh store every 8k records, so slice
 // growth is part of the amortized cost, as it is for a live world).
@@ -164,18 +118,6 @@ func BenchmarkAppend(b *testing.B) {
 		s.Append(evs[j])
 	}
 	_ = s
-}
-
-// BenchmarkSeal measures the freeze step World.Run pays once per world:
-// building the per-kind partition index over a 200k-record log.
-func BenchmarkSeal(b *testing.B) {
-	base := benchStore(200000).snapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := &Store{events: base}
-		s.Seal()
-	}
 }
 
 // BenchmarkAppendReserved is the steady-state write path of a world that

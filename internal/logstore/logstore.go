@@ -19,23 +19,17 @@
 //     any interleaved reads or Sanitize calls) must all come from that
 //     owner; nothing is locked on this path, which is what makes Append a
 //     plain bounds-check-and-store.
-//   - Sealed phase. Seal freezes the log, builds a per-kind partition
-//     index, and publishes the frozen state with an atomic release-store.
-//     From then on any number of goroutines may read concurrently —
-//     Select/SelectWhere touch only the matching kind partition, Between
-//     binary-searches the time-ordered log, and KindCounts answers from
-//     the index without visiting records. Observing Sealed() == true is
-//     the cross-goroutine handoff: it happens-after everything the writer
-//     did.
+//   - Sealed phase. Seal freezes the log and publishes it with an atomic
+//     release-store. From then on any number of goroutines may read
+//     concurrently. A sealed log is just its records: every read (Scan,
+//     ScanSegments, Select, KindCounts) is an ordered scan, which is all
+//     the map-reduce analyses need. Observing Sealed() == true is the
+//     cross-goroutine handoff: it happens-after everything the writer did.
 //
 // Misuse that is cheap to detect panics: appending to a sealed store, and
 // out-of-order appends. Cross-goroutine reads of an unsealed store cannot
 // be detected cheaply and are simply illegal — the race detector will
 // flag them (TestSealPublishHandoff pins the supported pattern).
-//
-// Sealing is what makes the study's analysis fan-out cheap: dozens of
-// concurrent read-only analyses over the same sealed store, each
-// proportional to the records it actually uses.
 package logstore
 
 import (
@@ -63,13 +57,8 @@ type Store struct {
 	tap func(event.Event)
 
 	// sealed is the phase switch: Seal's release-store publishes events
-	// and byKind to readers that load-acquire it.
+	// to readers that load-acquire it.
 	sealed atomic.Bool
-	// byKind is the per-kind partition index built by Seal, each
-	// partition preserving log order. All partitions share one backing
-	// array, allocated exactly once at its final size. Nil on a
-	// segmented store, whose reads stream from disk instead.
-	byKind map[event.Kind][]event.Event
 
 	// spill, when non-nil, puts the store in segmented spill-to-disk
 	// mode (see segment.go): events holds only the active segment, and
@@ -128,7 +117,7 @@ func (s *Store) Append(e event.Event) {
 		if sp.failed.Load() {
 			panic("logstore: spill: " + sp.firstErr().Error())
 		}
-		if sp.shouldSeal(len(s.events)) {
+		if len(s.events) >= sp.cfg.SegmentRecords {
 			if err := s.spillActive(); err != nil {
 				panic("logstore: spill: " + err.Error())
 			}
@@ -150,23 +139,19 @@ func (s *Store) SetTap(fn func(event.Event)) {
 	s.tap = fn
 }
 
-// Seal freezes the store, builds the kind index, and publishes both to
-// concurrent readers. Further appends panic; reads become index-backed
-// and safe to run from any goroutine. Sealing an already-sealed store is
-// a no-op. World.Run seals its log when the simulation window ends.
+// Seal freezes the store and publishes it to concurrent readers. Further
+// appends panic; reads become safe to run from any goroutine. A spilling
+// store first flushes its final segment and writes its manifest. Sealing
+// an already-sealed store is a no-op. World.Run seals its log when the
+// simulation window ends.
 func (s *Store) Seal() {
 	if s.sealed.Load() {
 		return
 	}
 	if s.spill != nil {
-		// Segmented path: flush the final partial segment and write the
-		// manifest instead of building an in-RAM kind index — the
-		// per-segment kind tallies play that role.
 		if err := s.finishSpill(); err != nil {
 			panic("logstore: spill: " + err.Error())
 		}
-	} else {
-		s.rebuildIndex()
 	}
 	s.sealed.Store(true)
 }
@@ -176,32 +161,6 @@ func (s *Store) Seal() {
 // the reader's subsequent reads.
 func (s *Store) Sealed() bool {
 	return s.sealed.Load()
-}
-
-// rebuildIndex recomputes the per-kind partitions from the event slice in
-// two passes: count per kind, then carve exact-size partitions out of one
-// shared backing array. Appends are time-ordered, so filtering by kind
-// preserves order within each partition. The three-index sub-slices make
-// partition overflow impossible by construction (an append past a
-// partition's cap would allocate away from the backing array rather than
-// clobber its neighbor).
-func (s *Store) rebuildIndex() {
-	counts := make(map[event.Kind]int, 32)
-	for _, e := range s.events {
-		counts[e.EventKind()]++
-	}
-	backing := make([]event.Event, len(s.events))
-	idx := make(map[event.Kind][]event.Event, len(counts))
-	off := 0
-	for k, n := range counts {
-		idx[k] = backing[off : off : off+n]
-		off += n
-	}
-	for _, e := range s.events {
-		k := e.EventKind()
-		idx[k] = append(idx[k], e)
-	}
-	s.byKind = idx
 }
 
 // Len returns the number of records, spilled segments included.
@@ -217,31 +176,26 @@ func (s *Store) Len() int {
 // segment prefetched), so the whole log is visited without ever being
 // resident at once.
 func (s *Store) Scan(fn func(event.Event)) {
-	if sp := s.spill; sp != nil {
-		if !s.sealed.Load() {
-			// Records before the active segment are already on disk; a
-			// build-phase scan would silently see a suffix of the log.
-			panic("logstore: Scan on a spilling store before Seal")
+	s.ScanSegments(func(_ int, events []event.Event) {
+		for _, e := range events {
+			fn(e)
 		}
-		sp.scan(fn)
-		return
-	}
-	for _, e := range s.events {
-		fn(e)
-	}
+	})
 }
 
 // ScanSegments calls fn once per storage unit, in log order, with the
 // unit's index and decoded records — segments for a segmented store
-// (decode-ahead applies, like Scan), or the whole log as unit 0 for an
-// in-RAM store. Callers must treat the slice as read-only and not retain
+// (decoded ScanWorkers ahead), or the whole log as unit 0 for an in-RAM
+// store. Callers must treat the slice as read-only and not retain
 // it past the callback: a segmented store recycles it through the cache.
 // This is the hook for per-segment parallel reduction — fold each
 // delivered unit into a shard, merge shards in unit order.
 func (s *Store) ScanSegments(fn func(seg int, events []event.Event)) {
 	if sp := s.spill; sp != nil {
 		if !s.sealed.Load() {
-			panic("logstore: ScanSegments on a spilling store before Seal")
+			// Records before the active segment are already on disk; a
+			// build-phase read would silently see a suffix of the log.
+			panic("logstore: read of a spilling store before Seal")
 		}
 		sp.scanSegments(fn)
 		return
@@ -249,98 +203,19 @@ func (s *Store) ScanSegments(fn func(seg int, events []event.Event)) {
 	fn(0, s.events)
 }
 
-// snapshot returns the current record slice. Callers must treat it as
-// read-only. Segmented stores have no whole-log slice to hand out.
-func (s *Store) snapshot() []event.Event {
-	if s.spill != nil {
-		panic("logstore: snapshot of a segmented store")
-	}
-	return s.events
-}
-
-// kindPartition returns the sealed index partition for k. ok is false on
-// an unsealed store, where callers must fall back to scanning.
-func (s *Store) kindPartition(k event.Kind) (part []event.Event, ok bool) {
-	if !s.sealed.Load() {
-		return nil, false
-	}
-	return s.byKind[k], true
-}
-
-// Select returns every record of concrete type T, in order. On a sealed
-// store only the matching kind partition is visited.
+// Select returns every record of concrete type T, in order.
 func Select[T event.Event](s *Store) []T {
-	var out []T
-	forEachOfType(s, func(t T) { out = append(out, t) })
-	return out
+	return SelectWhere(s, func(T) bool { return true })
 }
 
 // SelectWhere returns every record of type T matching pred, in order.
 func SelectWhere[T event.Event](s *Store, pred func(T) bool) []T {
 	var out []T
-	forEachOfType(s, func(t T) {
-		if pred(t) {
+	s.Scan(func(e event.Event) {
+		if t, ok := e.(T); ok && pred(t) {
 			out = append(out, t)
 		}
 	})
-	return out
-}
-
-// forEachOfType visits every record of concrete type T in log order,
-// routing through the kind index when the store is sealed and T is a
-// record value type (event.KindFor).
-func forEachOfType[T event.Event](s *Store, fn func(T)) {
-	if k, ok := event.KindFor[T](); ok {
-		if s.Segmented() {
-			// Per-segment kind tallies replace the in-RAM index: segments
-			// holding none of k are skipped without touching disk.
-			s.spill.scanKind(k, func(e event.Event) {
-				if t, ok := e.(T); ok {
-					fn(t)
-				}
-			})
-			return
-		}
-		if part, sealed := s.kindPartition(k); sealed {
-			for _, e := range part {
-				if t, ok := e.(T); ok {
-					fn(t)
-				}
-			}
-			return
-		}
-	}
-	s.Scan(func(e event.Event) {
-		if t, ok := e.(T); ok {
-			fn(t)
-		}
-	})
-}
-
-// Between returns records with from <= When < to, preserving order. On a
-// sealed store the window is located by binary search and the returned
-// slice aliases the frozen log; callers must treat it as read-only.
-func (s *Store) Between(from, to time.Time) []event.Event {
-	if s.Segmented() {
-		return s.spill.between(from, to)
-	}
-	events := s.events
-	if s.sealed.Load() {
-		lo := sort.Search(len(events), func(i int) bool { return !events[i].When().Before(from) })
-		hi := sort.Search(len(events), func(i int) bool { return !events[i].When().Before(to) })
-		if lo >= hi {
-			return nil
-		}
-		// Full-cap slice so an appending caller cannot clobber the log.
-		return events[lo:hi:hi]
-	}
-	var out []event.Event
-	for _, e := range events {
-		w := e.When()
-		if !w.Before(from) && w.Before(to) {
-			out = append(out, e)
-		}
-	}
 	return out
 }
 
@@ -357,9 +232,7 @@ type Retention struct {
 // the short retention of authentication logs that forced the paper's
 // authors to draw several datasets over only a few weeks. Sanitize is a
 // writer-side operation in both phases: like Append it must come from the
-// store's owning goroutine and must not run concurrently with reads. On a
-// sealed store it rebuilds the kind index so partitions never serve
-// erased records.
+// store's owning goroutine and must not run concurrently with reads.
 func (s *Store) Sanitize(now time.Time, policy Retention) int {
 	if s.spill != nil {
 		// Spilled segments are immutable files; rewriting them to erase
@@ -390,50 +263,24 @@ func (s *Store) Sanitize(now time.Time, policy Retention) int {
 		s.events[i] = nil
 	}
 	s.events = kept
-	if s.sealed.Load() && erased > 0 {
-		s.rebuildIndex()
-	}
 	return erased
 }
 
 // KindCounts tallies records by kind (an aggregate useful for log-volume
-// sanity checks and the hijacksim binary). A sealed store answers from
-// the kind index in O(kinds); an unsealed one scans.
+// sanity checks and the hijacksim binary). A sealed segmented store
+// answers from its manifest without reading a segment; any other store
+// scans, so a spilling store must be sealed first, as for Scan.
 func (s *Store) KindCounts() map[event.Kind]int {
-	if sp := s.spill; sp != nil {
-		// No disk reads in either phase. Sealed stores answer from the
-		// per-segment manifest tallies; a still-building store sums the
-		// running tally of everything handed to the writer pool (which
-		// may not have finished writing) plus the active segment.
-		// Build-phase calls follow the single-writer contract.
-		out := make(map[event.Kind]int, 32)
-		if sp.finished {
-			for _, seg := range sp.segs {
-				for k, n := range seg.Kinds {
-					out[k] += n
-				}
-			}
-		} else {
-			for k, n := range sp.buildKinds {
+	out := make(map[event.Kind]int, 32)
+	if s.Segmented() {
+		for _, seg := range s.spill.segs {
+			for k, n := range seg.Kinds {
 				out[k] += n
 			}
 		}
-		for _, e := range s.events {
-			out[e.EventKind()]++
-		}
 		return out
 	}
-	if s.sealed.Load() {
-		out := make(map[event.Kind]int, len(s.byKind))
-		for k, part := range s.byKind {
-			out[k] = len(part)
-		}
-		return out
-	}
-	out := make(map[event.Kind]int)
-	for _, e := range s.events {
-		out[e.EventKind()]++
-	}
+	s.Scan(func(e event.Event) { out[e.EventKind()]++ })
 	return out
 }
 

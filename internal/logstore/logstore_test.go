@@ -82,17 +82,6 @@ func TestSelectWhere(t *testing.T) {
 	}
 }
 
-func TestBetween(t *testing.T) {
-	s := New()
-	for i := 0; i < 24; i++ {
-		s.Append(login(t0.Add(time.Duration(i)*time.Hour), 1, event.ActorOwner))
-	}
-	got := s.Between(t0.Add(5*time.Hour), t0.Add(10*time.Hour))
-	if len(got) != 5 {
-		t.Fatalf("between = %d, want 5", len(got))
-	}
-}
-
 func TestSanitizeByKindAndAge(t *testing.T) {
 	s := New()
 	s.Append(login(t0, 1, event.ActorOwner))

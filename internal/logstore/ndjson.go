@@ -6,12 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"manualhijack/internal/event"
@@ -145,7 +143,7 @@ func WriteNDJSONFile(path string, s *Store, m Meta) (err error) {
 // ReadOptions controls ReadNDJSONWith.
 type ReadOptions struct {
 	// SkipCorrupt tolerates malformed lines, unknown kinds, truncated
-	// trailing records (crash-durable dumps), and out-of-order records:
+	// trailing records (crash-durable dumps), and records out of time order:
 	// offenders are dropped and counted in ReadStats — never silently.
 	// The default strict mode fails on the first bad line with its number.
 	// When opening a segment directory, corruption is handled at segment
@@ -158,10 +156,6 @@ type ReadOptions struct {
 	// For a segment directory this is the segment-verification worker
 	// count instead (each segment decodes inline on its worker).
 	Shards int
-	// CacheSegments bounds how many decoded segments the returned store
-	// keeps in RAM when the input is a segment directory (0 means
-	// DefaultCacheSegments). Ignored for monolithic dumps.
-	CacheSegments int
 	// ScanWorkers sets the returned store's ordered-scan decode-ahead
 	// window when the input is a segment directory (0 means 1). Ignored
 	// for monolithic dumps.
@@ -189,10 +183,7 @@ type ReadStats struct {
 }
 
 // ReadNDJSON reconstructs a store from WriteNDJSON output in strict mode.
-// The returned store is sealed: a dumped log is complete by construction,
-// so the load is the moment the kind index can be built — readers get the
-// same index-backed fast paths (Select, Between, KindCounts) a live world
-// gets after World.Run.
+// The returned store is sealed: a dumped log is complete by construction.
 func ReadNDJSON(r io.Reader) (*Store, error) {
 	s, _, err := ReadNDJSONWith(r, ReadOptions{})
 	return s, err
@@ -207,7 +198,14 @@ func ReadNDJSONWith(r io.Reader, opts ReadOptions) (*Store, *ReadStats, error) {
 		return nil, nil, err
 	}
 	defer closeFn()
-	return readNDJSON(plain, opts)
+	st := &ReadStats{}
+	events, err := decodeAll(plain, opts, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := &Store{events: events}
+	s.Seal()
+	return s, st, nil
 }
 
 // ReadNDJSONFile loads a dump from disk (plain or gzip-compressed). When
@@ -243,48 +241,31 @@ func sniffGzip(r io.Reader) (io.Reader, func() error, error) {
 
 // batchLines is the unit of work handed to a decode shard. JSON unmarshal
 // dominates ingest CPU, so lines are decoded out-of-line while the reader
-// goroutine keeps scanning; batches carry their original position so the
-// log is reassembled in order.
+// goroutine keeps scanning; batches are delivered in input order.
 const batchLines = 2048
 
 // lineBatch is a contiguous run of raw lines plus the decode results a
-// worker fills in. events[i] is nil where line i was dropped; errs[i]
-// carries the reason.
+// worker fills in. errs[i] is non-nil where line i failed to decode.
 type lineBatch struct {
-	idx    int
 	nums   []int // 1-based input line numbers
 	lines  [][]byte
 	events []event.Event
 	errs   []error
+	done   chan struct{} // closed by the worker once decoded
 }
 
-// decode unmarshals every line of the batch. In strict mode the first
-// error stops the batch and publishes its index through minFailed so
-// later batches can be abandoned — earlier ones still decode fully, which
-// keeps "first bad line" deterministic under parallel scheduling.
-func (b *lineBatch) decode(skipCorrupt bool, minFailed *atomic.Int64) {
+// decode unmarshals every line of the batch, then drops the raw bytes so
+// only the decoded records are retained.
+func (b *lineBatch) decode() {
 	b.events = make([]event.Event, len(b.lines))
 	b.errs = make([]error, len(b.lines))
 	for i, data := range b.lines {
-		e, err := decodeLine(data)
-		if err != nil {
+		if e, err := decodeLine(data); err != nil {
 			b.errs[i] = fmt.Errorf("logstore: line %d: %w", b.nums[i], err)
-			if !skipCorrupt {
-				for {
-					cur := minFailed.Load()
-					if int64(b.idx) >= cur || minFailed.CompareAndSwap(cur, int64(b.idx)) {
-						break
-					}
-				}
-				b.lines = nil
-				return
-			}
-			continue
+		} else {
+			b.events[i] = e
 		}
-		b.events[i] = e
 	}
-	// Drop the raw bytes so they can be reclaimed while later batches
-	// stream through; only the decoded records are retained.
 	b.lines = nil
 }
 
@@ -302,75 +283,117 @@ func decodeLine(data []byte) (event.Event, error) {
 	return event.Decode(env.Kind, env.Data)
 }
 
-// readNDJSON decodes a full dump and seals it into a store.
-func readNDJSON(r io.Reader, opts ReadOptions) (*Store, *ReadStats, error) {
-	events, st, err := decodeNDJSON(r, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The log is complete by construction: seal so every read gets the
-	// kind-indexed fast paths instead of full-log scans.
-	s := &Store{events: events}
-	s.Seal()
-	return s, st, nil
+// decodeAll decodes a whole dump into one time-ordered slice.
+func decodeAll(r io.Reader, opts ReadOptions, st *ReadStats) ([]event.Event, error) {
+	var events []event.Event
+	err := decodeNDJSON(r, opts, st, func(e event.Event) error {
+		events = append(events, e)
+		return nil
+	})
+	return events, err
 }
 
-// decodeNDJSON is the core NDJSON decode shared by monolithic dump loads
-// and segment-file loads: it returns the time-ordered event slice and the
-// ingest stats without committing to a storage layout.
-func decodeNDJSON(r io.Reader, opts ReadOptions) ([]event.Event, *ReadStats, error) {
+// decodeNDJSON is the one NDJSON reader behind every load: dumps, segment
+// files and resegmenting. It decodes batchLines-line batches on
+// opts.Shards workers, with at most two batches per worker in flight, and
+// hands every accepted record to sink in input order on the calling
+// goroutine; a sink error stops the read. The header is parsed before the
+// first record reaches sink, so st.Meta is already set then. Every rule on
+// what a dump may hold lives here: the header version, the headerless
+// legacy form, corrupt lines, time order, a cut input and the header's
+// record count. In strict mode the error names the first bad line, whatever
+// the shard count.
+func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.Event) error) error {
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	st := &ReadStats{}
+	var last time.Time
+	// deliver applies the corrupt-line and time-order rules to a decoded
+	// batch and hands its accepted records to sink.
+	deliver := func(b *lineBatch) error {
+		for i, e := range b.events {
+			if err := b.errs[i]; err != nil {
+				if !opts.SkipCorrupt {
+					return err
+				}
+				st.Dropped++
+				continue
+			}
+			when := e.When()
+			if st.Records > 0 && when.Before(last) {
+				if !opts.SkipCorrupt {
+					return fmt.Errorf("logstore: line %d: out-of-order record: %s at %s after %s",
+						b.nums[i], e.EventKind(), when, last)
+				}
+				st.OutOfOrder++
+				continue
+			}
+			if st.Records == 0 {
+				st.First = when
+			}
+			last = when
+			st.Records++
+			if err := sink(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
+	// With one shard each batch decodes inline. Otherwise workers decode
+	// and pending holds the dispatched batches, oldest first, until the
+	// window is full and the oldest is delivered.
 	var (
-		batches   []*lineBatch
-		cur       *lineBatch
-		work      chan *lineBatch
-		wg        sync.WaitGroup
-		minFailed atomic.Int64
+		work    chan *lineBatch
+		pending []*lineBatch
 	)
-	minFailed.Store(math.MaxInt64)
 	if shards > 1 {
-		work = make(chan *lineBatch, shards*2)
+		// Buffered for the whole window, so a dispatch never blocks.
+		work = make(chan *lineBatch, 2*shards)
+		var wg sync.WaitGroup
 		wg.Add(shards)
 		for i := 0; i < shards; i++ {
 			go func() {
 				defer wg.Done()
 				for b := range work {
-					if !opts.SkipCorrupt && int64(b.idx) > minFailed.Load() {
-						continue // a lower batch already failed; this one cannot hold the first error
-					}
-					b.decode(opts.SkipCorrupt, &minFailed)
+					b.decode()
+					close(b.done)
 				}
 			}()
 		}
+		// Every return, an early strict-mode one included, stops the
+		// workers after they finish the batches in flight.
+		defer func() {
+			close(work)
+			wg.Wait()
+		}()
 	}
-	flush := func() {
-		if cur == nil {
-			return
+	submit := func(b *lineBatch) error {
+		if work == nil {
+			b.decode()
+			return deliver(b)
 		}
-		b := cur
-		cur = nil
-		if work != nil {
-			work <- b
-		} else if opts.SkipCorrupt || int64(b.idx) <= minFailed.Load() {
-			b.decode(opts.SkipCorrupt, &minFailed)
+		b.done = make(chan struct{})
+		work <- b
+		pending = append(pending, b)
+		if len(pending) < cap(work) {
+			return nil
 		}
+		oldest := pending[0]
+		pending = pending[1:]
+		<-oldest.done
+		return deliver(oldest)
 	}
 
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	var cur *lineBatch
 	line := 0
 	headerRecords := -1
 	sawHeader := false
 	for sc.Scan() {
-		if !opts.SkipCorrupt && minFailed.Load() < math.MaxInt64 {
-			break // a shard already hit a bad line; strict mode will fail on it
-		}
 		line++
 		raw := sc.Bytes()
 		if len(raw) == 0 {
@@ -383,8 +406,7 @@ func decodeNDJSON(r io.Reader, opts ReadOptions) ([]event.Event, *ReadStats, err
 			var h header
 			if json.Unmarshal(raw, &h) == nil && h.Format == FormatName {
 				if h.Version != FormatVersion {
-					drain(work, &wg)
-					return nil, nil, fmt.Errorf("logstore: line %d: unsupported dump version %d (reader speaks %d)",
+					return fmt.Errorf("logstore: line %d: unsupported dump version %d (reader speaks %d)",
 						line, h.Version, FormatVersion)
 				}
 				headerRecords = h.Records
@@ -394,91 +416,52 @@ func decodeNDJSON(r io.Reader, opts ReadOptions) ([]event.Event, *ReadStats, err
 			st.Legacy = true
 		}
 		if cur == nil {
-			cur = &lineBatch{idx: len(batches)}
-			batches = append(batches, cur)
+			cur = &lineBatch{}
 		}
 		cur.nums = append(cur.nums, line)
 		cur.lines = append(cur.lines, append([]byte(nil), raw...))
-		if len(cur.lines) >= batchLines {
-			flush()
+		if len(cur.lines) == batchLines {
+			if err := submit(cur); err != nil {
+				return err
+			}
+			cur = nil
 		}
 	}
-	flush()
-	drain(work, &wg)
-
+	// Deliver everything read before looking at why the input ended: a
+	// bad line ahead of a cut is the first bad line.
+	if cur != nil {
+		if err := submit(cur); err != nil {
+			return err
+		}
+	}
+	for _, b := range pending {
+		<-b.done
+		if err := deliver(b); err != nil {
+			return err
+		}
+	}
 	if err := sc.Err(); err != nil {
 		if !opts.SkipCorrupt {
-			return nil, nil, fmt.Errorf("logstore: line %d: %w", line+1, err)
+			return fmt.Errorf("logstore: line %d: %w", line+1, err)
 		}
 		// A crash-durable dump can end mid-stream (a cut gzip member, an
 		// over-long mangled line). Keep what decoded; flag the cut.
 		st.Truncated = true
 	}
+	st.Last = last
 
-	// Reassemble in input order, verifying the time-ordering invariant the
-	// store relies on instead of trusting the dump.
-	events := make([]event.Event, 0, total(batches))
-	var last time.Time
-	for _, b := range batches {
-		for i := range b.events {
-			if err := b.errs[i]; err != nil {
-				if !opts.SkipCorrupt {
-					return nil, nil, err
-				}
-				st.Dropped++
-				continue
-			}
-			e := b.events[i]
-			if e == nil {
-				continue // past a strict-mode failure; unreachable, but harmless
-			}
-			if len(events) > 0 && e.When().Before(last) {
-				if !opts.SkipCorrupt {
-					return nil, nil, fmt.Errorf("logstore: line %d: out-of-order record: %s at %s after %s",
-						b.nums[i], e.EventKind(), e.When(), last)
-				}
-				st.OutOfOrder++
-				continue
-			}
-			last = e.When()
-			events = append(events, e)
-		}
-	}
-
-	st.Records = len(events)
-	if len(events) > 0 {
-		st.First = events[0].When()
-		st.Last = last
-	}
 	if headerRecords >= 0 {
 		accounted := st.Records + st.Dropped + st.OutOfOrder
 		if accounted < headerRecords {
 			if !opts.SkipCorrupt {
-				return nil, nil, fmt.Errorf("logstore: dump truncated: header declares %d records, input held %d",
+				return fmt.Errorf("logstore: dump truncated: header declares %d records, input held %d",
 					headerRecords, accounted)
 			}
 			st.Missing = headerRecords - accounted
 		} else if accounted > headerRecords && !opts.SkipCorrupt {
-			return nil, nil, fmt.Errorf("logstore: header declares %d records, input held %d (concatenated dumps?)",
+			return fmt.Errorf("logstore: header declares %d records, input held %d (concatenated dumps?)",
 				headerRecords, accounted)
 		}
 	}
-
-	return events, st, nil
-}
-
-// drain closes the work channel (if any) and waits for the shards.
-func drain(work chan *lineBatch, wg *sync.WaitGroup) {
-	if work != nil {
-		close(work)
-		wg.Wait()
-	}
-}
-
-func total(batches []*lineBatch) int {
-	n := 0
-	for _, b := range batches {
-		n += len(b.events)
-	}
-	return n
+	return nil
 }

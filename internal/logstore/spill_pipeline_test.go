@@ -28,7 +28,6 @@ func TestScanWorkersMatchSequential(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			s := spilledMixedStore(t, records, SpillConfig{
 				SegmentRecords: 61,
-				CacheSegments:  1, // effectiveCache bumps to workers+1
 				ScanWorkers:    workers,
 			})
 			s.Seal()

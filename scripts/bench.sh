@@ -60,7 +60,7 @@ go test -run '^$' -bench 'BenchmarkClock' -benchtime "$BENCHTIME" -count "$COUNT
     ./internal/simtime/ | tee -a "$TXT"
 
 echo "== logstore benches (benchtime=$BENCHTIME)" >&2
-go test -run '^$' -bench 'BenchmarkAppend|BenchmarkSeal$|BenchmarkSelectIndexed|BenchmarkBetweenIndexed|BenchmarkKindCountsIndexed' \
+go test -run '^$' -bench 'BenchmarkAppend|BenchmarkSelectScan|BenchmarkKindCountsScan' \
     -benchtime "$BENCHTIME" -count "$COUNT" ./internal/logstore/ | tee -a "$TXT"
 
 echo "== serving pipeline + wire codec benches (benchtime=$BENCHTIME)" >&2
