@@ -16,7 +16,8 @@
 // A mismatch exits non-zero.
 //
 // -events also accepts a segment directory (the layout `hijacksim
-// -spill-dir` produces): it is opened as a virtual store that pages
+// -spill-dir` produces, and each era subdirectory of `hijackstudy
+// -spill-dir`): it is opened as a virtual store that pages
 // segments through a small cache instead of decoding the whole log, so
 // analysis RAM is bounded by the segment size. With -spill-dir a
 // *monolithic* dump is first re-segmented into that directory and then

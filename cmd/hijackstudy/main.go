@@ -1,14 +1,15 @@
 // Command hijackstudy runs the full reproduction study — four
 // observation-window worlds (Oct 2011, Nov 2012, Feb 2013, Jan 2014) plus
 // a low-intensity base-rate world — and prints every table and figure of
-// the paper with the published value alongside the measured one.
+// the paper with the published value alongside the measured one. Each
+// world's analyses fold its records as the world appends them, so no log
+// is read back.
 //
 // Usage:
 //
 //	hijackstudy [-seed N] [-scale F] [-par N] [-spill-dir d]
 //	            [-archetypes smashgrab:3,stuffer:2]
-//	            [-segment-records N] [-segment-gzip]
-//	            [-spill-writers N] [-scan-workers N]
+//	            [-segment-records N] [-segment-gzip] [-spill-writers N]
 //	            [-cpuprofile f] [-memprofile f] [-trace f]
 //
 // -archetypes fields playbook actors (internal/playbook) in every era
@@ -19,19 +20,19 @@
 // in well under a minute; 1.0 is the full study; values above 1 grow the
 // worlds past the paper's scale for spill stress benchmarks — the report
 // prints but its published-value comparisons only make sense at <= 1).
-// -par bounds the study engine's worker pool (0 = GOMAXPROCS, 1 =
-// sequential); the report is byte-identical for a fixed seed at any
-// setting.
+// -par bounds how many era worlds run, and are alive, at once (0 =
+// GOMAXPROCS, 1 = one after another); the report is byte-identical for a
+// fixed seed at any setting.
 //
 // -spill-dir runs every era world with a spill-to-disk segmented log (one
-// subdirectory per era) so peak RSS is bounded by the segment size
-// instead of the world size; the analyses run as a map-reduce over the
-// segment files and the report stays byte-identical to the monolithic
-// run. -spill-writers sizes the background segment encode/write pool and
-// -scan-workers the analysis scans' decode-ahead depth — both trade
-// goroutines for wall-clock without touching report bytes. The footer
-// reports the process's peak RSS either way, so the two modes are
-// directly comparable.
+// subdirectory per era, 2011 2012 2013 2014 base), so no world holds more
+// than a segment of its log in RAM. The study does not read the segments:
+// they are a dump of each world for `analyze -events <dir>/<era>`, and
+// the report stays byte-identical to the monolithic run. -spill-writers
+// sizes the background segment encode/write pool, trading goroutines for
+// wall-clock without touching report bytes. The footer reports the
+// process's peak RSS either way, so the two modes are directly
+// comparable.
 //
 // The profiling flags capture pprof CPU/heap profiles and a runtime trace
 // of the whole run (study + report rendering) for `go tool pprof` /
@@ -54,16 +55,15 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 1, "world seed")
-	scale := flag.Float64("scale", 1.0, "study scale in (0,1]")
+	scale := flag.Float64("scale", 1.0, "study scale, > 0 (1 = the full study; above 1 grows the worlds)")
 	par := flag.Int("par", 0, "study parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	archetypes := flag.String("archetypes", "",
 		"playbook actor roster for every era world, e.g. smashgrab:3,stuffer:2 (known: "+strings.Join(playbook.Names(), ",")+")")
 	spillDir := flag.String("spill-dir", "",
-		"run every era world with a spill-to-disk segmented log under this directory (bounded RAM, identical report)")
+		"write every era world's log as spill-to-disk segments under this directory, one subdirectory per era (bounded RAM, identical report)")
 	segRecords := flag.Int("segment-records", 0, "records per spilled segment (0 = logstore default)")
 	segGzip := flag.Bool("segment-gzip", false, "gzip spilled segment files")
 	spillWriters := flag.Int("spill-writers", 0, "background segment encode/write goroutines per world (0 = 1)")
-	scanWorkers := flag.Int("scan-workers", 0, "segments decoded ahead during analysis scans (0 = 1)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocs profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -91,7 +91,6 @@ func main() {
 	sc.SegmentRecords = *segRecords
 	sc.SpillGzip = *segGzip
 	sc.SpillWriters = *spillWriters
-	sc.ScanWorkers = *scanWorkers
 	roster, err := playbook.ParseRoster(*archetypes)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hijackstudy: %v\n", err)

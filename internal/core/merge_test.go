@@ -29,6 +29,7 @@ func TestMergeableMatchesSequential(t *testing.T) {
 			},
 		}
 		w := sc.world2012()
+		w.Run()
 		in := worldInput(w, sc.Scale)
 
 		var events []event.Event
@@ -75,6 +76,37 @@ func TestMergeableMatchesSequential(t *testing.T) {
 		if mergeableN != 23 || orderedN != 5 {
 			t.Fatalf("capability inventory moved: %d mergeable + %d ordered (want 23 + 5) — update the docs and this pin together",
 				mergeableN, orderedN)
+		}
+	}
+}
+
+// TestTapFoldMatchesScan pins the study's fold at append: every registry
+// entry, fed from World.Tap while its world runs, must finalize exactly
+// the report RunAnalyses computes by scanning the sealed log afterwards.
+// That holds only if no record changes after Append. It is also the one
+// gate that compares the directory-backed entries, which the offline
+// paths skip, against a scan.
+func TestTapFoldMatchesScan(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		sc := StudyConfig{Seed: seed, Scale: 0.04, DecoyN: 60,
+			Archetypes: []ArchetypeSpec{
+				{Archetype: "smashgrab", Count: 1},
+				{Archetype: "stuffer", Count: 1},
+			},
+		}
+		w := sc.world2012()
+		finalize := foldAtAppend(w, sc.Scale, registry)
+		w.Run()
+		tapped := &StudyReport{}
+		finalize(tapped)
+
+		scanned, skipped := RunAnalyses(worldInput(w, sc.Scale), 0)
+		if len(skipped) != 0 {
+			t.Fatalf("seed %d: scan skipped %v", seed, skipped)
+		}
+		if !reflect.DeepEqual(tapped, scanned) {
+			diffReportFields(t, scanned, tapped)
+			t.Fatalf("seed %d: tap-fed builders diverged from a scan of the sealed log", seed)
 		}
 	}
 }

@@ -14,9 +14,9 @@ import (
 )
 
 // The analysis registry is the single list of every study analysis.
-// RunStudy iterates it with era-appropriate world inputs, and cmd/analyze
-// iterates it over a single dumped log — one source of truth, so the
-// in-process and offline pipelines cannot drift.
+// RunStudy taps each era's entries into that era's world as it runs, and
+// cmd/analyze runs them all over a single dumped log — one source of
+// truth, so the in-process and offline pipelines cannot drift.
 
 // Era identifies which observation-window world an analysis draws from in
 // the full study (Table 1's datasets come from different time windows).
@@ -75,14 +75,15 @@ type Analysis struct {
 	// replaying a dumped log, where only events survive.
 	NeedsDir bool
 	// Stream returns the analysis's incremental builder, configured with
-	// the parameters the study reports it at. On an in-RAM log each entry
-	// scans the whole log through its own builder. On a segmented
-	// (spilled-to-disk) log, every analysis of an era is fed from ONE
-	// ordered scan — each segment is decoded once per pass instead of once
-	// per analysis — and finalized into its report field. Builders that
-	// additionally implement MergeableAnalysis are folded as one shard per
-	// segment on a worker pool and merged back in segment order, so the
-	// single decode pass also stops serializing the fold.
+	// the parameters the study reports it at. Stream reads only in's
+	// window, plan, scale and directory pointer, never its log, so RunStudy
+	// builds it before its world runs and feeds it every record as the
+	// world appends it. RunAnalyses, over a finished log, scans an in-RAM
+	// log once per entry. On a segmented (spilled-to-disk) log it feeds
+	// every entry from ONE ordered scan — each segment is decoded once
+	// per pass instead of once per analysis — and builders that also
+	// implement MergeableAnalysis fold one shard per segment on a worker
+	// pool, merged back in segment order.
 	Stream func(in AnalysisInput) StreamAnalysis
 }
 
@@ -154,12 +155,13 @@ func mergeable[B interface {
 var riskSweepThresholds = []float64{0.3, 0.4, 0.5, 0.58, 0.62, 0.7, 0.8, 0.9}
 
 // registry holds every analysis of the study, in report order. An entry's
-// builder is the analysis's one definition: the monolithic, the segmented
-// and the online-streaming (internal/stream) paths all run it. Entries
-// built with mergeable() additionally fold as per-segment shards on the
-// segmented path; the handful built with streamed{} are order-sensitive
-// (session state machines, cross-segment page joins, first-hit anchors)
-// and fold inline on the ordered scan.
+// builder is the analysis's one definition: the study's fold at append,
+// RunAnalyses' monolithic and segmented runners, and the online-streaming
+// (internal/stream) paths all run it. Entries built with mergeable()
+// additionally fold as per-segment shards on the segmented path; the
+// handful built with streamed{} are order-sensitive (session state
+// machines, cross-segment page joins, first-hit anchors) and fold inline
+// on the ordered scan.
 var registry = []Analysis{
 	// ---- 2011 era ----
 	{Name: "retention-2011", Era: Era2011, Stream: func(in AnalysisInput) StreamAnalysis {
@@ -332,7 +334,8 @@ func Registry() []Analysis {
 	return append([]Analysis(nil), registry...)
 }
 
-// worldInput packages a finished world for the registry.
+// worldInput packages a world for the registry. Its log may still be
+// empty: builders read the log only through the records fed to them.
 func worldInput(w *World, scale float64) AnalysisInput {
 	return AnalysisInput{
 		Log:   w.Log,
@@ -358,54 +361,38 @@ func RunAnalyses(in AnalysisInput, par int) (*StudyReport, []string) {
 		par = runtime.GOMAXPROCS(0)
 	}
 	r := &StudyReport{}
-	jobs, skipped := analysisJobs(func(Era) AnalysisInput { return in }, r, par)
+	jobs, skipped := analysisJobs(in, r, par)
 	runAll(par, jobs)
 	return r, skipped
 }
 
-// analysisJobs builds the parallel job list for the whole registry, given
-// the input each era's analyses read. On monolithic (in-RAM) logs every
-// entry is its own job, preserving the wide fan-out. On a segmented log
-// the entries of each store are grouped into a single map-reduce job: one
-// ordered scan decodes every segment exactly once and feeds all builders,
-// which then finalize into their report fields — the pass count stops
-// scaling with the analysis count. par bounds the per-segment shard folds
-// inside each group (see runGroup). Entries whose directory requirement is
-// unmet are returned in skipped.
-func analysisJobs(input func(Era) AnalysisInput, r *StudyReport, par int) (jobs []func(), skipped []string) {
-	type group struct {
-		in      AnalysisInput
-		entries []Analysis
-	}
-	var groups []*group
-	byStore := map[*logstore.Store]*group{}
+// analysisJobs builds the parallel job list for every registry entry over
+// in. On a monolithic (in-RAM) log every entry is its own job, preserving
+// the wide fan-out. On a segmented log the entries form a single
+// map-reduce job: one ordered scan decodes every segment exactly once and
+// feeds all builders, which then finalize into their report fields — the
+// pass count stops scaling with the analysis count. par bounds the
+// per-segment shard folds inside that job (see runGroup). Entries whose
+// directory requirement is unmet are returned in skipped.
+func analysisJobs(in AnalysisInput, r *StudyReport, par int) (jobs []func(), skipped []string) {
+	var entries []Analysis
 	for _, a := range registry {
-		a := a
-		in := input(a.Era)
 		if a.NeedsDir && in.Dir == nil {
 			skipped = append(skipped, a.Name)
 			continue
 		}
-		if in.Log.Segmented() {
-			g := byStore[in.Log]
-			if g == nil {
-				g = &group{in: in}
-				byStore[in.Log] = g
-				groups = append(groups, g)
-			}
-			g.entries = append(g.entries, a)
-			continue
-		}
-		jobs = append(jobs, func() { runOne(a, in, r) })
+		entries = append(entries, a)
 	}
-	for _, g := range groups {
-		g := g
-		jobs = append(jobs, func() { runGroup(g.in, g.entries, r, par) })
+	if in.Log.Segmented() {
+		return []func(){func() { runGroup(in, entries, r, par) }}, skipped
+	}
+	for _, a := range entries {
+		jobs = append(jobs, func() { runOne(a, in, r) })
 	}
 	return jobs, skipped
 }
 
-// runGroup executes one segmented store's entries in a single
+// runGroup executes entries over one segmented store in a single
 // decode pass. The scan goroutine folds the order-sensitive builders
 // inline, preserving strict log order; for every decoded segment, up to
 // par worker goroutines fold one fresh shard per mergeable entry, and a

@@ -42,6 +42,7 @@ func TestOfflineRegistryParity(t *testing.T) {
 	}
 	sc := StudyConfig{Seed: 17, Scale: 0.04, DecoyN: 60}
 	w := sc.world2012()
+	w.Run()
 
 	live, skippedLive := RunAnalyses(worldInput(w, sc.Scale), 0)
 	if len(skippedLive) != 0 {

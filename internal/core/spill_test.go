@@ -13,9 +13,11 @@ import (
 // TestSegmentedMatchesMonolithic is the tentpole regression gate: a study
 // run with every era world spilling to disk segments must produce a
 // byte-identical StudyReport to the monolithic in-RAM run of the same
-// seed. The segment threshold is set low enough that every era world
-// spills multiple segments, so the map-reduce analysis path (one ordered
-// scan feeding every builder) is exercised for real.
+// seed, and the segments it wrote must give the study's report back when
+// analyzed (assertSegmentsMatchStudy). The segment threshold is set low
+// enough that every era world spills multiple segments, so the map-reduce
+// analysis path (one ordered scan feeding every builder) is exercised for
+// real.
 func TestSegmentedMatchesMonolithic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-study comparison; skipped in -short")
@@ -40,6 +42,7 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 			diffReportFields(t, mono, seg)
 			t.Fatalf("seed %d: segmented study diverged from monolithic", seed)
 		}
+		assertSegmentsMatchStudy(t, sc, seg)
 	}
 }
 
@@ -60,6 +63,52 @@ func TestSegmentedMatchesMonolithicGzip(t *testing.T) {
 	if !reflect.DeepEqual(mono, seg) {
 		diffReportFields(t, mono, seg)
 		t.Fatalf("gzip segmented study diverged from monolithic")
+	}
+	assertSegmentsMatchStudy(t, sc, seg)
+}
+
+// assertSegmentsMatchStudy checks the segments a spilled study wrote
+// against the study's report. The study folds its records as they are
+// appended and never reads the segments back, so this is the gate that
+// what it wrote is what it analyzed: each era directory must open
+// strictly, hold the records the report counts, and, folded by the
+// map-reduce runner cmd/analyze uses, rewrite the era's directory-free
+// report fields to exactly the study's values.
+func assertSegmentsMatchStudy(t *testing.T, sc StudyConfig, r *StudyReport) {
+	t.Helper()
+	events := map[Era]int{
+		Era2011: r.Events2011, Era2012: r.Events2012,
+		Era2013: r.Events2013, Era2014: r.Events2014,
+	}
+	for e := Era2011; e < eraCount; e++ {
+		log, st, err := logstore.OpenSegmentDir(filepath.Join(sc.SpillDir, e.String()),
+			logstore.ReadOptions{ScanWorkers: 2})
+		if err != nil {
+			t.Fatalf("seed %d era %s: %v", sc.Seed, e, err)
+		}
+		if want, ok := events[e]; ok && log.Len() != want {
+			t.Fatalf("seed %d era %s: segments hold %d records, the report counts %d",
+				sc.Seed, e, log.Len(), want)
+		}
+		var entries []Analysis
+		for _, a := range registry {
+			if a.Era == e && !a.NeedsDir {
+				entries = append(entries, a)
+			}
+		}
+		got := *r
+		runGroup(AnalysisInput{
+			Log:   log,
+			Start: st.Meta.Start,
+			End:   st.Meta.End,
+			Plan:  DefaultIPPlan(),
+			Scale: sc.Scale,
+		}, entries, &got, 2)
+		if !reflect.DeepEqual(&got, r) {
+			diffReportFields(t, r, &got)
+			t.Fatalf("seed %d era %s: analysis over the written segments diverged from the study",
+				sc.Seed, e)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"manualhijack/internal/analysis"
+	"manualhijack/internal/event"
 	"manualhijack/internal/logstore"
 	"manualhijack/internal/recovery"
 )
@@ -20,31 +21,34 @@ type StudyConfig struct {
 	// benchmarks — the report still computes, but its published-value
 	// comparisons are calibrated to scale <= 1.
 	Scale float64
-	// SampleSize caps per-dataset samples (the paper's Table 1 sizes are
-	// used at scale 1).
+	// DecoyN is the number of decoy accounts the 2012 world submits to
+	// phishing pages (Figure 7), scaled by Scale with a floor of 40.
 	DecoyN int
-	// Parallelism bounds the worker pool that runs the era worlds and
-	// fans out the read-only analyses: 0 means GOMAXPROCS, 1 is the
-	// legacy sequential engine. Every setting produces a byte-identical
-	// StudyReport for the same Seed — each world owns an independent
-	// seed and log, and each analysis writes its own report field.
+	// Parallelism bounds the worker pool that runs the era jobs, each of
+	// which simulates one world and folds its analyses: 0 means
+	// GOMAXPROCS, 1 runs the eras one after another. At most Parallelism
+	// worlds are alive at once. Every setting produces a byte-identical
+	// StudyReport for the same Seed — each world owns an independent seed
+	// and log, and each analysis writes its own report field.
 	Parallelism int
 	// SpillDir, when set, runs every era world with a spill-to-disk
-	// segmented log (one subdirectory per era) so peak RAM is bounded by
-	// the segment size instead of the world size, and the analyses run as
-	// a map-reduce over the segment files. The report is byte-identical
-	// to a monolithic run of the same Seed.
+	// segmented log (one subdirectory per era), so a world's log never
+	// holds more than a segment in RAM. The study itself folds every
+	// record as it is appended and reads none of the segments: they are
+	// the dump `analyze -events <SpillDir>/<era>` re-reads. The report is
+	// byte-identical to a monolithic run of the same Seed.
 	SpillDir string
 	// SegmentRecords caps records per segment (0 = logstore default).
 	// SpillGzip compresses segment files.
 	SegmentRecords int
 	SpillGzip      bool
 	// SpillWriters sizes each world's background segment encode/write
-	// pool; ScanWorkers sets how many segments the analysis scans decode
-	// ahead (0 = logstore defaults of 1 each). Neither affects report
-	// bytes — only how much of the spill tax overlaps other work.
+	// pool (0 = the logstore default of 1). It does not affect report
+	// bytes — only how much of the spill tax overlaps the simulation.
 	SpillWriters int
-	ScanWorkers  int
+	// ScanWorkers is ignored: RunStudy reads none of its logs, so it has
+	// no scan to size.
+	ScanWorkers int
 	// Archetypes fields playbook actors in every era world, next to each
 	// era's manual-crew roster (counts are not scaled — archetype
 	// instances are actors, not population).
@@ -62,7 +66,6 @@ func (sc StudyConfig) spillFor(era string) logstore.SpillConfig {
 		SegmentRecords: sc.SegmentRecords,
 		Compress:       sc.SpillGzip,
 		Writers:        sc.SpillWriters,
-		ScanWorkers:    sc.ScanWorkers,
 	}
 }
 
@@ -151,9 +154,10 @@ func (sc StudyConfig) era(start time.Time, days, pop int, crews []CrewSpec, camp
 	return cfg
 }
 
-// world2011 runs October–December 2011: the retention-tactic baseline and
-// the Dataset 9 contact-risk experiment (cohorts formed after 15 days,
-// outcomes over the following 60).
+// world2011 assembles October–December 2011: the retention-tactic
+// baseline and the Dataset 9 contact-risk experiment (cohorts formed after
+// 15 days, outcomes over the following 60). Like the other era worlds, it
+// is returned ready to Run.
 func (sc StudyConfig) world2011() *World {
 	cfg := sc.era(
 		time.Date(2011, 10, 1, 0, 0, 0, 0, time.UTC), 75, 20000,
@@ -161,13 +165,11 @@ func (sc StudyConfig) world2011() *World {
 	cfg.Recovery = recovery.Config2011()
 	cfg.CampaignDays = 15 // background phishing only while cohorts form
 	cfg.Spill = sc.spillFor("2011")
-	w := NewWorld(cfg)
-	w.Run()
-	return w
+	return NewWorld(cfg)
 }
 
-// world2012 runs November 2012: the era most datasets come from (4–8,
-// 11), plus the decoy experiment and the Forms-page HTTP analyses.
+// world2012 assembles November 2012: the era most datasets come from
+// (4–8, 11), plus the decoy experiment and the Forms-page HTTP analyses.
 func (sc StudyConfig) world2012() *World {
 	cfg := sc.era(
 		time.Date(2012, 11, 1, 0, 0, 0, 0, time.UTC), 30, 12000,
@@ -176,24 +178,21 @@ func (sc StudyConfig) world2012() *World {
 	cfg.Spill = sc.spillFor("2012")
 	w := NewWorld(cfg)
 	w.InjectDecoys(20 * 24 * time.Hour)
-	w.Run()
 	return w
 }
 
-// world2013 runs February 2013: a month of recovery claims (Dataset 12,
-// Figure 10).
+// world2013 assembles February 2013: a month of recovery claims
+// (Dataset 12, Figure 10).
 func (sc StudyConfig) world2013() *World {
 	cfg := sc.era(
 		time.Date(2013, 2, 1, 0, 0, 0, 0, time.UTC), 28, 8000,
 		Roster2012(), 22, 420)
 	cfg.Spill = sc.spillFor("2013")
-	w := NewWorld(cfg)
-	w.Run()
-	return w
+	return NewWorld(cfg)
 }
 
-// world2014 runs January 2014: attribution (Dataset 13) and the curated
-// phishing email/page review (Datasets 1–2, Table 2).
+// world2014 assembles January 2014: attribution (Dataset 13) and the
+// curated phishing email/page review (Datasets 1–2, Table 2).
 func (sc StudyConfig) world2014() *World {
 	cfg := sc.era(
 		time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC), 30, 10000,
@@ -202,12 +201,10 @@ func (sc StudyConfig) world2014() *World {
 	// email sample lumpy, and Figure 6 is computed from the 2012 world.
 	cfg.OutlierShare = 0
 	cfg.Spill = sc.spillFor("2014")
-	w := NewWorld(cfg)
-	w.Run()
-	return w
+	return NewWorld(cfg)
 }
 
-// worldBase runs the separate low-intensity world calibrated to the
+// worldBase assembles the separate low-intensity world calibrated to the
 // paper's ~9 hijacks per million active users per day — the era worlds
 // run at boosted phishing intensity for statistical power (documented in
 // EXPERIMENTS.md).
@@ -216,9 +213,7 @@ func (sc StudyConfig) worldBase() *World {
 		time.Date(2012, 6, 1, 0, 0, 0, 0, time.UTC), 30, 20000,
 		Roster2012(), 0.9, 100)
 	cfg.Spill = sc.spillFor("base")
-	w := NewWorld(cfg)
-	w.Run()
-	return w
+	return NewWorld(cfg)
 }
 
 // runAll executes jobs on at most par workers. par <= 1 runs them
@@ -252,18 +247,19 @@ func runAll(par int, jobs []func()) {
 	wg.Wait()
 }
 
-// RunStudy executes the four observation windows and computes every
+// RunStudy executes the five observation-window worlds and computes every
 // artifact from the era-appropriate world, mirroring how the paper's
 // datasets were drawn from different time windows of Google's logs
 // (Table 1) and aggregated via map-reduce.
 //
-// The engine has two parallel phases. First the five era worlds run
-// concurrently — each owns an independent seed, clock, and log, so the
-// phase is wall-clock-bound by the slowest era instead of the sum of all
-// five. Then the read-only analyses fan out across the worker pool over
-// the sealed logs. Both phases are deterministic at any parallelism:
-// every analysis writes a distinct StudyReport field, so the report is
-// byte-identical for a fixed Seed whatever StudyConfig.Parallelism says.
+// Each era is one job on a pool of StudyConfig.Parallelism workers, the
+// longest world (2011) first. A job assembles its world, taps the
+// builders of its era's registry entries into the world's log, runs the
+// world, finalizes the builders into the report and drops the world:
+// every record is folded once, as it is appended, and no log is read
+// back. Each world owns an independent seed, clock and log, and every
+// analysis writes a distinct StudyReport field, so the report is
+// byte-identical for a fixed Seed whatever the parallelism.
 func RunStudy(sc StudyConfig) *StudyReport {
 	if sc.Scale <= 0 {
 		sc.Scale = 1
@@ -274,30 +270,55 @@ func RunStudy(sc StudyConfig) *StudyReport {
 	}
 	r := &StudyReport{}
 
-	var w2011, w2012, w2013, w2014, wBase *World
-	runAll(par, []func(){
-		func() { w2011 = sc.world2011() },
-		func() { w2012 = sc.world2012() },
-		func() { w2013 = sc.world2013() },
-		func() { w2014 = sc.world2014() },
-		func() { wBase = sc.worldBase() },
-	})
-	r.Events2011 = w2011.Log.Len()
-	r.Events2012 = w2012.Log.Len()
-	r.Events2013 = w2013.Log.Len()
-	r.Events2014 = w2014.Log.Len()
-
-	// Fan the shared analysis registry (registry.go) out over the sealed
-	// logs, each entry against its era's world.
-	inputs := [eraCount]AnalysisInput{
-		Era2011: worldInput(w2011, sc.Scale),
-		Era2012: worldInput(w2012, sc.Scale),
-		Era2013: worldInput(w2013, sc.Scale),
-		Era2014: worldInput(w2014, sc.Scale),
-		EraBase: worldInput(wBase, sc.Scale),
+	var entries [eraCount][]Analysis
+	for _, a := range registry {
+		entries[a.Era] = append(entries[a.Era], a)
 	}
-	jobs, _ := analysisJobs(func(e Era) AnalysisInput { return inputs[e] }, r, par)
+	eras := []struct {
+		era    Era
+		world  func() *World
+		events *int
+	}{
+		{Era2011, sc.world2011, &r.Events2011},
+		{Era2012, sc.world2012, &r.Events2012},
+		{Era2013, sc.world2013, &r.Events2013},
+		{Era2014, sc.world2014, &r.Events2014},
+		{EraBase, sc.worldBase, nil},
+	}
+	jobs := make([]func(), len(eras))
+	for i, e := range eras {
+		jobs[i] = func() {
+			w := e.world()
+			finalize := foldAtAppend(w, sc.Scale, entries[e.era])
+			w.Run()
+			finalize(r)
+			if e.events != nil {
+				*e.events = w.Log.Len()
+			}
+		}
+	}
 	runAll(par, jobs)
-
 	return r
+}
+
+// foldAtAppend builds the builders of entries against w and taps w's log
+// so that every builder observes each record as it is appended, in log
+// order. Call it before w.Run; once w has run, the returned function
+// finalizes the builders into their report fields.
+func foldAtAppend(w *World, scale float64, entries []Analysis) (finalize func(*StudyReport)) {
+	in := worldInput(w, scale)
+	builders := make([]StreamAnalysis, len(entries))
+	for i, a := range entries {
+		builders[i] = a.Stream(in)
+	}
+	w.Tap(func(e event.Event) {
+		for _, b := range builders {
+			b.Observe(e)
+		}
+	})
+	return func(r *StudyReport) {
+		for _, b := range builders {
+			b.Finalize(r)
+		}
+	}
 }

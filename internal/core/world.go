@@ -353,9 +353,9 @@ func DefaultIPPlan() *geo.IPPlan {
 }
 
 // Tap registers fn to observe every event the world logs, at the moment it
-// is appended — the hook the streaming analyses feed from. Call before Run;
-// fn runs synchronously on the simulation goroutine (see logstore.SetTap
-// for the contract).
+// is appended — the hook the streaming analyses and RunStudy's era
+// analyses feed from. Call before Run; fn runs synchronously on the
+// simulation goroutine (see logstore.SetTap for the contract).
 func (w *World) Tap(fn func(event.Event)) {
 	w.Log.SetTap(fn)
 }

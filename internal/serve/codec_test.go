@@ -332,6 +332,19 @@ func FuzzDecodeScoreRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) { decodeParity(t, in, serve.DecodeScoreRequest) })
 }
 
+// FuzzDecodeOutcomeRequest is FuzzDecodeScoreRequest for the /v1/outcome
+// decoder.
+func FuzzDecodeOutcomeRequest(f *testing.F) {
+	addParitySeeds(f)
+	rng := rand.New(rand.NewSource(83))
+	for i := 0; i < 16; i++ {
+		req := randScoreRequest(rng)
+		f.Add(serve.AppendOutcomeRequest(nil, &serve.OutcomeRequest{
+			Account: req.Account, IP: req.IP, DeviceID: req.DeviceID, At: req.At, Success: i%2 == 0}))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) { decodeParity(t, in, serve.DecodeOutcomeRequest) })
+}
+
 // FuzzDecodeBatchItem is FuzzDecodeScoreRequest for the /v1/score.batch
 // line decoder.
 func FuzzDecodeBatchItem(f *testing.F) {

@@ -23,10 +23,8 @@
 #                SPILL_SCALE=1.0. Set SPILL_SCALE=0 to skip the probe.
 #   SPILL_WRITERS  -spill-writers for the spill probe (default 2): the
 #                background segment encode/write pool per era world.
-#   SCAN_WORKERS -scan-workers for the spill probe (default 2): analysis
-#                scan decode-ahead depth.
 #   SPILL_GZIP   set to 1 to gzip the probe's segment files (default 0).
-#                All three are recorded in the JSON's study_spill block.
+#                Both are recorded in the JSON's study_spill block.
 #   SERVE_REPLAY set to 1 to also run the riskd replay-throughput sweep
 #                (seed-7 dump through a live riskd at workers {1,4} ×
 #                batch {off,64}); adds a "serving_replay" block to $JSON.
@@ -48,7 +46,6 @@ STUDY_SCALE="${STUDY_SCALE:-0.1}"
 STUDY_SEED="${STUDY_SEED:-1}"
 SPILL_SCALE="${SPILL_SCALE:-$STUDY_SCALE}"
 SPILL_WRITERS="${SPILL_WRITERS:-2}"
-SCAN_WORKERS="${SCAN_WORKERS:-2}"
 SPILL_GZIP="${SPILL_GZIP:-0}"
 SERVE_REPLAY="${SERVE_REPLAY:-0}"
 SERVE_PORT="${SERVE_PORT:-8099}"
@@ -120,13 +117,13 @@ echo "study wall-clock: ${study_s}s peak-rss: ${study_rss}MiB (scale=$STUDY_SCAL
 # and the peak-RSS saving of the segmented path.
 spill_s=0; spill_rss=0
 if [ "$SPILL_SCALE" != "0" ]; then
-    echo "== study wall-clock, spill mode (scale=$SPILL_SCALE seed=$STUDY_SEED writers=$SPILL_WRITERS scan-workers=$SCAN_WORKERS gzip=$SPILL_GZIP)" >&2
+    echo "== study wall-clock, spill mode (scale=$SPILL_SCALE seed=$STUDY_SEED writers=$SPILL_WRITERS gzip=$SPILL_GZIP)" >&2
     SPILL_TMP=$(mktemp -d)
     gzip_flag=""
     [ "$SPILL_GZIP" = "1" ] && gzip_flag="-segment-gzip"
     start_ms=$(date +%s%3N)
     /tmp/hijackstudy.bench -seed "$STUDY_SEED" -scale "$SPILL_SCALE" \
-        -spill-writers "$SPILL_WRITERS" -scan-workers "$SCAN_WORKERS" $gzip_flag \
+        -spill-writers "$SPILL_WRITERS" $gzip_flag \
         -spill-dir "$SPILL_TMP/segs" > "$SPILL_TMP/out.txt"
     end_ms=$(date +%s%3N)
     spill_s=$(awk -v a="$start_ms" -v b="$end_ms" 'BEGIN { printf "%.3f", (b - a) / 1000 }')
@@ -139,7 +136,7 @@ fi
 # benchmark are averaged.
 awk -v study_s="$study_s" -v scale="$STUDY_SCALE" -v study_rss="$study_rss" \
     -v spill_s="$spill_s" -v spill_scale="$SPILL_SCALE" -v spill_rss="$spill_rss" \
-    -v spill_writers="$SPILL_WRITERS" -v scan_workers="$SCAN_WORKERS" -v spill_gzip="$SPILL_GZIP" \
+    -v spill_writers="$SPILL_WRITERS" -v spill_gzip="$SPILL_GZIP" \
     -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 /^Benchmark/ {
@@ -170,8 +167,8 @@ END {
     printf "  },\n"
     printf "  \"study\": {\"scale\": %s, \"wallclock_s\": %s, \"peak_rss_mib\": %s}", scale, study_s, study_rss
     if (spill_scale != "0")
-        printf ",\n  \"study_spill\": {\"scale\": %s, \"wallclock_s\": %s, \"peak_rss_mib\": %s, \"writers\": %s, \"scan_workers\": %s, \"gzip\": %s}", \
-            spill_scale, spill_s, spill_rss, spill_writers, scan_workers, (spill_gzip == "1" ? "true" : "false")
+        printf ",\n  \"study_spill\": {\"scale\": %s, \"wallclock_s\": %s, \"peak_rss_mib\": %s, \"writers\": %s, \"gzip\": %s}", \
+            spill_scale, spill_s, spill_rss, spill_writers, (spill_gzip == "1" ? "true" : "false")
     printf "\n}\n"
 }' "$TXT" > "$JSON"
 
