@@ -3,7 +3,8 @@
 // a low-intensity base-rate world — and prints every table and figure of
 // the paper with the published value alongside the measured one. Each
 // world's analyses fold its records as the world appends them, so no log
-// is read back.
+// is read back, and a world without -spill-dir keeps none: its log only
+// counts records.
 //
 // Usage:
 //
@@ -24,12 +25,13 @@
 // GOMAXPROCS, 1 = one after another); the report is byte-identical for a
 // fixed seed at any setting.
 //
-// -spill-dir runs every era world with a spill-to-disk segmented log (one
-// subdirectory per era, 2011 2012 2013 2014 base), so no world holds more
-// than a segment of its log in RAM. The study does not read the segments:
-// they are a dump of each world for `analyze -events <dir>/<era>`, and
-// the report stays byte-identical to the monolithic run. -spill-writers
-// sizes the background segment encode/write pool, trading goroutines for
+// -spill-dir also writes every era world's log as spill-to-disk segments
+// (one subdirectory per era, 2011 2012 2013 2014 base), a dump of each
+// world for `analyze -events <dir>/<era>`. The study does not read the
+// segments, and the report stays byte-identical to the run without them.
+// The dump costs time and memory: the writers hold a segment or two in
+// RAM, which a run without -spill-dir does not. -spill-writers sizes the
+// background segment encode/write pool, trading goroutines for
 // wall-clock without touching report bytes. The footer reports the
 // process's peak RSS either way, so the two modes are directly
 // comparable.
@@ -60,7 +62,7 @@ func main() {
 	archetypes := flag.String("archetypes", "",
 		"playbook actor roster for every era world, e.g. smashgrab:3,stuffer:2 (known: "+strings.Join(playbook.Names(), ",")+")")
 	spillDir := flag.String("spill-dir", "",
-		"write every era world's log as spill-to-disk segments under this directory, one subdirectory per era (bounded RAM, identical report)")
+		"also dump every era world's log as spill-to-disk segments under this directory, one subdirectory per era, for analyze (identical report)")
 	segRecords := flag.Int("segment-records", 0, "records per spilled segment (0 = logstore default)")
 	segGzip := flag.Bool("segment-gzip", false, "gzip spilled segment files")
 	spillWriters := flag.Int("spill-writers", 0, "background segment encode/write goroutines per world (0 = 1)")

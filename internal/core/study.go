@@ -32,11 +32,12 @@ type StudyConfig struct {
 	// and log, and each analysis writes its own report field.
 	Parallelism int
 	// SpillDir, when set, runs every era world with a spill-to-disk
-	// segmented log (one subdirectory per era), so a world's log never
-	// holds more than a segment in RAM. The study itself folds every
-	// record as it is appended and reads none of the segments: they are
-	// the dump `analyze -events <SpillDir>/<era>` re-reads. The report is
-	// byte-identical to a monolithic run of the same Seed.
+	// segmented log (one subdirectory per era). The study itself folds
+	// every record as it is appended and reads none of the segments: they
+	// are the dump `analyze -events <SpillDir>/<era>` re-reads. Without
+	// SpillDir the era worlds keep no log at all (logstore.Store.Discard),
+	// so the dump is the only thing spilling adds. The report is
+	// byte-identical to a run without SpillDir of the same Seed.
 	SpillDir string
 	// SegmentRecords caps records per segment (0 = logstore default).
 	// SpillGzip compresses segment files.
@@ -257,9 +258,12 @@ func runAll(par int, jobs []func()) {
 // builders of its era's registry entries into the world's log, runs the
 // world, finalizes the builders into the report and drops the world:
 // every record is folded once, as it is appended, and no log is read
-// back. Each world owns an independent seed, clock and log, and every
-// analysis writes a distinct StudyReport field, so the report is
-// byte-identical for a fixed Seed whatever the parallelism.
+// back. So without SpillDir the job makes its world's log write-only
+// (logstore.Store.Discard), which keeps only the record count the report
+// header prints; with SpillDir the log spills its segments for analyze.
+// Each world owns an independent seed, clock and log, and every analysis
+// writes a distinct StudyReport field, so the report is byte-identical
+// for a fixed Seed whatever the parallelism.
 func RunStudy(sc StudyConfig) *StudyReport {
 	if sc.Scale <= 0 {
 		sc.Scale = 1
@@ -289,6 +293,10 @@ func RunStudy(sc StudyConfig) *StudyReport {
 	for i, e := range eras {
 		jobs[i] = func() {
 			w := e.world()
+			if sc.SpillDir == "" {
+				// Only the era's record count is read back.
+				w.Log.Discard()
+			}
 			finalize := foldAtAppend(w, sc.Scale, entries[e.era])
 			w.Run()
 			finalize(r)

@@ -400,8 +400,9 @@ func (w *World) Run() {
 		})
 	}
 	w.Clock.RunUntil(end)
-	// The window is over and every agent has stopped: freeze the log so
-	// the analysis phase gets index-backed, concurrency-safe reads.
+	// The window is over and every agent has stopped: freeze the log, so
+	// further appends panic and a log that keeps its records can be read
+	// from any goroutine.
 	w.Log.Seal()
 }
 

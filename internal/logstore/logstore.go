@@ -7,7 +7,9 @@
 // time window. Both properties are modeled here: the analysis builders'
 // per-segment shards and ordered merges (core.MergeableAnalysis) are the
 // map-reduce over a sealed store, and Retention applies kind-scoped
-// erasure windows.
+// erasure windows. A store may also keep nothing at all: Discard makes it
+// write-only, so a writer whose readers all fold from the tap (the study's
+// era worlds) pays for none of its records.
 //
 // # Store lifecycle: single-writer build, sealed concurrent reads
 //
@@ -33,6 +35,7 @@
 package logstore
 
 import (
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -64,7 +67,15 @@ type Store struct {
 	// mode (see segment.go): events holds only the active segment, and
 	// sealed reads stream spilled segments through a bounded cache.
 	spill *spillState
+
+	// writeOnly, set by Discard, makes Append count records instead of
+	// keeping them; count is that tally.
+	writeOnly bool
+	count     int
 }
+
+// writeOnlyRead is the panic of every read of a write-only store.
+const writeOnlyRead = "logstore: read of a write-only store (Discard keeps no records)"
 
 // New returns an empty store.
 func New() *Store { return &Store{} }
@@ -78,6 +89,9 @@ func New() *Store { return &Store{} }
 // whole point of spill mode is that the in-RAM slice never outgrows a
 // segment, so a whole-world estimate would defeat the memory bound.
 func (s *Store) Reserve(n int) {
+	if s.writeOnly {
+		return
+	}
 	if sp := s.spill; sp != nil && n > sp.cfg.SegmentRecords {
 		n = sp.cfg.SegmentRecords
 	}
@@ -105,7 +119,11 @@ func (s *Store) Append(e event.Event) {
 			" at " + when.String() + " after " + s.last.String())
 	}
 	s.last = when
-	s.events = append(s.events, e)
+	if s.writeOnly {
+		s.count++
+	} else {
+		s.events = append(s.events, e)
+	}
 	if s.tap != nil {
 		s.tap(e)
 	}
@@ -139,6 +157,28 @@ func (s *Store) SetTap(fn func(event.Event)) {
 	s.tap = fn
 }
 
+// Discard switches an empty, unsealed, non-spilling store into write-only
+// mode, for a writer whose records are all consumed through the tap:
+// Append keeps its seal and time-order checks and its tap but only counts
+// the record, Len returns that count, and the slice Reserve set aside is
+// released (later Reserve calls do nothing). Every read — Scan,
+// ScanSegments, Select, KindCounts, Sanitize, and so WriteNDJSON — panics
+// naming the mode, and EnableSpill returns an error. Discard on a store
+// that is sealed, spilling or not empty panics. Discard follows the
+// build-phase contract: writer goroutine only.
+func (s *Store) Discard() {
+	switch {
+	case s.sealed.Load():
+		panic("logstore: Discard on sealed store")
+	case s.spill != nil:
+		panic("logstore: Discard on a spilling store")
+	case s.Len() > 0:
+		panic(fmt.Sprintf("logstore: Discard after %d appends (must precede the first)", s.Len()))
+	}
+	s.writeOnly = true
+	s.events = nil
+}
+
 // Seal freezes the store and publishes it to concurrent readers. Further
 // appends panic; reads become safe to run from any goroutine. A spilling
 // store first flushes its final segment and writes its manifest. Sealing
@@ -165,6 +205,9 @@ func (s *Store) Sealed() bool {
 
 // Len returns the number of records, spilled segments included.
 func (s *Store) Len() int {
+	if s.writeOnly {
+		return s.count
+	}
 	if sp := s.spill; sp != nil {
 		return sp.spilled + len(s.events)
 	}
@@ -191,6 +234,9 @@ func (s *Store) Scan(fn func(event.Event)) {
 // This is the hook for per-segment parallel reduction — fold each
 // delivered unit into a shard, merge shards in unit order.
 func (s *Store) ScanSegments(fn func(seg int, events []event.Event)) {
+	if s.writeOnly {
+		panic(writeOnlyRead)
+	}
 	if sp := s.spill; sp != nil {
 		if !s.sealed.Load() {
 			// Records before the active segment are already on disk; a
@@ -234,6 +280,9 @@ type Retention struct {
 // writer-side operation in both phases: like Append it must come from the
 // store's owning goroutine and must not run concurrently with reads.
 func (s *Store) Sanitize(now time.Time, policy Retention) int {
+	if s.writeOnly {
+		panic(writeOnlyRead)
+	}
 	if s.spill != nil {
 		// Spilled segments are immutable files; rewriting them to erase
 		// records is not supported. Worlds with a retention policy must

@@ -2,7 +2,9 @@ package logstore
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -254,4 +256,98 @@ func TestNDJSONAllKindsRoundTrip(t *testing.T) {
 		}
 		i++
 	})
+}
+
+// A write-only store (Discard) keeps the append checks and the tap but no
+// records: it counts what it accepted, holds no reserved slice, refuses
+// every read with a panic that names the mode, and cannot start spilling.
+// Discard itself is refused on a store that holds, spills or sealed records.
+func TestWriteOnlyStore(t *testing.T) {
+	mustPanic := func(what, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+				t.Fatalf("%s panicked with %q, want it to name %q", what, msg, want)
+			}
+		}()
+		fn()
+	}
+
+	s := New()
+	s.Reserve(1000)
+	s.Discard()
+	if c := cap(s.events); c != 0 {
+		t.Fatalf("Discard kept the reserved slice: cap %d", c)
+	}
+	s.Reserve(1000)
+	if c := cap(s.events); c != 0 {
+		t.Fatalf("Reserve on a write-only store grew the slice to cap %d", c)
+	}
+	var seen []event.Event
+	s.SetTap(func(e event.Event) { seen = append(seen, e) })
+	var sent []event.Event
+	for i := 0; i < 50; i++ {
+		e := event.Event(login(t0.Add(time.Duration(i)*time.Minute), identity.AccountID(i+1), event.ActorOwner))
+		s.Append(e)
+		sent = append(sent, e)
+	}
+	if s.Len() != len(sent) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(sent))
+	}
+	if !reflect.DeepEqual(seen, sent) {
+		t.Fatalf("tap saw %d records out of order or incomplete, want the %d appended", len(seen), len(sent))
+	}
+	if c := cap(s.events); c != 0 {
+		t.Fatalf("write-only appends kept records: cap %d", c)
+	}
+	mustPanic("out-of-order append", "out-of-order", func() { s.Append(login(t0, 1, event.ActorOwner)) })
+	if err := s.EnableSpill(SpillConfig{Dir: t.TempDir()}); err == nil || !strings.Contains(err.Error(), "write-only") {
+		t.Fatalf("EnableSpill on a write-only store: err = %v, want one naming the mode", err)
+	}
+	if s.spill != nil {
+		t.Fatal("EnableSpill armed spilling on a write-only store")
+	}
+
+	reads := []struct {
+		name string
+		fn   func()
+	}{
+		{"Scan", func() { s.Scan(func(event.Event) {}) }},
+		{"ScanSegments", func() { s.ScanSegments(func(int, []event.Event) {}) }},
+		{"Select", func() { Select[event.Login](s) }},
+		{"SelectWhere", func() { SelectWhere(s, func(event.Login) bool { return true }) }},
+		{"KindCounts", func() { s.KindCounts() }},
+		{"SortedKinds", func() { s.SortedKinds() }},
+		{"Sanitize", func() { s.Sanitize(t0.Add(time.Hour), Retention{Window: time.Minute}) }},
+		{"WriteNDJSON", func() { _ = WriteNDJSON(&bytes.Buffer{}, s) }},
+	}
+	check := func(phase string) {
+		for _, r := range reads {
+			mustPanic(phase+" "+r.name, "write-only", r.fn)
+		}
+	}
+	check("unsealed")
+	s.Seal()
+	check("sealed")
+	if s.Len() != len(sent) {
+		t.Fatalf("sealed Len = %d, want %d", s.Len(), len(sent))
+	}
+	mustPanic("append after Seal", "sealed", func() { s.Append(login(t0.Add(time.Hour), 1, event.ActorOwner)) })
+
+	appended := New()
+	appended.Append(login(t0, 1, event.ActorOwner))
+	mustPanic("Discard after an append", "Discard after 1 appends", appended.Discard)
+	spilling := New()
+	if err := spilling.EnableSpill(SpillConfig{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("Discard on a spilling store", "spilling", spilling.Discard)
+	sealed := New()
+	sealed.Seal()
+	mustPanic("Discard on a sealed store", "sealed", sealed.Discard)
 }

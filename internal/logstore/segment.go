@@ -186,6 +186,9 @@ func (s *Store) EnableSpill(cfg SpillConfig) error {
 	if s.spill != nil {
 		return fmt.Errorf("logstore: EnableSpill called twice")
 	}
+	if s.writeOnly {
+		return fmt.Errorf("logstore: EnableSpill on a write-only store")
+	}
 	if cfg.Dir == "" {
 		return fmt.Errorf("logstore: EnableSpill requires a directory")
 	}
@@ -706,9 +709,11 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 }
 
 // loadSegmentList reads the manifest, falling back to globbing segment
-// files (manifest-less directories are served with zero Meta). The
-// returned entries carry manifest expectations where known; Records is 0
-// for globbed files until verification fills it in.
+// files (manifest-less directories are served with zero Meta). A manifest
+// that is malformed or fails check is an error in strict mode and, under
+// SkipCorrupt, is ignored the same way. The returned entries carry
+// manifest expectations where known; Records is 0 for globbed files until
+// verification fills it in.
 func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []segmentInfo, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err == nil {
@@ -720,6 +725,10 @@ func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []
 		} else if m.Version != SegmentFormatVersion {
 			return nil, nil, fmt.Errorf("logstore: %s: unsupported segment layout version %d (reader speaks %d)",
 				dir, m.Version, SegmentFormatVersion)
+		} else if cerr := m.check(); cerr != nil {
+			if !opts.SkipCorrupt {
+				return nil, nil, fmt.Errorf("logstore: %s/%s: %w", dir, ManifestName, cerr)
+			}
 		} else {
 			return &m, m.Segments, nil
 		}
@@ -736,6 +745,25 @@ func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []
 		segs = append(segs, segmentInfo{File: filepath.Base(m)})
 	}
 	return nil, segs, nil
+}
+
+// check rejects a manifest that would read outside its directory or open
+// a partial log as complete: every entry must name a bare segment file,
+// and the entries' records must add up to the declared total.
+func (m *manifest) check() error {
+	sum := 0
+	for i, seg := range m.Segments {
+		plain, _ := filepath.Match("seg-*.ndjson", seg.File)
+		gz, _ := filepath.Match("seg-*.ndjson.gz", seg.File)
+		if !plain && !gz {
+			return fmt.Errorf("segment entry %d: file %q is not a bare seg-*.ndjson[.gz] name", i+1, seg.File)
+		}
+		sum += seg.Records
+	}
+	if sum != m.Records {
+		return fmt.Errorf("declares %d records, but its %d segment entries hold %d", m.Records, len(m.Segments), sum)
+	}
+	return nil
 }
 
 // summarize rebuilds a segment's manifest entry from its records.

@@ -1,6 +1,8 @@
 package logstore
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -323,6 +325,92 @@ func TestOpenSegmentDirCrossSegmentOrder(t *testing.T) {
 	if got.Len() != late.Len() {
 		t.Fatalf("kept %d records, want the first segment's %d", got.Len(), late.Len())
 	}
+}
+
+// rewriteManifest applies edit to dir's manifest in place.
+func rewriteManifest(t *testing.T, dir string, edit func(*manifest)) {
+	t.Helper()
+	path := filepath.Join(dir, ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(&m)
+	if data, err = json.MarshalIndent(m, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The manifest is not trusted: an entry that names a file outside the
+// directory, or entries that hold fewer records than the manifest
+// declares, fail a strict open that names manifest.json and the problem.
+// SkipCorrupt treats such a manifest as malformed and lists the directory.
+func TestOpenSegmentDirChecksManifest(t *testing.T) {
+	t.Run("file outside the directory", func(t *testing.T) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "segs")
+		orig := spilledMixedStore(t, 500, SpillConfig{Dir: dir, SegmentRecords: 100})
+		orig.Seal()
+		outside := orig.spill.segs[0].Records
+		if err := os.Rename(filepath.Join(dir, "seg-000001.ndjson"), filepath.Join(root, "outside.ndjson")); err != nil {
+			t.Fatal(err)
+		}
+		rewriteManifest(t, dir, func(m *manifest) { m.Segments[0].File = "../outside.ndjson" })
+
+		_, _, err := OpenSegmentDir(dir, ReadOptions{})
+		if err == nil {
+			t.Fatal("strict open read a segment named outside its directory")
+		}
+		for _, want := range []string{ManifestName, `"../outside.ndjson"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
+			}
+		}
+
+		got, st, err := OpenSegmentDir(dir, ReadOptions{SkipCorrupt: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := orig.Len() - outside; st.Records != want || got.Len() != want {
+			t.Fatalf("SkipCorrupt open holds %d records (stats %d), want the directory's %d",
+				got.Len(), st.Records, want)
+		}
+		if st.Meta != (Meta{}) {
+			t.Fatalf("SkipCorrupt open kept the distrusted manifest's Meta %+v", st.Meta)
+		}
+	})
+	t.Run("entry dropped, total kept", func(t *testing.T) {
+		dir := t.TempDir()
+		orig := spilledMixedStore(t, 500, SpillConfig{Dir: dir, SegmentRecords: 100})
+		orig.Seal()
+		rewriteManifest(t, dir, func(m *manifest) { m.Segments = m.Segments[:len(m.Segments)-1] })
+
+		_, _, err := OpenSegmentDir(dir, ReadOptions{})
+		if err == nil {
+			t.Fatal("strict open of a manifest missing its last segment succeeded")
+		}
+		for _, want := range []string{ManifestName, fmt.Sprintf("declares %d records", orig.Len())} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
+			}
+		}
+
+		got, st, err := OpenSegmentDir(dir, ReadOptions{SkipCorrupt: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Segments != orig.SegmentCount() {
+			t.Fatalf("SkipCorrupt open found %d segments, want all %d in the directory", st.Segments, orig.SegmentCount())
+		}
+		assertStoresEqual(t, got, orig)
+	})
 }
 
 // Streaming a monolithic dump into segments must preserve every record and

@@ -112,9 +112,10 @@ study_rss=$(awk '/^peak-rss-mib:/ { print $2 }' "$STUDY_OUT"); study_rss="${stud
 rm -f "$STUDY_OUT"
 echo "study wall-clock: ${study_s}s peak-rss: ${study_rss}MiB (scale=$STUDY_SCALE)" >&2
 
-# Spill-mode probe: the same study through the spill-to-disk segmented
-# log (bounded RAM, byte-identical report). Records the wall-clock tax
-# and the peak-RSS saving of the segmented path.
+# Spill-mode probe: the same study, each era world also writing its log
+# as spill-to-disk segments (the per-era dump analyze reads;
+# byte-identical report). Records what writing the dump costs in
+# wall-clock and peak RSS: without -spill-dir the study keeps no log.
 spill_s=0; spill_rss=0
 if [ "$SPILL_SCALE" != "0" ]; then
     echo "== study wall-clock, spill mode (scale=$SPILL_SCALE seed=$STUDY_SEED writers=$SPILL_WRITERS gzip=$SPILL_GZIP)" >&2
