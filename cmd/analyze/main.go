@@ -124,6 +124,10 @@ func main() {
 		fmt.Printf("warning: dropped %d corrupt segment(s) whole — time-windowed aggregates cover the surviving segments only\n",
 			st.SegmentsDropped)
 	}
+	if st.ManifestIgnored != "" {
+		fmt.Printf("warning: ignored %s (%s) — listed the directory instead; observation window estimated from record timestamps\n",
+			logstore.ManifestName, st.ManifestIgnored)
+	}
 	fmt.Println()
 
 	// Log overview: a segmented store answers from its manifest.

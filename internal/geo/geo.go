@@ -56,15 +56,19 @@ var phoneCodes = map[Country]string{
 	Japan: "81", Mexico: "52",
 }
 
-// AllCountries lists every country in the registry in a stable order.
-func AllCountries() []Country {
+// countries is every country in the registry, sorted by code.
+var countries = func() []Country {
 	out := make([]Country, 0, len(phoneCodes))
 	for c := range phoneCodes {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+	return out[:len(out):len(out)]
+}()
+
+// AllCountries lists every country in the registry in a stable (sorted)
+// order. The list is built once and shared: callers only read it.
+func AllCountries() []Country { return countries }
 
 // PhoneCode returns the E.164 calling code for a country, or "" if unknown.
 func PhoneCode(c Country) string { return phoneCodes[c] }
@@ -90,7 +94,6 @@ func NewIPPlan(blocksPer int) *IPPlan {
 		blockOwner: make(map[uint16]Country),
 		blocks:     make(map[Country][]uint16),
 	}
-	countries := AllCountries()
 	// Interleave countries across the high-16 space, starting at 0x0100 to
 	// avoid 0.x addresses.
 	next := uint16(0x0100)
@@ -155,7 +158,7 @@ func PhoneCountry(p Phone) Country {
 	s = s[1:]
 	best := Unknown
 	bestLen := 0
-	for _, c := range AllCountries() {
+	for _, c := range countries {
 		code := phoneCodes[c]
 		if strings.HasPrefix(s, code) && len(code) > bestLen {
 			best, bestLen = c, len(code)

@@ -180,6 +180,10 @@ type ReadStats struct {
 	// strict mode fails instead). Both zero for monolithic dumps.
 	Segments        int
 	SegmentsDropped int
+	// ManifestIgnored says why a segment directory's manifest.json was
+	// distrusted and the directory listed instead (SkipCorrupt mode only).
+	// Meta is then zero, so the observation window comes from the records.
+	ManifestIgnored string
 }
 
 // ReadNDJSON reconstructs a store from WriteNDJSON output in strict mode.

@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -711,27 +712,27 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 // loadSegmentList reads the manifest, falling back to globbing segment
 // files (manifest-less directories are served with zero Meta). A manifest
 // that is malformed or fails check is an error in strict mode and, under
-// SkipCorrupt, is ignored the same way. The returned entries carry
-// manifest expectations where known; Records is 0 for globbed files until
+// SkipCorrupt, is ignored the same way, with the reason in
+// ReadStats.ManifestIgnored. The returned entries carry manifest
+// expectations where known; Records is 0 for globbed files until
 // verification fills it in.
 func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []segmentInfo, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err == nil {
 		var m manifest
+		var bad error
 		if jerr := json.Unmarshal(data, &m); jerr != nil || m.Format != SegmentFormatName {
-			if !opts.SkipCorrupt {
-				return nil, nil, fmt.Errorf("logstore: %s/%s: malformed manifest", dir, ManifestName)
-			}
+			bad = errors.New("malformed manifest")
 		} else if m.Version != SegmentFormatVersion {
 			return nil, nil, fmt.Errorf("logstore: %s: unsupported segment layout version %d (reader speaks %d)",
 				dir, m.Version, SegmentFormatVersion)
-		} else if cerr := m.check(); cerr != nil {
-			if !opts.SkipCorrupt {
-				return nil, nil, fmt.Errorf("logstore: %s/%s: %w", dir, ManifestName, cerr)
-			}
-		} else {
+		} else if bad = m.check(); bad == nil {
 			return &m, m.Segments, nil
 		}
+		if !opts.SkipCorrupt {
+			return nil, nil, fmt.Errorf("logstore: %s/%s: %w", dir, ManifestName, bad)
+		}
+		st.ManifestIgnored = bad.Error()
 	} else if !os.IsNotExist(err) {
 		return nil, nil, err
 	}

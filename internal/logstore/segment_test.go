@@ -225,6 +225,9 @@ func TestOpenSegmentDirWithoutManifest(t *testing.T) {
 	if !st.Meta.Start.IsZero() {
 		t.Fatal("manifest-less open should carry zero Meta")
 	}
+	if st.ManifestIgnored != "" {
+		t.Fatalf("an absent manifest was reported ignored: %q", st.ManifestIgnored)
+	}
 	assertStoresEqual(t, got, orig)
 }
 
@@ -385,6 +388,9 @@ func TestOpenSegmentDirChecksManifest(t *testing.T) {
 		if st.Meta != (Meta{}) {
 			t.Fatalf("SkipCorrupt open kept the distrusted manifest's Meta %+v", st.Meta)
 		}
+		if !strings.Contains(st.ManifestIgnored, `"../outside.ndjson"`) {
+			t.Fatalf("ManifestIgnored = %q, want the outside entry named", st.ManifestIgnored)
+		}
 	})
 	t.Run("entry dropped, total kept", func(t *testing.T) {
 		dir := t.TempDir()
@@ -408,6 +414,9 @@ func TestOpenSegmentDirChecksManifest(t *testing.T) {
 		}
 		if st.Segments != orig.SegmentCount() {
 			t.Fatalf("SkipCorrupt open found %d segments, want all %d in the directory", st.Segments, orig.SegmentCount())
+		}
+		if want := fmt.Sprintf("declares %d records", orig.Len()); !strings.Contains(st.ManifestIgnored, want) {
+			t.Fatalf("ManifestIgnored = %q, want it to say the manifest %s", st.ManifestIgnored, want)
 		}
 		assertStoresEqual(t, got, orig)
 	})

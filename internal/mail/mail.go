@@ -12,6 +12,7 @@
 package mail
 
 import (
+	"encoding/binary"
 	"strings"
 	"time"
 
@@ -32,13 +33,132 @@ type Message struct {
 	Forwarded bool
 }
 
-// stored is what a mailbox keeps of a message. Content is modeled as a
-// set of keyword phrases; search matches against them. Starred is a flag,
-// not a folder, as in real mail systems.
+// stored is what a mailbox keeps of a message, packed into 8 bytes with
+// no pointers, so the garbage collector never scans a mailbox's records.
+// Content is modeled as a set of keyword phrases, kept once per Service
+// in its keywordSets table; set is the index there. Starred is a flag, not
+// a folder, as in real mail systems.
 type stored struct {
-	keywords []string
-	folder   event.Folder
-	starred  bool
+	set     uint32
+	folder  folderCode
+	starred bool
+}
+
+// folderCode is a message's folder in one byte: one code per folder a
+// message can be filed under. Starred is a flag, so it has no code.
+type folderCode uint8
+
+const (
+	codeInbox folderCode = iota
+	codeDrafts
+	codeSent
+	codeTrash
+)
+
+// codeOf maps a folder name to its code; ok is false for names no message
+// is filed under (FolderStarred, FolderSpam).
+func codeOf(f event.Folder) (c folderCode, ok bool) {
+	switch f {
+	case event.FolderInbox:
+		return codeInbox, true
+	case event.FolderDrafts:
+		return codeDrafts, true
+	case event.FolderSent:
+		return codeSent, true
+	case event.FolderTrash:
+		return codeTrash, true
+	}
+	return 0, false
+}
+
+// keywordSets interns the keyword sets of a Service's messages. The study
+// draws them from a few fixed lexicons, so a world holds about 150 sets
+// however many messages carry them. A search matches each set once
+// and caches the answer, so counting a mailbox's hits reads one bool per
+// message.
+type keywordSets struct {
+	ids  map[string]uint32 // encoded keyword list → set id
+	sets [][]string        // set id → keywords, lower-cased
+	key  []byte            // scratch for encoding a lookup key
+	// hits caches, per search query, whether each set matches it. A
+	// query's slice covers the sets interned before its last use and is
+	// extended on the next. Queries come from the hijackers' fixed search
+	// lexicon, so the cache stays small.
+	hits map[string][]bool
+}
+
+func newKeywordSets() *keywordSets {
+	return &keywordSets{
+		ids:  map[string]uint32{"": 0},
+		sets: [][]string{nil}, // set 0 is the empty set
+		hits: map[string][]bool{},
+	}
+}
+
+// intern returns the id of the keyword set kw, adding it if new. It does
+// not keep kw.
+func (t *keywordSets) intern(kw []string) uint32 {
+	t.key = t.key[:0]
+	for _, k := range kw {
+		t.key = binary.AppendUvarint(t.key, uint64(len(k)))
+		t.key = append(t.key, k...)
+	}
+	if id, ok := t.ids[string(t.key)]; ok {
+		return id
+	}
+	lower := make([]string, len(kw))
+	for i, k := range kw {
+		lower[i] = strings.ToLower(k)
+	}
+	id := uint32(len(t.sets))
+	t.sets = append(t.sets, lower)
+	t.ids[string(t.key)] = id
+	return id
+}
+
+// match returns, for every interned set, whether it matches query. The
+// slice is the cache's own; callers only read it.
+func (t *keywordSets) match(query string) []bool {
+	hit := t.hits[query]
+	if len(hit) == len(t.sets) {
+		return hit
+	}
+	terms := parseQuery(query)
+	for _, set := range t.sets[len(hit):] {
+		hit = append(hit, setContains(set, terms))
+	}
+	t.hits[query] = hit
+	return hit
+}
+
+// parseQuery lower-cases a keyword query into the terms a set may contain
+// any of: the one phrase of a plain query, or the listed attachment
+// keywords of a filename:(a or b) query.
+func parseQuery(query string) []string {
+	q := strings.ToLower(strings.TrimSpace(query))
+	rest, ok := strings.CutPrefix(q, "filename:")
+	if !ok {
+		return []string{q}
+	}
+	var terms []string
+	for _, part := range strings.Split(strings.Trim(rest, "() "), " or ") {
+		if part = strings.TrimSpace(part); part != "" {
+			terms = append(terms, part)
+		}
+	}
+	return terms
+}
+
+// setContains reports whether any keyword of set contains any term.
+func setContains(set, terms []string) bool {
+	for _, t := range terms {
+		for _, k := range set {
+			if strings.Contains(k, t) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Filter is a mailbox rule. ForwardTo != "" forwards matching incoming
@@ -51,7 +171,8 @@ type Filter struct {
 
 // Mailbox is one account's mail state.
 type Mailbox struct {
-	msgs      []stored // live messages in delivery order
+	msgs      []stored     // live messages in delivery order
+	sets      *keywordSets // the Service's table that msgs index
 	Filters   []Filter
 	ReplyTo   identity.Address
 	replyToBy event.Actor
@@ -66,64 +187,44 @@ type Mailbox struct {
 // Len returns the number of live messages.
 func (mb *Mailbox) Len() int { return len(mb.msgs) }
 
-// CountMatching returns how many live messages match the query. Besides
-// plain keyword-phrase matching, two operators from the hijackers'
-// observed search terms (Table 3) are supported:
+// CountMatching returns how many live messages match the query, a
+// case-insensitive keyword-phrase substring. Two operators from the
+// hijackers' observed search terms (Table 3) are also supported:
 //
 //	is:starred                     — starred messages
 //	filename:(jpg or jpeg or png)  — any of the listed attachment keywords
 func (mb *Mailbox) CountMatching(query string) int {
-	match := parseQuery(query)
+	if strings.EqualFold(strings.TrimSpace(query), "is:starred") {
+		return mb.InFolder(event.FolderStarred)
+	}
+	hit := mb.sets.match(query)
 	n := 0
-	for i := range mb.msgs {
-		if match(&mb.msgs[i]) {
+	for _, m := range mb.msgs {
+		if hit[m.set] {
 			n++
 		}
 	}
 	return n
 }
 
-// parseQuery compiles a search query into a message predicate.
-func parseQuery(query string) func(*stored) bool {
-	q := strings.ToLower(strings.TrimSpace(query))
-	if q == "is:starred" {
-		return func(m *stored) bool { return m.starred }
-	}
-	if rest, ok := strings.CutPrefix(q, "filename:"); ok {
-		rest = strings.Trim(rest, "() ")
-		var terms []string
-		for _, part := range strings.Split(rest, " or ") {
-			if part = strings.TrimSpace(part); part != "" {
-				terms = append(terms, part)
-			}
-		}
-		return func(m *stored) bool {
-			for _, t := range terms {
-				if keywordContains(m, t) {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	return func(m *stored) bool { return keywordContains(m, q) }
-}
-
-func keywordContains(m *stored, q string) bool {
-	for _, k := range m.keywords {
-		if strings.Contains(strings.ToLower(k), q) {
-			return true
-		}
-	}
-	return false
-}
-
 // InFolder returns the number of live messages in a folder; for
 // FolderStarred, the number of starred messages in any folder.
 func (mb *Mailbox) InFolder(f event.Folder) int {
 	n := 0
+	if f == event.FolderStarred {
+		for _, m := range mb.msgs {
+			if m.starred {
+				n++
+			}
+		}
+		return n
+	}
+	code, ok := codeOf(f)
+	if !ok {
+		return 0
+	}
 	for _, m := range mb.msgs {
-		if f == event.FolderStarred && m.starred || f != event.FolderStarred && m.folder == f {
+		if m.folder == code {
 			n++
 		}
 	}
@@ -147,6 +248,7 @@ type Service struct {
 	log   *logstore.Store
 
 	boxes   map[identity.AccountID]*Mailbox
+	sets    *keywordSets
 	nextMsg event.MessageID
 
 	// deliveryHook, when set, observes every message delivered to a
@@ -186,9 +288,10 @@ func NewService(dir *identity.Directory, clock *simtime.Clock, log *logstore.Sto
 		clock: clock,
 		log:   log,
 		boxes: make(map[identity.AccountID]*Mailbox, dir.Len()),
+		sets:  newKeywordSets(),
 	}
 	dir.All(func(a *identity.Account) {
-		s.boxes[a.ID] = &Mailbox{}
+		s.boxes[a.ID] = &Mailbox{sets: s.sets}
 	})
 	return s
 }
@@ -251,28 +354,29 @@ func (s *Service) Seed(r *randx.Rand, cfg SeedConfig) {
 		hasFinance := gen.Bool(cfg.FinanceAccountRate)
 		n := 1 + gen.Poisson(float64(cfg.MeanMessages))
 		for i := 0; i < n; i++ {
-			var kw []string
+			var kw [2]string
+			nkw := 1
 			switch {
 			case hasFinance && gen.Bool(0.25):
-				kw = []string{randx.Pick(gen, FinanceKeywords), randx.Pick(gen, FillerKeywords)}
+				kw[0], kw[1], nkw = randx.Pick(gen, FinanceKeywords), randx.Pick(gen, FillerKeywords), 2
 			case gen.Bool(0.10):
-				kw = []string{randx.Pick(gen, CredentialKeywords)}
+				kw[0] = randx.Pick(gen, CredentialKeywords)
 			case gen.Bool(0.15):
-				kw = []string{randx.Pick(gen, ContentKeywords)}
+				kw[0] = randx.Pick(gen, ContentKeywords)
 			default:
-				kw = []string{randx.Pick(gen, FillerKeywords)}
+				kw[0] = randx.Pick(gen, FillerKeywords)
 			}
 			if len(a.Contacts) > 0 {
 				randx.Pick(gen, a.Contacts) // sender
 			}
-			folder := event.FolderInbox
+			folder := codeInbox
 			if gen.Bool(cfg.DraftRate) {
-				folder = event.FolderDrafts
+				folder = codeDrafts
 			} else if gen.Bool(0.3) {
-				folder = event.FolderSent
+				folder = codeSent
 			}
 			s.nextMsg++
-			mb.msgs = append(mb.msgs, stored{keywords: kw, folder: folder, starred: gen.Bool(cfg.StarRate)})
+			mb.msgs = append(mb.msgs, stored{set: s.sets.intern(kw[:nkw]), folder: folder, starred: gen.Bool(cfg.StarRate)})
 			gen.ExpDuration(90 * 24 * time.Hour) // receipt time
 		}
 	})
@@ -298,11 +402,12 @@ func (s *Service) Send(req SendReq) event.MessageID {
 	s.nextMsg++
 	id := s.nextMsg
 
+	set := s.sets.intern(req.Keywords)
 	var replyTo identity.Address
 	if mb := s.boxes[req.FromAcct]; mb != nil {
 		replyTo = mb.ReplyTo
 		// Record a copy in the sender's Sent folder.
-		mb.msgs = append(mb.msgs, stored{keywords: req.Keywords, folder: event.FolderSent})
+		mb.msgs = append(mb.msgs, stored{set: set, folder: codeSent})
 	}
 
 	for _, rcpt := range req.Recipients {
@@ -313,18 +418,18 @@ func (s *Service) Send(req SendReq) event.MessageID {
 		mb := s.boxes[rid]
 		s.nextMsg++
 		m := Message{ID: s.nextMsg, From: req.FromAddr, Class: req.Class, ReplyTo: replyTo}
-		folder := event.FolderInbox
+		folder := codeInbox
 		// Apply the recipient's filters (hijacker rules diverting or
 		// forwarding incoming mail).
 		for _, f := range mb.Filters {
 			if f.ToTrash {
-				folder = event.FolderTrash
+				folder = codeTrash
 			}
 			if f.ForwardTo != "" {
 				m.Forwarded = true
 			}
 		}
-		mb.msgs = append(mb.msgs, stored{keywords: req.Keywords, folder: folder})
+		mb.msgs = append(mb.msgs, stored{set: set, folder: folder})
 		if s.deliveryHook != nil {
 			s.deliveryHook(rid, m)
 		}

@@ -2,9 +2,11 @@ package mail
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"manualhijack/internal/event"
 	"manualhijack/internal/identity"
@@ -116,9 +118,9 @@ func TestFolderAndStarredSemantics(t *testing.T) {
 	mb := f.svc.Mailbox(1)
 	// Hand-plant messages.
 	mb.msgs = []stored{
-		{folder: event.FolderInbox, starred: true},
-		{folder: event.FolderDrafts},
-		{folder: event.FolderSent, starred: true},
+		{folder: codeInbox, starred: true},
+		{folder: codeDrafts},
+		{folder: codeSent, starred: true},
 	}
 	if got := mb.InFolder(event.FolderStarred); got != 2 {
 		t.Fatalf("starred = %d, want 2 (flag spans folders)", got)
@@ -319,10 +321,11 @@ func TestDeleteRestoreRoundTripProperty(t *testing.T) {
 func TestSearchOperators(t *testing.T) {
 	f := newFixture(t, 5, 15)
 	mb := f.svc.Mailbox(1)
+	sets := f.svc.sets
 	mb.msgs = []stored{
-		{keywords: []string{"vacation", "jpg"}, starred: true, folder: event.FolderInbox},
-		{keywords: []string{"report", "png"}, folder: event.FolderInbox},
-		{keywords: []string{"lunch"}, folder: event.FolderInbox},
+		{set: sets.intern([]string{"vacation", "jpg"}), starred: true, folder: codeInbox},
+		{set: sets.intern([]string{"report", "png"}), folder: codeInbox},
+		{set: sets.intern([]string{"lunch"}), folder: codeInbox},
 	}
 
 	if got := mb.CountMatching("is:starred"); got != 1 {
@@ -379,4 +382,248 @@ func TestActionHookSeesLoggedRecords(t *testing.T) {
 	if len(hooked) != 0 || f.log.Len() != 14 {
 		t.Fatalf("outside a session: hook saw %d records, log holds %d, want 0 and 14", len(hooked), f.log.Len())
 	}
+}
+
+// refMsg is the differential model's message: the plain record a mailbox
+// kept before records were packed.
+type refMsg struct {
+	keywords []string
+	folder   event.Folder
+	starred  bool
+}
+
+// refBox is the model of one mailbox.
+type refBox struct {
+	msgs, backup []refMsg
+	trashFilters []event.Actor // creators of the box's to-Trash filters
+}
+
+// refSeed mirrors Service.Seed's draws into the model.
+func refSeed(boxes map[identity.AccountID]*refBox, dir *identity.Directory, r *randx.Rand, cfg SeedConfig) {
+	gen := r.Fork("mailseed")
+	dir.All(func(a *identity.Account) {
+		mb := boxes[a.ID]
+		hasFinance := gen.Bool(cfg.FinanceAccountRate)
+		n := 1 + gen.Poisson(float64(cfg.MeanMessages))
+		for i := 0; i < n; i++ {
+			var kw []string
+			switch {
+			case hasFinance && gen.Bool(0.25):
+				kw = []string{randx.Pick(gen, FinanceKeywords), randx.Pick(gen, FillerKeywords)}
+			case gen.Bool(0.10):
+				kw = []string{randx.Pick(gen, CredentialKeywords)}
+			case gen.Bool(0.15):
+				kw = []string{randx.Pick(gen, ContentKeywords)}
+			default:
+				kw = []string{randx.Pick(gen, FillerKeywords)}
+			}
+			if len(a.Contacts) > 0 {
+				randx.Pick(gen, a.Contacts)
+			}
+			folder := event.FolderInbox
+			if gen.Bool(cfg.DraftRate) {
+				folder = event.FolderDrafts
+			} else if gen.Bool(0.3) {
+				folder = event.FolderSent
+			}
+			mb.msgs = append(mb.msgs, refMsg{keywords: kw, folder: folder, starred: gen.Bool(cfg.StarRate)})
+			gen.ExpDuration(90 * 24 * time.Hour)
+		}
+	})
+}
+
+// count is the model's search: every message's every keyword, lower-cased
+// per comparison.
+func (b *refBox) count(query string) int {
+	q := strings.ToLower(strings.TrimSpace(query))
+	terms := []string{q}
+	if rest, ok := strings.CutPrefix(q, "filename:"); ok {
+		terms = nil
+		for _, part := range strings.Split(strings.Trim(rest, "() "), " or ") {
+			if part = strings.TrimSpace(part); part != "" {
+				terms = append(terms, part)
+			}
+		}
+	}
+	n := 0
+	for _, m := range b.msgs {
+		if q == "is:starred" {
+			if m.starred {
+				n++
+			}
+			continue
+		}
+	search:
+		for _, t := range terms {
+			for _, k := range m.keywords {
+				if strings.Contains(strings.ToLower(k), t) {
+					n++
+					break search
+				}
+			}
+		}
+	}
+	return n
+}
+
+func (b *refBox) inFolder(f event.Folder) int {
+	n := 0
+	for _, m := range b.msgs {
+		if f == event.FolderStarred && m.starred || f != event.FolderStarred && m.folder == f {
+			n++
+		}
+	}
+	return n
+}
+
+// diffQueries are Table 3's search terms, its two operators, and
+// mixed-case and no-hit variants.
+var diffQueries = []string{
+	"wire transfer", "bank transfer", "transfer", "bank", "wire", "transferencia",
+	"investment", "banco", "账单", "statement", "signature",
+	"password", "amazon", "paypal", "dropbox", "match", "ftp", "facebook", "skype", "username",
+	"jpg", "mov", "mp4", "3gp", "passport", "sex", "zip",
+	"filename:(jpg or jpeg or png)", "is:starred", "filename:(pdf)",
+	"Wire Transfer", "BANK", "PayPal", "  IS:Starred ", "FILENAME:(JPG or Png)", "Zip", "nothing-matches",
+}
+
+// diffKeywords are the keyword sets the random sends carry: the seed
+// lexicons, the attacker archetypes' sets, mixed case, and none.
+var diffKeywords = [][]string{
+	nil,
+	{"lunch"},
+	{"wire transfer", "urgent"},
+	{"Wire Transfer", "URGENT"},
+	{"urgent", "money", "western union"},
+	{"password", "verify", "account"},
+	{"IMG_0042.JPG", "vacation"},
+	{"scan.PNG"},
+	{"Bank Statement"},
+	{"invoice", "payment"},
+	{"账单"},
+	{""},
+}
+
+// The packed mailbox answers every read exactly as the plain model does,
+// over random histories of seeding, sends through to-Trash filters, mass
+// deletions and restores.
+func TestMailboxMatchesReferenceModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f := newFixture(t, 6, 40+seed)
+		ids := f.dir.IDs()
+		boxes := map[identity.AccountID]*refBox{}
+		for _, id := range ids {
+			boxes[id] = &refBox{}
+		}
+		r := randx.New(seed)
+		cfg := SeedConfig{MeanMessages: 8, FinanceAccountRate: 0.5, StarRate: 0.2, DraftRate: 0.1}
+		step := func(i int) {
+			acct := randx.Pick(r, ids)
+			b := boxes[acct]
+			switch op := r.Intn(10); {
+			case i == 0 || op == 0:
+				refSeed(boxes, f.dir, randx.New(seed*100+int64(i)), cfg)
+				f.svc.Seed(randx.New(seed*100+int64(i)), cfg)
+			case op <= 5:
+				kw := randx.Pick(r, diffKeywords)
+				var rcpts []identity.Address
+				for _, id := range ids {
+					if r.Bool(0.3) {
+						rcpts = append(rcpts, f.dir.Get(id).Addr)
+					}
+				}
+				rcpts = append(rcpts, "outsider@web.org")
+				b.msgs = append(b.msgs, refMsg{keywords: kw, folder: event.FolderSent})
+				for _, a := range rcpts {
+					rb := boxes[f.dir.Lookup(a)]
+					if rb == nil {
+						continue
+					}
+					folder := event.FolderInbox
+					if len(rb.trashFilters) > 0 {
+						folder = event.FolderTrash
+					}
+					rb.msgs = append(rb.msgs, refMsg{keywords: kw, folder: folder})
+				}
+				f.svc.Send(SendReq{
+					FromAcct: acct, FromAddr: f.dir.Get(acct).Addr, Recipients: rcpts,
+					Keywords: kw, Class: event.ClassOrganic, Actor: event.ActorOwner,
+				})
+			case op == 6:
+				actor := event.ActorHijacker
+				if r.Bool(0.3) {
+					actor = event.ActorOwner
+				}
+				b.trashFilters = append(b.trashFilters, actor)
+				f.svc.CreateFilter(acct, Filter{ToTrash: true}, 1, actor)
+			case op <= 8:
+				b.backup, b.msgs = append(b.backup, b.msgs...), nil
+				f.svc.MassDelete(acct, 1, event.ActorHijacker)
+			default:
+				b.msgs, b.backup = append(b.msgs, b.backup...), nil
+				var keep []event.Actor
+				for _, by := range b.trashFilters {
+					if by != event.ActorHijacker {
+						keep = append(keep, by)
+					}
+				}
+				b.trashFilters = keep
+				f.svc.Restore(acct)
+			}
+		}
+		folders := []event.Folder{event.FolderInbox, event.FolderStarred, event.FolderDrafts,
+			event.FolderSent, event.FolderTrash, event.FolderSpam}
+		for i := 0; i < 200; i++ {
+			step(i)
+			for _, id := range ids {
+				mb, b := f.svc.Mailbox(id), boxes[id]
+				if mb.Len() != len(b.msgs) {
+					t.Fatalf("seed %d step %d account %d: Len = %d, model %d", seed, i, id, mb.Len(), len(b.msgs))
+				}
+				for _, fo := range folders {
+					if got, want := mb.InFolder(fo), b.inFolder(fo); got != want {
+						t.Fatalf("seed %d step %d account %d: InFolder(%s) = %d, model %d", seed, i, id, fo, got, want)
+					}
+				}
+				for _, q := range diffQueries {
+					if got, want := mb.CountMatching(q), b.count(q); got != want {
+						t.Fatalf("seed %d step %d account %d: CountMatching(%q) = %d, model %d", seed, i, id, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A mailbox record holds no pointers and fits in 8 bytes, so the garbage
+// collector never scans a mailbox's messages and a world's largest
+// allocation stays small.
+func TestStoredLayoutFence(t *testing.T) {
+	if typ := reflect.TypeOf(stored{}); hasPointers(typ) {
+		t.Fatalf("%v holds a pointer", typ)
+	}
+	if size := unsafe.Sizeof(stored{}); size > 8 {
+		t.Fatalf("stored is %d bytes, want at most 8", size)
+	}
+}
+
+// hasPointers reports whether a value of type t holds anything the
+// garbage collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }

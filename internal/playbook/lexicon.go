@@ -1,6 +1,8 @@
 package playbook
 
 import (
+	"slices"
+
 	"manualhijack/internal/randx"
 )
 
@@ -87,12 +89,8 @@ func FinanceTerms() []string {
 	return out
 }
 
+// financeTerms is FinanceTerms, built once for isFinanceTerm.
+var financeTerms = FinanceTerms()
+
 // isFinanceTerm reports whether a term is in the finance category.
-func isFinanceTerm(s string) bool {
-	for _, t := range FinanceTerms() {
-		if t == s {
-			return true
-		}
-	}
-	return false
-}
+func isFinanceTerm(s string) bool { return slices.Contains(financeTerms, s) }

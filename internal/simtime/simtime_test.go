@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -258,4 +259,87 @@ func TestReserve(t *testing.T) {
 	if got := c.Drain(); got != 1 {
 		t.Fatalf("Drain ran %d events, want 1", got)
 	}
+}
+
+// A handler observes exactly the time.Time it was scheduled at, Location
+// included, although the heap keys on nanoseconds alone.
+func TestNowKeepsScheduledLocation(t *testing.T) {
+	c := NewClock(Epoch)
+	zone := time.FixedZone("UTC+7", 7*60*60)
+	at := Epoch.Add(time.Hour).In(zone)
+	var got time.Time
+	c.Schedule(at, func() { got = c.Now() })
+	c.Drain()
+	if got != at || c.Now() != at {
+		t.Fatalf("Now() = %v in the handler, %v after, want %v (==, same Location)", got, c.Now(), at)
+	}
+	if got.Location() != zone {
+		t.Fatalf("Now() is in %v, want %v", got.Location(), zone)
+	}
+}
+
+// Same-instant FIFO holds while freed slots are reused: every handler
+// frees its slot as it runs, so children booked at the current instant
+// take the slots of events that already ran, and must still fire after
+// every event scheduled before them.
+func TestSameInstantFIFOReusesFreedSlots(t *testing.T) {
+	c := NewClock(Epoch)
+	at := Epoch.Add(time.Minute)
+	var got []int
+	const n = 64
+	for i := 0; i < n; i++ {
+		i := i
+		c.Schedule(at, func() {
+			got = append(got, i)
+			if i%2 == 0 {
+				c.Schedule(at, func() { got = append(got, n+i/2) })
+			}
+		})
+	}
+	slots := len(c.slots)
+	c.Drain()
+	if len(c.slots) != slots {
+		t.Fatalf("slot table grew from %d to %d; children should reuse freed slots", slots, len(c.slots))
+	}
+	if len(got) != n+n/2 {
+		t.Fatalf("ran %d events, want %d", len(got), n+n/2)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("event %d fired out of order: got %d", i, v)
+		}
+	}
+	for i, s := range c.slots {
+		if s.fn != nil {
+			t.Fatalf("slot %d still holds a handler after dispatch", i)
+		}
+	}
+}
+
+// A heap entry holds no pointers, so sifting it takes no GC write barrier.
+func TestEntryLayoutFence(t *testing.T) {
+	if typ := reflect.TypeOf(entry{}); hasPointers(typ) {
+		t.Fatalf("%v holds a pointer", typ)
+	}
+}
+
+// hasPointers reports whether a value of type t holds anything the
+// garbage collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }
