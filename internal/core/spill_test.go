@@ -12,12 +12,12 @@ import (
 
 // TestSegmentedMatchesMonolithic is the tentpole regression gate: a study
 // run with every era world spilling to disk segments must produce a
-// byte-identical StudyReport to the monolithic in-RAM run of the same
-// seed, and the segments it wrote must give the study's report back when
-// analyzed (assertSegmentsMatchStudy). The segment threshold is set low
-// enough that every era world spills multiple segments, so the map-reduce
-// analysis path (one ordered scan feeding every builder) is exercised for
-// real.
+// byte-identical StudyReport to the unspilled run of the same seed, whose
+// era worlds keep no log and only count their records. The segments the
+// spilled study wrote must give the study's report back when analyzed
+// (assertSegmentsMatchStudy). The segment threshold is set low enough
+// that every era world spills multiple segments, so that analysis runs
+// across real segment boundaries.
 func TestSegmentedMatchesMonolithic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-study comparison; skipped in -short")

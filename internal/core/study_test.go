@@ -13,6 +13,9 @@ import (
 
 // studyReport runs one reduced-scale study per test binary and shares it:
 // the shape assertions below all read from the same deterministic run.
+// TestPaperLedger (internal/report) checks the same seed-7, scale-0.25
+// study against the paper ledger, whose rows carry each band below, at
+// least as tight; these tests skip under -short, the ledger test does not.
 var sharedReport *core.StudyReport
 
 func studyReport(t *testing.T) *core.StudyReport {

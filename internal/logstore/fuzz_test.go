@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"manualhijack/internal/event"
+	"manualhijack/internal/identity"
 )
 
 // loadResult is what one load of an input came to: its records and
@@ -71,6 +73,46 @@ func FuzzReadNDJSON(f *testing.F) {
 			if !reflect.DeepEqual(loads[0], reseg) {
 				t.Fatalf("strict load and resegment disagree:\n%+v\n%+v", loads[0], reseg)
 			}
+		}
+	})
+}
+
+// FuzzOpenSegmentDir opens a fixed three-segment directory of 15 records
+// under fuzzed manifest.json bytes, strict and with SkipCorrupt. Nothing
+// may panic; a strict open that succeeds serves each of the directory's
+// records at most once; and a SkipCorrupt open of a manifest the strict
+// open rejected says why in ManifestIgnored.
+func FuzzOpenSegmentDir(f *testing.F) {
+	const records = 15
+	dir := f.TempDir()
+	sameTimeSegments(f, dir, records, 5)
+	good, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, _, err := OpenSegmentDir(dir, ReadOptions{})
+		if err == nil {
+			seen := map[identity.AccountID]bool{}
+			s.Scan(func(e event.Event) {
+				acct := e.(event.Login).Account
+				if seen[acct] {
+					t.Fatalf("strict open served account %d's record twice", acct)
+				}
+				seen[acct] = true
+			})
+			if s.Len() > records {
+				t.Fatalf("strict open holds %d records; the directory's segments hold %d", s.Len(), records)
+			}
+		}
+		rejected := err != nil && strings.HasPrefix(err.Error(), "logstore: "+dir+"/"+ManifestName+": ")
+		_, st, skipErr := OpenSegmentDir(dir, ReadOptions{SkipCorrupt: true})
+		if rejected && (skipErr != nil || st.ManifestIgnored == "") {
+			t.Fatalf("strict open rejected the manifest (%v), but SkipCorrupt did not report it ignored (err %v)", err, skipErr)
 		}
 	})
 }

@@ -748,17 +748,23 @@ func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []
 	return nil, segs, nil
 }
 
-// check rejects a manifest that would read outside its directory or open
-// a partial log as complete: every entry must name a bare segment file,
-// and the entries' records must add up to the declared total.
+// check rejects a manifest that would read outside its directory, serve
+// a segment twice or open a partial log as complete: every entry must
+// name a distinct bare segment file, and the entries' records must add up
+// to the declared total.
 func (m *manifest) check() error {
 	sum := 0
+	seen := make(map[string]bool, len(m.Segments))
 	for i, seg := range m.Segments {
 		plain, _ := filepath.Match("seg-*.ndjson", seg.File)
 		gz, _ := filepath.Match("seg-*.ndjson.gz", seg.File)
 		if !plain && !gz {
 			return fmt.Errorf("segment entry %d: file %q is not a bare seg-*.ndjson[.gz] name", i+1, seg.File)
 		}
+		if seen[seg.File] {
+			return fmt.Errorf("segment entry %d: file %q is listed twice", i+1, seg.File)
+		}
+		seen[seg.File] = true
 		sum += seg.Records
 	}
 	if sum != m.Records {

@@ -420,6 +420,50 @@ func TestOpenSegmentDirChecksManifest(t *testing.T) {
 		}
 		assertStoresEqual(t, got, orig)
 	})
+	t.Run("entry listed twice", func(t *testing.T) {
+		dir := t.TempDir()
+		sameTimeSegments(t, dir, 10, 5)
+		rewriteManifest(t, dir, func(m *manifest) {
+			m.Segments = append(m.Segments, m.Segments[0])
+			m.Records += m.Segments[0].Records
+		})
+
+		_, _, err := OpenSegmentDir(dir, ReadOptions{})
+		if err == nil {
+			t.Fatal("strict open of a manifest listing a segment twice succeeded")
+		}
+		for _, want := range []string{ManifestName, `"seg-000001.ndjson" is listed twice`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %s", err, want)
+			}
+		}
+
+		got, st, err := OpenSegmentDir(dir, ReadOptions{SkipCorrupt: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Segments != 2 || got.Len() != 10 {
+			t.Fatalf("SkipCorrupt open holds %d records in %d segments, want the directory's 10 in 2", got.Len(), st.Segments)
+		}
+		if !strings.Contains(st.ManifestIgnored, "listed twice") {
+			t.Fatalf("ManifestIgnored = %q, want the repeated entry named", st.ManifestIgnored)
+		}
+	})
+}
+
+// sameTimeSegments spills n logins of distinct accounts into dir in
+// segments of per records. Every record carries t0, so the segments pass
+// the order checks in any arrangement.
+func sameTimeSegments(t testing.TB, dir string, n, per int) {
+	t.Helper()
+	s := New()
+	if err := s.EnableSpill(SpillConfig{Dir: dir, SegmentRecords: per}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		s.Append(login(t0, identity.AccountID(i+1), event.ActorOwner))
+	}
+	s.Seal()
 }
 
 // Streaming a monolithic dump into segments must preserve every record and

@@ -39,12 +39,10 @@ func RenderOffline(w io.Writer, r *core.StudyReport, source string, skipped []st
 func renderArtifacts(w io.Writer, r *core.StudyReport) {
 	// ---- §3 base rates ----
 	CompareTable(w, "§3 Base rates", []Compare{
-		{"§3", "manual hijacks / M active users / day", "≈9",
-			F(r.BaseRates.HijacksPerMillionActivePerDay),
+		compare("s3.base-rate", F(r.BaseRates.HijacksPerMillionActivePerDay),
 			fmt.Sprintf("%d hijacks, %d active, %.0f days (low-intensity world)",
-				r.BaseRates.Hijacks, r.BaseRates.ActiveAccounts, r.BaseRates.Days)},
-		{"§3", "phishing pages detected / week", "16k–25k (Google scale)",
-			fmt.Sprintf("%v", r.BaseRates.PagesPerWeek), "sim scale"},
+				r.BaseRates.Hijacks, r.BaseRates.ActiveAccounts, r.BaseRates.Days)),
+		compare("s3.pages", fmt.Sprintf("%v", r.BaseRates.PagesPerWeek), "sim scale"),
 	})
 	fmt.Fprintln(w)
 
@@ -53,105 +51,101 @@ func renderArtifacts(w io.Writer, r *core.StudyReport) {
 	for _, k := range []event.TargetKind{event.TargetMail, event.TargetBank,
 		event.TargetAppStore, event.TargetSocial, event.TargetOther} {
 		rows = append(rows, []string{string(k),
-			Pct(r.Table2.EmailShares[k]), paperT2Email[k],
-			Pct(r.Table2.PageShares[k]), paperT2Page[k]})
+			Pct(r.Table2.EmailShares[k]), paper("t2.email." + string(k)),
+			Pct(r.Table2.PageShares[k]), paper("t2.page." + string(k))})
 	}
 	Table(w, "Table 2 — phishing targets (Datasets 1–2)",
 		[]string{"target", "emails", "paper", "pages", "paper"}, rows)
-	fmt.Fprintf(w, "  emails with URLs: %s (paper 62%%)\n\n", Pct(r.URLShare))
+	fmt.Fprintf(w, "  emails with URLs: %s (paper %s)\n\n", Pct(r.URLShare), paper("t2.urls"))
 
 	// ---- Figures 3–6 ----
 	CompareTable(w, "Figure 3 — HTTP referrers (Dataset 3)", []Compare{
-		{"F3", "blank referrer share", ">99%", Pct2(r.Fig3.BlankShare),
-			fmt.Sprintf("%d GETs", r.Fig3.TotalGETs)},
+		compare("f3.blank", Pct2(r.Fig3.BlankShare), fmt.Sprintf("%d GETs", r.Fig3.TotalGETs)),
 	})
 	Bars(w, "  non-blank referrers", r.Fig3.NonBlank, 10)
 	fmt.Fprintln(w)
 
 	CompareTable(w, "Figure 4 — phished address TLDs (Dataset 3)", []Compare{
-		{"F4", "edu share", "dominant (paper text: >99%)", Pct(r.Fig4.EduShare),
-			fmt.Sprintf("%d submissions", r.Fig4.N)},
+		compare("f4.edu", Pct(r.Fig4.EduShare), fmt.Sprintf("%d submissions", r.Fig4.N)),
 	})
 	Bars(w, "  TLD breakdown", r.Fig4.Shares, 12)
 	fmt.Fprintln(w)
 
 	CompareTable(w, "Figure 5 — page success rates (Dataset 3)", []Compare{
-		{"F5", "mean POST/GET", "13.78%", Pct(r.Fig5.Mean), fmt.Sprintf("%d pages", len(r.Fig5.PerPage))},
-		{"F5", "min", "≈3%", Pct(r.Fig5.Min), ""},
-		{"F5", "max", "≈45%", Pct(r.Fig5.Max), ""},
+		compare("f5.mean", Pct(r.Fig5.Mean), fmt.Sprintf("%d pages", len(r.Fig5.PerPage))),
+		compare("f5.min", Pct(r.Fig5.Min), ""),
+		compare("f5.max", Pct(r.Fig5.Max), ""),
 	})
 	fmt.Fprintln(w)
 
 	SeriesFloat(w, "Figure 6 — mean hourly submissions per standard page", r.Fig6.StandardAvg)
 	Series(w, "Figure 6 — high-volume outlier page", r.Fig6.Outlier)
-	fmt.Fprintf(w, "  outlier quiet period: %dh (paper ≈15h of attacker self-testing)\n\n",
-		r.Fig6.OutlierQuietHours)
+	fmt.Fprintf(w, "  outlier quiet period: %dh (paper %s)\n\n",
+		r.Fig6.OutlierQuietHours, paper("f6.quiet"))
 
 	// ---- Figures 7–8, Table 3, §5 ----
 	CompareTable(w, "Figure 7 — decoy access speed (Dataset 4)", []Compare{
-		{"F7", "decoys submitted", "200", fmt.Sprintf("%d", r.Fig7.Submitted), ""},
-		{"F7", "accessed", "most (not all)", Pct(r.Fig7.AccessedShare), ""},
-		{"F7", "accessed within 30 min", "20%", Pct(r.Fig7.Within30Min), ""},
-		{"F7", "accessed within 7 h", "50%", Pct(r.Fig7.Within7Hours), ""},
+		compare("f7.submitted", fmt.Sprintf("%d", r.Fig7.Submitted), ""),
+		compare("f7.accessed", Pct(r.Fig7.AccessedShare), ""),
+		compare("f7.30m", Pct(r.Fig7.Within30Min), ""),
+		compare("f7.7h", Pct(r.Fig7.Within7Hours), ""),
 	})
 	fmt.Fprintln(w)
 
 	SeriesFloat(w, "Figure 8 — daily attempts per hijacker IP", r.Fig8.DailyAttempts)
 	SeriesFloat(w, "Figure 8 — daily successes per hijacker IP", r.Fig8.DailySuccesses)
 	CompareTable(w, "Figure 8 — hijacker activity per IP (Dataset 5)", []Compare{
-		{"F8", "distinct accounts / IP / day", "9.6 (consistently <10)",
-			F(r.Fig8.MeanAccountsPerIPDay),
-			fmt.Sprintf("max %d over %d IP-days", r.Fig8.MaxAccountsPerIPDay, r.Fig8.IPDays)},
-		{"F8", "correct password share", "75%", Pct(r.Fig8.PasswordOKShare), "incl. retry variants"},
-		{"F8", "login success share", "(lower: defenses)", Pct(r.Fig8.SuccessShare), ""},
+		compare("f8.accounts", F(r.Fig8.MeanAccountsPerIPDay),
+			fmt.Sprintf("max %d over %d IP-days", r.Fig8.MaxAccountsPerIPDay, r.Fig8.IPDays)),
+		compare("f8.password-ok", Pct(r.Fig8.PasswordOKShare), "incl. retry variants"),
+		compare("f8.success", Pct(r.Fig8.SuccessShare), ""),
 	})
 	fmt.Fprintln(w)
 
 	Bars(w, "Table 3 — hijacker search terms (Dataset 6)", r.Table3.Terms, 15)
-	fmt.Fprintf(w, "  finance share %s (paper: finance dominates); credentials %s; es=%v zh=%v; n=%d\n\n",
-		Pct(r.Table3.FinanceShare), Pct(r.Table3.CredShare),
+	fmt.Fprintf(w, "  finance share %s (paper: %s); credentials %s; es=%v zh=%v; n=%d\n\n",
+		Pct(r.Table3.FinanceShare), paper("t3.finance"), Pct(r.Table3.CredShare),
 		r.Table3.HasSpanish, r.Table3.HasChinese, r.Table3.N)
 
 	CompareTable(w, "§5.2 — value assessment (Dataset 7)", []Compare{
-		{"§5.2", "mean assessment time", "3 min", r.Assessment.MeanDuration.Round(time.Second).String(),
-			fmt.Sprintf("%d cases", r.Assessment.Cases)},
-		{"§5.2", "Starred opened", "16%", Pct(r.Assessment.FolderOpenRates[event.FolderStarred]), ""},
-		{"§5.2", "Drafts opened", "11%", Pct(r.Assessment.FolderOpenRates[event.FolderDrafts]), ""},
-		{"§5.2", "Sent opened", "5%", Pct(r.Assessment.FolderOpenRates[event.FolderSent]), ""},
-		{"§5.2", "Trash opened", "<1%", Pct(r.Assessment.FolderOpenRates[event.FolderTrash]), ""},
-		{"§5.2", "exploited share", "(not stated)", Pct(r.Assessment.ExploitedShare), "some abandoned"},
+		compare("s52.time", r.Assessment.MeanDuration.Round(time.Second).String(),
+			fmt.Sprintf("%d cases", r.Assessment.Cases)),
+		compare("s52.starred", Pct(r.Assessment.FolderOpenRates[event.FolderStarred]), ""),
+		compare("s52.drafts", Pct(r.Assessment.FolderOpenRates[event.FolderDrafts]), ""),
+		compare("s52.sent", Pct(r.Assessment.FolderOpenRates[event.FolderSent]), ""),
+		compare("s52.trash", Pct(r.Assessment.FolderOpenRates[event.FolderTrash]), ""),
+		compare("s52.exploited", Pct(r.Assessment.ExploitedShare), "some abandoned"),
 	})
 	fmt.Fprintln(w)
 
 	CompareTable(w, "§5.3 — exploitation (Datasets 7–9)", []Compare{
-		{"§5.3", "hijack-day mail volume delta", "+25%", deltaPct(r.Exploitation.VolumeDelta), "see EXPERIMENTS.md"},
-		{"§5.3", "distinct recipients delta", "+630%", deltaPct(r.Exploitation.RecipientsDelta), "≫ volume delta"},
-		{"§5.3", "spam reports delta", "+39%", deltaPct(r.Exploitation.ReportsDelta), ""},
-		{"§5.3", "scam share of sent mail", "65%", Pct(r.Exploitation.ScamShare), ""},
-		{"§5.3", "phishing share", "35%", Pct(r.Exploitation.PhishShare), ""},
-		{"§5.3", "victims with ≤5 messages", "65%", Pct(r.Exploitation.AtMostFiveMessages), ""},
-		{"§5.3", "cases with <10-recipient mail", "6%", Pct(r.Exploitation.SmallCustomizedShare), "tend to be customized"},
-		{"§5.3", "contact-cohort hijack multiplier", "36×", F(r.ContactRisk.Multiplier) + "×",
+		compare("s53.volume", deltaPct(r.Exploitation.VolumeDelta), "see EXPERIMENTS.md"),
+		compare("s53.recipients", deltaPct(r.Exploitation.RecipientsDelta), "≫ volume delta"),
+		compare("s53.reports", deltaPct(r.Exploitation.ReportsDelta), ""),
+		compare("s53.scam", Pct(r.Exploitation.ScamShare), ""),
+		compare("s53.phishing", Pct(r.Exploitation.PhishShare), ""),
+		compare("s53.at-most-five", Pct(r.Exploitation.AtMostFiveMessages), ""),
+		compare("s53.small", Pct(r.Exploitation.SmallCustomizedShare), "tend to be customized"),
+		compare("s53.contacts", F(r.ContactRisk.Multiplier)+"×",
 			fmt.Sprintf("%.2f%% vs %.2f%% (n=%d/%d)", r.ContactRisk.ContactRate*100,
-				r.ContactRisk.RandomRate*100, r.ContactRisk.ContactCohort, r.ContactRisk.RandomCohort)},
+				r.ContactRisk.RandomRate*100, r.ContactRisk.ContactCohort, r.ContactRisk.RandomCohort)),
 	})
 	fmt.Fprintln(w)
 
 	CompareTable(w, "§5.4 — retention tactics (Datasets 7, 10)", []Compare{
-		{"§5.4", "mass deletion | lockout, 2011", "46%", Pct(r.Retention2011.MassDeleteGivenLockout), ""},
-		{"§5.4", "mass deletion | lockout, 2012", "1.6%", Pct(r.Retention2012.MassDeleteGivenLockout), "restore defense deployed"},
-		{"§5.4", "recovery changes | lockout, 2011", "60%", Pct(r.Retention2011.RecoveryChangeGivenLockout), ""},
-		{"§5.4", "recovery changes | lockout, 2012", "21%", Pct(r.Retention2012.RecoveryChangeGivenLockout), ""},
-		{"§5.4", "forwarding filters, 2012", "15%", Pct(r.Retention2012.FilterShare), ""},
-		{"§5.4", "hijacker Reply-To, 2012", "26%", Pct(r.Retention2012.ReplyToShare), ""},
+		compare("s54.delete-2011", Pct(r.Retention2011.MassDeleteGivenLockout), ""),
+		compare("s54.delete-2012", Pct(r.Retention2012.MassDeleteGivenLockout), "restore defense deployed"),
+		compare("s54.recovery-2011", Pct(r.Retention2011.RecoveryChangeGivenLockout), ""),
+		compare("s54.recovery-2012", Pct(r.Retention2012.RecoveryChangeGivenLockout), ""),
+		compare("s54.filters", Pct(r.Retention2012.FilterShare), ""),
+		compare("s54.reply-to", Pct(r.Retention2012.ReplyToShare), ""),
 	})
 	fmt.Fprintln(w)
 
 	// ---- §6 recovery ----
 	CompareTable(w, "Figure 9 — recovery latency (Dataset 11)", []Compare{
-		{"F9", "recovered within 1 h", "22%", Pct(r.Fig9.Within1Hour),
-			fmt.Sprintf("%d recoveries", r.Fig9.Recoveries)},
-		{"F9", "recovered within 13 h", "50%", Pct(r.Fig9.Within13Hour), ""},
+		compare("f9.1h", Pct(r.Fig9.Within1Hour), fmt.Sprintf("%d recoveries", r.Fig9.Recoveries)),
+		compare("f9.13h", Pct(r.Fig9.Within13Hour), ""),
 	})
 	if r.Fig9.Latencies != nil && r.Fig9.Latencies.N() > 0 {
 		cdf := make([]float64, 0, 36)
@@ -172,23 +166,21 @@ func renderArtifacts(w io.Writer, r *core.StudyReport) {
 	f10rows := []Compare{}
 	for _, m := range []event.RecoveryMethod{event.MethodSMS, event.MethodEmail, event.MethodFallback} {
 		ms := r.Fig10.Methods[m]
-		f10rows = append(f10rows, Compare{
-			"F10", string(m) + " success rate", paperF10[m], Pct2(ms.Rate),
-			fmt.Sprintf("%d attempts", ms.Attempts)})
+		f10rows = append(f10rows,
+			compare("f10."+string(m), Pct2(ms.Rate), fmt.Sprintf("%d attempts", ms.Attempts)))
 	}
 	CompareTable(w, "Figure 10 — recovery method success (Dataset 12)", f10rows)
 	CompareTable(w, "§6.3 — channel reliability", []Compare{
-		{"§6.3", "secondary emails recycled", "7%", Pct(r.Channels.RecycledShare), ""},
-		{"§6.3", "email attempts bouncing", "≈5%", Pct(r.Channels.BounceShare),
-			fmt.Sprintf("%d email attempts", r.Channels.EmailAttempts)},
+		compare("s63.recycled", Pct(r.Channels.RecycledShare), ""),
+		compare("s63.bounces", Pct(r.Channels.BounceShare), fmt.Sprintf("%d email attempts", r.Channels.EmailAttempts)),
 	})
 	fmt.Fprintln(w)
 
 	// ---- §7 attribution ----
 	Bars(w, "Figure 11 — hijack-case IP countries (Dataset 13)", r.Fig11.Shares, 12)
-	fmt.Fprintf(w, "  paper: China & Malaysia dominate, ZA ≈10%%; cases=%d\n\n", r.Fig11.Cases)
+	fmt.Fprintf(w, "  paper: %s; cases=%d\n\n", paper("f11.countries"), r.Fig11.Cases)
 	Bars(w, "Figure 12 — hijacker 2SV phone countries (Dataset 14)", r.Fig12.Shares, 12)
-	fmt.Fprintf(w, "  paper: CI 33.8%%, NG 31.4%%, ZA 8.4%%, FR 6.4%%; phones=%d\n\n", r.Fig12.Phones)
+	fmt.Fprintf(w, "  paper: %s; phones=%d\n\n", paper("f12.countries"), r.Fig12.Phones)
 
 	// ---- Figure 2 lifecycle funnel ----
 	lc := r.Lifecycle
@@ -206,38 +198,35 @@ func renderArtifacts(w io.Writer, r *core.StudyReport) {
 		hours[h] = int(share * 1000)
 	}
 	Series(w, "§5.5 — hijacker logins by UTC hour (the office-job fingerprint)", hours)
-	fmt.Fprintf(w, "  weekend share %s (uniform would be 28.6%%; paper: \"largely inactive over the weekends\"); lunch dip %s; active hours %d; n=%d\n\n",
-		Pct(r.Schedule.WeekendShare), Pct(r.Schedule.LunchDip), r.Schedule.ActiveHours, r.Schedule.Logins)
+	fmt.Fprintf(w, "  weekend share %s (uniform would be 28.6%%; paper: %s); lunch dip %s; active hours %d; n=%d\n\n",
+		Pct(r.Schedule.WeekendShare), paper("s55.weekend"), Pct(r.Schedule.LunchDip), r.Schedule.ActiveHours, r.Schedule.Logins)
 
 	// ---- §5.4 doppelganger review ----
 	CompareTable(w, "§5.4 — doppelganger-address review (recovery-time defense)", []Compare{
-		{"§5.4", "flagged redirections precision", "(not stated)", Pct(r.Doppelganger.Precision),
-			fmt.Sprintf("%d flagged of %d hijacker settings", len(r.Doppelganger.Findings), r.Doppelganger.HijackerSettings)},
-		{"§5.4", "recall over hijacker settings", "(not stated)", Pct(r.Doppelganger.Recall),
-			"look-alikes only; unrelated drop boxes evade"},
-		{"§5.4", "similarity: hijacker vs owner", "(separation)",
-			F(r.Doppelganger.MeanHijackerSim) + " vs " + F(r.Doppelganger.MeanOwnerSim), ""},
+		compare("s54.doppelganger-precision", Pct(r.Doppelganger.Precision),
+			fmt.Sprintf("%d flagged of %d hijacker settings", len(r.Doppelganger.Findings), r.Doppelganger.HijackerSettings)),
+		compare("s54.doppelganger-recall", Pct(r.Doppelganger.Recall), "look-alikes only; unrelated drop boxes evade"),
+		compare("s54.doppelganger-similarity", F(r.Doppelganger.MeanHijackerSim)+" vs "+F(r.Doppelganger.MeanOwnerSim), ""),
 	})
 	fmt.Fprintln(w)
 
 	// ---- scam funnel ----
 	m := r.Monetization
 	CompareTable(w, "§5.3/§5.4 — the scam funnel (this reproduction's instrument)", []Compare{
-		{"funnel", "plea recipients", "(not stated)", fmt.Sprintf("%d", m.PleaRecipients), ""},
-		{"funnel", "recipients who engaged", "(not stated)", fmt.Sprintf("%d", m.Replies), ""},
-		{"funnel", "replies that reached the crew", "(retention tactics)", fmt.Sprintf("%d", m.ReachedCrew), fmt.Sprintf("routes %v", m.ReplyRoutes)},
-		{"funnel", "completed wires", "(not stated)", fmt.Sprintf("%d", m.Payments), ""},
-		{"funnel", "revenue", "(FBI: significant)", fmt.Sprintf("$%.0f ($%.0f/exploited hijack)", m.Revenue, m.RevenuePerHijack), ""},
+		compare("funnel.pleas", fmt.Sprintf("%d", m.PleaRecipients), ""),
+		compare("funnel.replies", fmt.Sprintf("%d", m.Replies), ""),
+		compare("funnel.reached", fmt.Sprintf("%d", m.ReachedCrew), fmt.Sprintf("routes %v", m.ReplyRoutes)),
+		compare("funnel.wires", fmt.Sprintf("%d", m.Payments), ""),
+		compare("funnel.revenue", fmt.Sprintf("$%.0f ($%.0f/exploited hijack)", m.Revenue, m.RevenuePerHijack), ""),
 	})
 	fmt.Fprintln(w)
 
 	// ---- §8 defenses ----
 	CompareTable(w, "§8 — defense evaluation (this reproduction's instruments)", []Compare{
-		{"§8.2", "behavioral detector precision", "(not stated)", Pct(r.Behavior.Precision),
-			fmt.Sprintf("%d hijack / %d organic sessions", r.Behavior.HijackSessions, r.Behavior.OrganicSessions)},
-		{"§8.2", "behavioral detector recall", "(not stated)", Pct(r.Behavior.Recall), ""},
-		{"§8.2", "mean exposure before flag", "\"already too late\"",
-			r.Behavior.MeanExposure.Round(time.Second).String(), ""},
+		compare("s82.precision", Pct(r.Behavior.Precision),
+			fmt.Sprintf("%d hijack / %d organic sessions", r.Behavior.HijackSessions, r.Behavior.OrganicSessions)),
+		compare("s82.recall", Pct(r.Behavior.Recall), ""),
+		compare("s82.exposure", r.Behavior.MeanExposure.Round(time.Second).String(), ""),
 	})
 	sweep := [][]string{}
 	for _, pt := range r.RiskSweep {
@@ -270,19 +259,3 @@ func renderArtifacts(w io.Writer, r *core.StudyReport) {
 }
 
 func deltaPct(f float64) string { return fmt.Sprintf("%+.0f%%", f*100) }
-
-var paperT2Email = map[event.TargetKind]string{
-	event.TargetMail: "35%", event.TargetBank: "21%", event.TargetAppStore: "16%",
-	event.TargetSocial: "14%", event.TargetOther: "14%",
-}
-
-var paperT2Page = map[event.TargetKind]string{
-	event.TargetMail: "27%", event.TargetBank: "25%", event.TargetAppStore: "17%",
-	event.TargetSocial: "15%", event.TargetOther: "15%",
-}
-
-var paperF10 = map[event.RecoveryMethod]string{
-	event.MethodSMS:      "80.91%",
-	event.MethodEmail:    "74.57%",
-	event.MethodFallback: "14.20%",
-}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -165,33 +166,31 @@ func (c *Client) Batch(items []BatchItem) ([]BatchResult, error) {
 	}
 
 	results := make([]BatchResult, 0, len(items))
-	sc := newLineScanner(r.Body)
-	for sc.scan() {
-		line := sc.bytes()
+	sc := bufio.NewScanner(r.Body)
+	sc.Buffer(nil, maxBatchReplyBytes)
+	for sc.Scan() {
+		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var probe struct {
+		var reply struct {
+			ScoreResponse
 			Err *string `json:"error"`
 			OK  *bool   `json:"ok"`
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		if err := json.Unmarshal(line, &reply); err != nil {
 			return nil, fmt.Errorf("serve: batch: bad response line %q: %w", line, err)
 		}
 		switch {
-		case probe.Err != nil:
-			results = append(results, BatchResult{Err: *probe.Err})
-		case probe.OK != nil:
-			results = append(results, BatchResult{OK: *probe.OK})
+		case reply.Err != nil:
+			results = append(results, BatchResult{Err: *reply.Err})
+		case reply.OK != nil:
+			results = append(results, BatchResult{OK: *reply.OK})
 		default:
-			var sr ScoreResponse
-			if err := json.Unmarshal(line, &sr); err != nil {
-				return nil, fmt.Errorf("serve: batch: bad score line %q: %w", line, err)
-			}
-			results = append(results, BatchResult{Score: &sr})
+			results = append(results, BatchResult{Score: &reply.ScoreResponse})
 		}
 	}
-	if err := sc.err(); err != nil {
+	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("serve: batch: reading response: %w", err)
 	}
 	if len(results) != len(items) {
@@ -201,47 +200,10 @@ func (c *Client) Batch(items []BatchItem) ([]BatchResult, error) {
 	return results, nil
 }
 
-// lineScanner is a bufio.Scanner stand-in sized for batch response lines.
-type lineScanner struct {
-	r    io.Reader
-	buf  []byte
-	line []byte
-	e    error
-}
-
-func newLineScanner(r io.Reader) *lineScanner { return &lineScanner{r: r} }
-
-func (s *lineScanner) scan() bool {
-	for {
-		if i := bytes.IndexByte(s.buf, '\n'); i >= 0 {
-			s.line = s.buf[:i]
-			s.buf = s.buf[i+1:]
-			return true
-		}
-		if s.e != nil {
-			if len(s.buf) > 0 {
-				s.line, s.buf = s.buf, nil
-				return true
-			}
-			return false
-		}
-		chunk := make([]byte, 32*1024)
-		n, err := s.r.Read(chunk)
-		s.buf = append(s.buf, chunk[:n]...)
-		if err != nil {
-			s.e = err
-		}
-	}
-}
-
-func (s *lineScanner) bytes() []byte { return s.line }
-
-func (s *lineScanner) err() error {
-	if s.e == io.EOF || s.e == nil {
-		return nil
-	}
-	return s.e
-}
+// maxBatchReplyBytes bounds one /v1/score.batch reply line. An error line
+// may quote part of its request line, which holds at most
+// maxBatchLineBytes, and JSON escaping can grow a byte to six.
+const maxBatchReplyBytes = 8 * maxBatchLineBytes
 
 // Statz fetches the serving counters.
 func (c *Client) Statz() (*StatzResponse, error) {
