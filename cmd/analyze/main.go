@@ -35,7 +35,8 @@
 // that many plus the segment being folded. After a segmented
 // analysis the segment-cache counters (hits, decode misses, deduplicated
 // prefetches, evictions) are printed, so scan-pattern regressions —
-// thrash, dead prefetch — are visible from the CLI.
+// thrash, dead prefetch — are visible from the CLI. The last line is the
+// process's peak resident set size, `peak-rss-mib: N`.
 package main
 
 import (
@@ -48,6 +49,7 @@ import (
 	"manualhijack/internal/analysis"
 	"manualhijack/internal/core"
 	"manualhijack/internal/logstore"
+	"manualhijack/internal/profiling"
 	"manualhijack/internal/report"
 	"manualhijack/internal/stream"
 )
@@ -185,6 +187,10 @@ func main() {
 	}
 
 	report.RenderOffline(os.Stdout, r, *eventsIn, skipped)
+	if rss := profiling.PeakRSS(); rss > 0 {
+		// Machine-parseable, as hijackstudy prints it.
+		fmt.Printf("\npeak-rss-mib: %d\n", rss/(1<<20))
+	}
 }
 
 // runStreamParity replays the sealed store through the streaming bus and

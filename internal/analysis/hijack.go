@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"time"
 
 	"manualhijack/internal/event"
@@ -472,184 +473,223 @@ type Exploitation struct {
 	Cases                int
 }
 
-// ExploitationBuilder reproduces §5.3 from Datasets 7 and 8. The §5.3
-// join needs the Dataset 7 sample — only drawable once the full case
-// population is known — so the builder buffers the three event
-// subsequences the join reads (hijack starts, account-originated mail,
-// account-attributed spam reports) and aggregates them at snapshot time.
-// The buffers grow with attack-plus-account mail volume.
+// ExploitationBuilder reproduces §5.3 from Datasets 7 and 8. The deltas
+// compare a sampled case's hijack day with the day before, so the builder
+// folds each account's account-sent mail and spam reports into day
+// tallies instead of keeping the records: before the account's first
+// HijackStarted, its two most recent active days; from that start on day
+// D, only D−1 and D. Beside them it counts each account's hijacker-sent
+// mail. The Dataset 7 sample is drawn at snapshot time over the distinct
+// hijacked accounts, and every sum over it is of integers, so the result
+// does not depend on the order the sample is read in. State grows with the
+// sending accounts, not with their mail. Records must arrive in time
+// order, as every log holds them.
 type ExploitationBuilder struct {
-	starts  []event.HijackStarted
-	msgs    []event.MessageSent
-	reports []event.SpamReported
+	index map[identity.AccountID]int32
+	accts []exploitAcct
+	// cases lists the distinct hijacked accounts in first-HijackStarted
+	// order, the order Dataset 7's sample is drawn from.
+	cases []identity.AccountID
+}
+
+// exploitAcct is one sending or hijacked account's §5.3 state.
+type exploitAcct struct {
+	// days[1] is the later day. Before the first HijackStarted they are
+	// the two most recent active days; from it on, D−1 and D.
+	days    [2]exploitDay
+	started bool
+	// Hijacker-sent mail: messages, scams and phishes, whether any had
+	// under 10 recipients, and whether any such message was customized.
+	sent, scam, phish      int32
+	small, customizedSmall bool
+}
+
+// exploitDay tallies one account's mail and spam reports on one UTC day.
+type exploitDay struct {
+	day           int64 // days since the Unix epoch
+	msgs, reports int32
+	// distinct is the length of rcpts' sorted, duplicate-free prefix; the
+	// recipients added since follow it unsorted until the next compact.
+	distinct int32
+	rcpts    []identity.Address
 }
 
 // NewExploitationBuilder returns an empty builder.
-func NewExploitationBuilder() *ExploitationBuilder { return &ExploitationBuilder{} }
+func NewExploitationBuilder() *ExploitationBuilder {
+	return &ExploitationBuilder{index: map[identity.AccountID]int32{}}
+}
 
-// Observe folds one event into the buffered populations, keeping only
-// account-attributed mail and spam reports.
+// Observe folds one record into its account's tallies, reading only
+// hijack starts and account-attributed mail and spam reports.
 func (b *ExploitationBuilder) Observe(e event.Event) {
 	switch ev := e.(type) {
 	case event.HijackStarted:
-		b.starts = append(b.starts, ev)
+		a := b.acct(ev.Account)
+		if !a.started {
+			a.start(dayOf(ev.When()))
+			b.cases = append(b.cases, ev.Account)
+		}
 	case event.MessageSent:
-		if ev.FromAcct != identity.None {
-			b.msgs = append(b.msgs, ev)
+		if ev.FromAcct == identity.None {
+			return
+		}
+		a := b.acct(ev.FromAcct)
+		if ev.Actor == event.ActorHijacker {
+			a.sent++
+			switch ev.Class {
+			case event.ClassScam:
+				a.scam++
+			case event.ClassPhish:
+				a.phish++
+			}
+			if len(ev.Recipients) < 10 {
+				a.small = true
+				a.customizedSmall = a.customizedSmall || ev.Customized
+			}
+		}
+		if d := a.tally(dayOf(ev.When())); d != nil {
+			d.msgs++
+			d.addRecipients(ev.Recipients)
 		}
 	case event.SpamReported:
-		if ev.FromAcct != identity.None {
-			b.reports = append(b.reports, ev)
+		if ev.FromAcct == identity.None {
+			return
+		}
+		// A report counts on the day it was made, as a proxy for the day
+		// the reported message was sent.
+		if d := b.acct(ev.FromAcct).tally(dayOf(ev.When())); d != nil {
+			d.reports++
 		}
 	}
 }
 
-// Merge folds a later partition's buffers into b by concatenation.
-func (b *ExploitationBuilder) Merge(other *ExploitationBuilder) {
-	b.starts = append(b.starts, other.starts...)
-	b.msgs = append(b.msgs, other.msgs...)
-	b.reports = append(b.reports, other.reports...)
+// acct returns id's state, adding it on first sight.
+func (b *ExploitationBuilder) acct(id identity.AccountID) *exploitAcct {
+	i, ok := b.index[id]
+	if !ok {
+		i = int32(len(b.accts))
+		b.index[id] = i
+		b.accts = append(b.accts, exploitAcct{})
+	}
+	return &b.accts[i]
 }
 
-// Exploitation snapshots §5.3 from the populations observed so far,
-// drawing Dataset 7's deterministic sample over the distinct hijacked
-// accounts in first-HijackStarted order — the same population d7Cases
-// keeps.
+// dayOf numbers t's UTC day.
+func dayOf(t time.Time) int64 {
+	return t.Truncate(24*time.Hour).Unix() / (24 * 60 * 60)
+}
+
+// start marks the account's first HijackStarted, on day d: it keeps the
+// tallies of d−1 and d and drops any other.
+func (a *exploitAcct) start(d int64) {
+	a.started = true
+	kept := [2]exploitDay{{day: d - 1}, {day: d}}
+	for _, t := range a.days {
+		if t.active() && (t.day == d-1 || t.day == d) {
+			kept[t.day-d+1] = t
+		}
+	}
+	a.days = kept
+}
+
+// tally returns the slot that counts day, or nil when the account keeps
+// none for it: from the first start on, only day D is tallied.
+func (a *exploitAcct) tally(day int64) *exploitDay {
+	latest := &a.days[1]
+	switch {
+	case day == latest.day && (a.started || latest.active()):
+		return latest
+	case a.started:
+		return nil
+	}
+	// Records arrive in time order, so day is later than both kept days:
+	// the latest becomes the earlier, and the earlier's buffer is reused.
+	a.days[0], a.days[1] = a.days[1], a.days[0]
+	latest.reset(day)
+	return latest
+}
+
+func (d *exploitDay) active() bool { return d.msgs > 0 || d.reports > 0 }
+
+// reset starts the slot over for day, keeping its recipient buffer but
+// none of the addresses in it.
+func (d *exploitDay) reset(day int64) {
+	clear(d.rcpts)
+	*d = exploitDay{day: day, rcpts: d.rcpts[:0]}
+}
+
+// addRecipients appends rs, compacting once the unsorted tail outgrows
+// the distinct prefix, so rcpts holds about twice the distinct recipients
+// at most and compaction costs O(log n) per recipient amortized.
+func (d *exploitDay) addRecipients(rs []identity.Address) {
+	d.rcpts = append(d.rcpts, rs...)
+	if len(d.rcpts) > 2*int(d.distinct)+16 {
+		d.compact()
+	}
+}
+
+// compact sorts and deduplicates rcpts and returns the distinct count.
+func (d *exploitDay) compact() int {
+	slices.Sort(d.rcpts)
+	d.rcpts = slices.Compact(d.rcpts)
+	d.distinct = int32(len(d.rcpts))
+	return len(d.rcpts)
+}
+
+// Exploitation snapshots §5.3 from the tallies observed so far, drawing
+// Dataset 7's deterministic sample over the distinct hijacked accounts in
+// first-HijackStarted order — the same population d7Cases keeps.
 func (b *ExploitationBuilder) Exploitation(sampleSize int) Exploitation {
-	seen := map[identity.AccountID]bool{}
-	var ids []identity.AccountID
-	for _, h := range b.starts {
-		if !seen[h.Account] {
-			seen[h.Account] = true
-			ids = append(ids, h.Account)
-		}
-	}
-	accounts := sampleN(7, ids, sampleSize)
-	inSet := map[identity.AccountID]bool{}
-	for _, a := range accounts {
-		inSet[a] = true
-	}
-	hijackDay := map[identity.AccountID]time.Time{}
-	for _, h := range b.starts {
-		if inSet[h.Account] {
-			if _, ok := hijackDay[h.Account]; !ok {
-				hijackDay[h.Account] = h.When().Truncate(24 * time.Hour)
+	var volBase, volHijack, rcptBase, rcptHijack, repBase, repHijack int
+	var scam, phish, withMsgs, atMostFive, small, customizedSmall, exploitedCases int
+	for _, id := range sampleN(7, b.cases, sampleSize) {
+		a := &b.accts[b.index[id]]
+		scam += int(a.scam)
+		phish += int(a.phish)
+		if a.sent > 0 {
+			withMsgs++
+			if a.sent <= 5 {
+				atMostFive++
 			}
 		}
-	}
-
-	type dayStats struct {
-		msgs       int
-		recipients map[identity.Address]bool
-		reports    int
-	}
-	perDay := map[identity.AccountID]map[time.Time]*dayStats{}
-	ensure := func(acct identity.AccountID, day time.Time) *dayStats {
-		if perDay[acct] == nil {
-			perDay[acct] = map[time.Time]*dayStats{}
+		if a.small {
+			small++
 		}
-		ds := perDay[acct][day]
-		if ds == nil {
-			ds = &dayStats{recipients: map[identity.Address]bool{}}
-			perDay[acct][day] = ds
+		if a.customizedSmall {
+			customizedSmall++
 		}
-		return ds
-	}
-
-	var scam, phish, hijackerMsgs int
-	msgsPerCase := map[identity.AccountID]int{}
-	smallCase := map[identity.AccountID]bool{}
-	customizedSmall := map[identity.AccountID]bool{}
-	for _, m := range b.msgs {
-		if !inSet[m.FromAcct] {
-			continue
-		}
-		day := m.When().Truncate(24 * time.Hour)
-		ds := ensure(m.FromAcct, day)
-		ds.msgs++
-		for _, r := range m.Recipients {
-			ds.recipients[r] = true
-		}
-		if m.Actor == event.ActorHijacker {
-			hijackerMsgs++
-			msgsPerCase[m.FromAcct]++
-			switch m.Class {
-			case event.ClassScam:
-				scam++
-			case event.ClassPhish:
-				phish++
-			}
-			if len(m.Recipients) < 10 {
-				smallCase[m.FromAcct] = true
-				if m.Customized {
-					customizedSmall[m.FromAcct] = true
-				}
-			}
-		}
-	}
-	for _, r := range b.reports {
-		if !inSet[r.FromAcct] {
-			continue
-		}
-		// Attribute the report to the day the message was sent; sending
-		// day ≈ report day - reporting delay, so approximate with the
-		// hijack-day bucket test below using the report time.
-		day := r.When().Truncate(24 * time.Hour)
-		ensure(r.FromAcct, day).reports++
-	}
-
-	var volBase, volHijack, rcptBase, rcptHijack, repBase, repHijack float64
-	exploitedCases := 0
-	for acct, day := range hijackDay {
-		days := perDay[acct]
-		if days == nil {
-			continue
-		}
-		prev := day.Add(-24 * time.Hour)
-		h, hasH := days[day]
-		p, hasP := days[prev]
-		if !hasH {
+		prev, hijack := &a.days[0], &a.days[1]
+		if !hijack.active() {
 			continue
 		}
 		exploitedCases++
-		volHijack += float64(h.msgs)
-		rcptHijack += float64(len(h.recipients))
-		repHijack += float64(h.reports)
-		if hasP {
-			volBase += float64(p.msgs)
-			rcptBase += float64(len(p.recipients))
-			repBase += float64(p.reports)
-		}
+		volHijack += int(hijack.msgs)
+		rcptHijack += hijack.compact()
+		repHijack += int(hijack.reports)
+		volBase += int(prev.msgs)
+		rcptBase += prev.compact()
+		repBase += int(prev.reports)
 	}
 	// Baselines of zero (quiet accounts) are common in a small sim; use
 	// per-account averages with a floor so the deltas stay meaningful.
 	if volBase == 0 {
-		volBase = float64(exploitedCases)
+		volBase = exploitedCases
 	}
 	if rcptBase == 0 {
-		rcptBase = float64(exploitedCases)
+		rcptBase = exploitedCases
 	}
 	if repBase == 0 {
 		repBase = 1
 	}
-
-	atMostFive := 0
-	for _, a := range accounts {
-		if n, ok := msgsPerCase[a]; ok && n <= 5 {
-			atMostFive++
-		}
-	}
-	casesWithMsgs := len(msgsPerCase)
-
 	return Exploitation{
-		VolumeDelta:          stats.PercentDelta(volBase, volHijack),
-		RecipientsDelta:      stats.PercentDelta(rcptBase, rcptHijack),
-		ReportsDelta:         stats.PercentDelta(repBase, repHijack),
+		VolumeDelta:          stats.PercentDelta(float64(volBase), float64(volHijack)),
+		RecipientsDelta:      stats.PercentDelta(float64(rcptBase), float64(rcptHijack)),
+		ReportsDelta:         stats.PercentDelta(float64(repBase), float64(repHijack)),
 		ScamShare:            stats.Ratio(float64(scam), float64(scam+phish)),
 		PhishShare:           stats.Ratio(float64(phish), float64(scam+phish)),
-		AtMostFiveMessages:   stats.Ratio(float64(atMostFive), float64(casesWithMsgs)),
-		SmallCustomizedShare: stats.Ratio(float64(len(smallCase)), float64(casesWithMsgs)),
-		CustomizedGivenSmall: stats.Ratio(float64(len(customizedSmall)), float64(len(smallCase))),
+		AtMostFiveMessages:   stats.Ratio(float64(atMostFive), float64(withMsgs)),
+		SmallCustomizedShare: stats.Ratio(float64(small), float64(withMsgs)),
+		CustomizedGivenSmall: stats.Ratio(float64(customizedSmall), float64(small)),
 		Cases:                exploitedCases,
 	}
 }

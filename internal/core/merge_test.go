@@ -73,8 +73,8 @@ func TestMergeableMatchesSequential(t *testing.T) {
 				t.Errorf("seed %d: %s: sharded fold diverged from sequential", seed, a.Name)
 			}
 		}
-		if mergeableN != 23 || orderedN != 5 {
-			t.Fatalf("capability inventory moved: %d mergeable + %d ordered (want 23 + 5) — update the docs and this pin together",
+		if mergeableN != 22 || orderedN != 6 {
+			t.Fatalf("capability inventory moved: %d mergeable + %d ordered (want 22 + 6) — update the docs and this pin together",
 				mergeableN, orderedN)
 		}
 	}

@@ -160,8 +160,9 @@ var riskSweepThresholds = []float64{0.3, 0.4, 0.5, 0.58, 0.62, 0.7, 0.8, 0.9}
 // (internal/stream) paths all run it. Entries built with mergeable()
 // additionally fold as per-segment shards on the segmented path; the
 // handful built with streamed{} are order-sensitive (session state
-// machines, cross-segment page joins, first-hit anchors) and fold inline
-// on the ordered scan.
+// machines, cross-segment page joins, first-hit anchors, exploitation's
+// per-account day tallies, which need each account's mail in time order)
+// and fold inline on the ordered scan.
 var registry = []Analysis{
 	// ---- 2011 era ----
 	{Name: "retention-2011", Era: Era2011, Stream: func(in AnalysisInput) StreamAnalysis {
@@ -219,9 +220,8 @@ var registry = []Analysis{
 		})
 	}},
 	{Name: "exploitation", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewExploitationBuilder, func(b *analysis.ExploitationBuilder, r *StudyReport) {
-			r.Exploitation = b.Exploitation(575)
-		})
+		b := analysis.NewExploitationBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Exploitation = b.Exploitation(575) }}
 	}},
 	{Name: "retention-2012", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
 		return mergeable(analysis.NewRetentionBuilder, func(b *analysis.RetentionBuilder, r *StudyReport) {

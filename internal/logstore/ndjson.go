@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -203,7 +204,7 @@ func ReadNDJSONWith(r io.Reader, opts ReadOptions) (*Store, *ReadStats, error) {
 	}
 	defer closeFn()
 	st := &ReadStats{}
-	events, err := decodeAll(plain, opts, st)
+	events, err := decodeAll(plain, opts, st, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -232,7 +233,7 @@ func ReadNDJSONFile(path string, opts ReadOptions) (*Store, *ReadStats, error) {
 // returned close function releases the decompressor (a no-op for plain
 // input); the underlying reader is never closed.
 func sniffGzip(r io.Reader) (io.Reader, func() error, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, 64<<10)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		zr, err := gzip.NewReader(br)
 		if err != nil {
@@ -249,28 +250,51 @@ func sniffGzip(r io.Reader) (io.Reader, func() error, error) {
 const batchLines = 2048
 
 // lineBatch is a contiguous run of raw lines plus the decode results a
-// worker fills in. errs[i] is non-nil where line i failed to decode.
+// worker fills in. The lines are packed end to end in buf (line i ends at
+// ends[i]), and decodeNDJSON puts a delivered batch on its free list and
+// refills it, so a read allocates its in-flight window of batches rather
+// than a copy of every line. errs[i] is non-nil where line i failed to
+// decode.
 type lineBatch struct {
 	nums   []int // 1-based input line numbers
-	lines  [][]byte
+	buf    []byte
+	ends   []int
 	events []event.Event
 	errs   []error
-	done   chan struct{} // closed by the worker once decoded
+	// done carries one token per dispatch, from the worker that decoded
+	// the batch to its delivery; its buffer of one means a worker never
+	// waits on it.
+	done chan struct{}
 }
 
-// decode unmarshals every line of the batch, then drops the raw bytes so
-// only the decoded records are retained.
+// add appends one line, copied into buf.
+func (b *lineBatch) add(num int, line []byte) {
+	b.nums = append(b.nums, num)
+	b.buf = append(b.buf, line...)
+	b.ends = append(b.ends, len(b.buf))
+}
+
+// decode unmarshals every line of the batch.
 func (b *lineBatch) decode() {
-	b.events = make([]event.Event, len(b.lines))
-	b.errs = make([]error, len(b.lines))
-	for i, data := range b.lines {
-		if e, err := decodeLine(data); err != nil {
-			b.errs[i] = fmt.Errorf("logstore: line %d: %w", b.nums[i], err)
-		} else {
-			b.events[i] = e
+	n := len(b.ends)
+	b.events = slices.Grow(b.events[:0], n)[:n]
+	b.errs = slices.Grow(b.errs[:0], n)[:n]
+	start := 0
+	for i, end := range b.ends {
+		b.events[i], b.errs[i] = decodeLine(b.buf[start:end])
+		if b.errs[i] != nil {
+			b.errs[i] = fmt.Errorf("logstore: line %d: %w", b.nums[i], b.errs[i])
 		}
+		start = end
 	}
-	b.lines = nil
+}
+
+// reset empties the batch for reuse, dropping its references to the
+// records it delivered.
+func (b *lineBatch) reset() {
+	clear(b.events)
+	clear(b.errs)
+	b.nums, b.buf, b.ends = b.nums[:0], b.buf[:0], b.ends[:0]
 }
 
 func decodeLine(data []byte) (event.Event, error) {
@@ -287,9 +311,9 @@ func decodeLine(data []byte) (event.Event, error) {
 	return event.Decode(env.Kind, env.Data)
 }
 
-// decodeAll decodes a whole dump into one time-ordered slice.
-func decodeAll(r io.Reader, opts ReadOptions, st *ReadStats) ([]event.Event, error) {
-	var events []event.Event
+// decodeAll decodes a whole dump into one time-ordered slice, appended to
+// events.
+func decodeAll(r io.Reader, opts ReadOptions, st *ReadStats, events []event.Event) ([]event.Event, error) {
 	err := decodeNDJSON(r, opts, st, func(e event.Event) error {
 		events = append(events, e)
 		return nil
@@ -363,7 +387,7 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 				defer wg.Done()
 				for b := range work {
 					b.decode()
-					close(b.done)
+					b.done <- struct{}{}
 				}
 			}()
 		}
@@ -374,25 +398,30 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 			wg.Wait()
 		}()
 	}
+	// free holds delivered batches for reuse; only this goroutine touches
+	// it.
+	var free []*lineBatch
 	submit := func(b *lineBatch) error {
 		if work == nil {
 			b.decode()
-			return deliver(b)
+		} else {
+			work <- b
+			pending = append(pending, b)
+			if len(pending) < cap(work) {
+				return nil
+			}
+			b = pending[0]
+			pending = pending[1:]
+			<-b.done
 		}
-		b.done = make(chan struct{})
-		work <- b
-		pending = append(pending, b)
-		if len(pending) < cap(work) {
-			return nil
-		}
-		oldest := pending[0]
-		pending = pending[1:]
-		<-oldest.done
-		return deliver(oldest)
+		err := deliver(b)
+		b.reset()
+		free = append(free, b)
+		return err
 	}
 
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	var cur *lineBatch
 	line := 0
 	headerRecords := -1
@@ -420,11 +449,14 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 			st.Legacy = true
 		}
 		if cur == nil {
-			cur = &lineBatch{}
+			if n := len(free); n > 0 {
+				cur, free = free[n-1], free[:n-1]
+			} else {
+				cur = &lineBatch{done: make(chan struct{}, 1)}
+			}
 		}
-		cur.nums = append(cur.nums, line)
-		cur.lines = append(cur.lines, append([]byte(nil), raw...))
-		if len(cur.lines) == batchLines {
+		cur.add(line, raw)
+		if len(cur.ends) == batchLines {
 			if err := submit(cur); err != nil {
 				return err
 			}

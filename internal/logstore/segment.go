@@ -569,14 +569,22 @@ func readSegment(dir string, want segmentInfo) ([]event.Event, error) {
 		return nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	plain, closeFn, err := sniffGzip(f)
 	if err != nil {
 		return nil, err
 	}
 	defer closeFn()
-	// Inline decode: segment loads already run on worker pools, so
-	// sharding inside one segment would just oversubscribe.
-	events, err := decodeAll(plain, ReadOptions{Shards: 1}, &ReadStats{})
+	// Presized from the manifest entry, but to no more than one record per
+	// byte of the file, so a forged count cannot force a large allocation
+	// (nor a negative one a panic). Inline decode: segment loads already
+	// run on worker pools, so sharding inside one segment would just
+	// oversubscribe.
+	events := make([]event.Event, 0, max(0, min(want.Records, int(fi.Size()))))
+	events, err = decodeAll(plain, ReadOptions{Shards: 1}, &ReadStats{}, events)
 	if err != nil {
 		return nil, err
 	}
