@@ -1,13 +1,14 @@
 // Command analyze runs the measurement pipeline over a previously dumped
 // event log (the NDJSON produced by `hijacksim -events`), so one
 // simulation can be analyzed many times without re-running it — the same
-// separation between log collection and map-reduce analysis the paper's
-// methodology describes.
+// separation between log collection and analysis the paper's methodology
+// describes.
 //
 // The load seals the store (a dumped log is complete by construction), and
-// the full analysis registry — the same list RunStudy iterates — fans out
-// over a worker pool. Only analyses needing the live account directory
-// are skipped.
+// the full analysis registry — the same list RunStudy iterates — folds it
+// on a pool of -par workers: each storage unit (the whole in-RAM log, or
+// one decoded segment) is folded by every builder as its own job, in log
+// order. Only analyses needing the live account directory are skipped.
 //
 // With -stream the dump is additionally replayed through the incremental
 // streaming path (internal/stream) and the live-relevant analyses are

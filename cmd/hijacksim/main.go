@@ -8,7 +8,7 @@
 //	hijacksim [-seed N] [-pop N] [-days N] [-decoys N] [-events file.ndjson]
 //	          [-archetypes smashgrab:3,stuffer:2]
 //	          [-spill-dir d] [-segment-records N] [-segment-gzip]
-//	          [-spill-writers N] [-scan-workers N]
+//	          [-spill-writers N]
 //	          [-cpuprofile f] [-memprofile f] [-trace f]
 //
 // -archetypes fields playbook actors (internal/playbook) next to the
@@ -21,8 +21,7 @@
 // directory itself is the dump — `analyze -events <dir>` opens it as a
 // virtual store, no separate -events pass needed. -spill-writers sizes
 // the background encode/write pool that seals segments off the simulation
-// hot path; -scan-workers sets the decode-ahead depth of any post-run
-// reads (the -events re-dump; KindCounts reads the manifest).
+// hot path.
 //
 // The profiling flags capture pprof CPU/heap profiles and a runtime trace
 // of the whole run for `go tool pprof` / `go tool trace` — the world
@@ -57,7 +56,6 @@ func main() {
 	segRecords := flag.Int("segment-records", 0, "records per spilled segment (0 = logstore default)")
 	segGzip := flag.Bool("segment-gzip", false, "gzip spilled segment files")
 	spillWriters := flag.Int("spill-writers", 0, "background segment encode/write goroutines (0 = 1)")
-	scanWorkers := flag.Int("scan-workers", 0, "segments decoded ahead during post-run reads (0 = 1)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocs profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -91,7 +89,6 @@ func main() {
 			SegmentRecords: *segRecords,
 			Compress:       *segGzip,
 			Writers:        *spillWriters,
-			ScanWorkers:    *scanWorkers,
 		}
 	}
 

@@ -64,12 +64,6 @@ type archRow struct {
 }
 
 // ArchetypeScorecardBuilder computes the scorecard incrementally.
-//
-// Merge contract: folding a shard that observed a later, contiguous
-// partition of the log into the receiver reproduces sequential state
-// exactly — counters sum; an account's first-seen timestamp keeps the
-// receiver's (earlier) value; its first-detection keeps the receiver's
-// when present, else adopts the shard's.
 type ArchetypeScorecardBuilder struct {
 	rows map[string]*archRow
 
@@ -134,35 +128,6 @@ func (b *ArchetypeScorecardBuilder) Observe(e event.Event) {
 	if detected && !a.hasDetect {
 		a.detected = l.When()
 		a.hasDetect = true
-	}
-}
-
-// Merge folds a shard that observed a later, contiguous partition of the
-// log into the receiver.
-func (b *ArchetypeScorecardBuilder) Merge(o *ArchetypeScorecardBuilder) {
-	b.ownerLogins += o.ownerLogins
-	b.ownerChallenged += o.ownerChallenged
-	b.ownerBlocked += o.ownerBlocked
-	for name, or := range o.rows {
-		r := b.row(name)
-		r.attempts += or.attempts
-		r.logins += or.logins
-		r.challenged += or.challenged
-		r.blocked += or.blocked
-		for acct, oa := range or.accts {
-			a := r.accts[acct]
-			if a == nil {
-				cp := *oa
-				r.accts[acct] = &cp
-				continue
-			}
-			// Receiver saw the account first; its first-seen stands. Its
-			// detection, when present, is also the earlier one.
-			if !a.hasDetect && oa.hasDetect {
-				a.detected = oa.detected
-				a.hasDetect = true
-			}
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"net/netip"
-	"reflect"
 	"testing"
 	"time"
 
@@ -63,22 +62,5 @@ func TestArchetypeScorecardBuilder(t *testing.T) {
 	}
 	if sc.OwnerLogins != 3 || sc.OwnerChallenged != 1 || sc.OwnerBlocked != 1 {
 		t.Errorf("owner FP cost wrong: %+v", sc)
-	}
-
-	// Merge parity: every contiguous split must fold back to the
-	// sequential scorecard exactly.
-	for cut := 0; cut <= len(events); cut++ {
-		head := NewArchetypeScorecardBuilder()
-		for _, e := range events[:cut] {
-			head.Observe(e)
-		}
-		tail := NewArchetypeScorecardBuilder()
-		for _, e := range events[cut:] {
-			tail.Observe(e)
-		}
-		head.Merge(tail)
-		if got := head.Scorecard(); !reflect.DeepEqual(got, sc) {
-			t.Errorf("cut %d: merged scorecard diverged:\n got %+v\nwant %+v", cut, got, sc)
-		}
 	}
 }

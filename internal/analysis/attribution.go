@@ -44,18 +44,6 @@ func (b *Figure11Builder) Observe(e event.Event) {
 	b.cases = append(b.cases, l)
 }
 
-// Merge folds a later partition's cases into b through the same
-// first-success-per-account dedup, reproducing the sequential case order.
-func (b *Figure11Builder) Merge(other *Figure11Builder) {
-	for _, l := range other.cases {
-		if b.seen[l.Account] {
-			continue
-		}
-		b.seen[l.Account] = true
-		b.cases = append(b.cases, l)
-	}
-}
-
 // Figure11 snapshots the figure from the cases observed so far, sampling
 // with Dataset 13's deterministic stream and geolocating against plan.
 func (b *Figure11Builder) Figure11(plan *geo.IPPlan, cases int) Figure11 {
@@ -88,11 +76,6 @@ func (b *Figure12Builder) Observe(e event.Event) {
 	if ev, ok := e.(event.TwoSVEnrolled); ok && ev.Actor == event.ActorHijacker {
 		b.enrolls = append(b.enrolls, ev)
 	}
-}
-
-// Merge folds a later partition's enrollments into b by concatenation.
-func (b *Figure12Builder) Merge(other *Figure12Builder) {
-	b.enrolls = append(b.enrolls, other.enrolls...)
 }
 
 // Figure12 snapshots the figure from the enrollments observed so far.
@@ -141,16 +124,6 @@ func (b *BaseRatesBuilder) Observe(e event.Event) {
 	case event.PageDetected:
 		b.weekly.Observe(ev.When())
 	}
-}
-
-// Merge folds a later partition's aggregates into b: the victim set
-// unions, the weekly series adds bucketwise (both shards share the
-// window-start anchor).
-func (b *BaseRatesBuilder) Merge(other *BaseRatesBuilder) {
-	for a := range other.hijacked {
-		b.hijacked[a] = true
-	}
-	b.weekly.Merge(other.weekly)
 }
 
 // BaseRates snapshots the rates observed so far. activeAccounts is the

@@ -28,7 +28,7 @@ type DetectionEval struct {
 // BehaviorEvalBuilder replays the log through a detector with the given
 // configuration: a live detector fed session actions one event at a time.
 // Events must arrive in time order — the detector's session state machines
-// depend on it — which both the sealed log and the segmented scan
+// depend on it — which the log, its dumps and the stream bus all
 // guarantee.
 type BehaviorEvalBuilder struct {
 	det          *behavior.Detector
@@ -145,17 +145,6 @@ func (b *RiskSweepBuilder) Observe(e event.Event) {
 			}
 		}
 	}
-}
-
-// Merge folds a later partition's counters into b. Both builders come
-// from the same constructor, so the threshold grids line up.
-func (b *RiskSweepBuilder) Merge(other *RiskSweepBuilder) {
-	for i := range b.thresholds {
-		b.hijackCaught[i] += other.hijackCaught[i]
-		b.ownerChal[i] += other.ownerChal[i]
-	}
-	b.hijackSuccess += other.hijackSuccess
-	b.owner += other.owner
 }
 
 // Sweep snapshots the operating points observed so far.

@@ -92,18 +92,6 @@ func (b *DoppelgangerBuilder) consider(acct identity.AccountID, addr identity.Ad
 	}
 }
 
-// Merge folds a later partition's evaluation into b. Each setting is
-// scored the moment it is observed with no cross-event state, so findings
-// concatenate, counters add, and the similarity samples merge in order.
-func (b *DoppelgangerBuilder) Merge(other *DoppelgangerBuilder) {
-	b.out.Findings = append(b.out.Findings, other.out.Findings...)
-	b.out.TruePositives += other.out.TruePositives
-	b.out.FalsePositives += other.out.FalsePositives
-	b.out.HijackerSettings += other.out.HijackerSettings
-	b.hijackSim.Merge(&other.hijackSim)
-	b.ownerSim.Merge(&other.ownerSim)
-}
-
 // DoppelgangerEval scores the settings observed so far.
 func (b *DoppelgangerBuilder) DoppelgangerEval() DoppelgangerEval {
 	out := b.out

@@ -20,10 +20,10 @@ func sampleSeed(id int) *randx.Rand {
 }
 
 // sampleN draws up to n elements without replacement using dataset id's
-// deterministic sampling stream, so every feed of a builder — whole log,
-// merged segment shards or the live stream bus — draws the same sample in
-// the same order. items is never mutated, but when len(items) <= n it is
-// returned as-is: treat the result as read-only.
+// deterministic sampling stream, so every feed of a builder — the study's
+// tap, a scan of a finished log or the live stream bus — draws the same
+// sample in the same order. items is never mutated, but when
+// len(items) <= n it is returned as-is: treat the result as read-only.
 func sampleN[T any](id int, items []T, n int) []T {
 	if len(items) <= n {
 		return items

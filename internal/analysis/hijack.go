@@ -72,21 +72,6 @@ func (b *Figure7Builder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's populations into b. Replaying other's
-// submissions in order through the same first-wins dedup reproduces the
-// sequential pass exactly: an account's earliest submission across
-// partitions claims the slot, later duplicates are dropped.
-func (b *Figure7Builder) Merge(other *Figure7Builder) {
-	for _, a := range other.accesses {
-		if _, dup := b.submitted[a.account]; dup {
-			continue
-		}
-		b.submitted[a.account] = len(b.accesses)
-		b.accesses = append(b.accesses, a)
-	}
-	b.logins = append(b.logins, other.logins...)
-}
-
 // Figure7 snapshots the figure from the populations observed so far.
 func (b *Figure7Builder) Figure7() Figure7 {
 	accesses := append([]decoyAccess(nil), b.accesses...)
@@ -140,8 +125,8 @@ type ipDayKey struct {
 
 // Figure8Builder reproduces Figure 8 from per-IP-day fanout aggregates
 // that grow with distinct IP-days, not with the log. Every path — the
-// study, the segmented scan and the live stream bus — feeds it one event
-// at a time and finalizes through Figure8, so they cannot drift.
+// study, a scan of a finished log and the live stream bus — feeds it one
+// event at a time and finalizes through Figure8, so they cannot drift.
 type Figure8Builder struct {
 	attempts map[ipDayKey]int
 	accounts map[ipDayKey]map[identity.AccountID]bool
@@ -180,31 +165,6 @@ func (b *Figure8Builder) Observe(e event.Event) {
 	if l.Outcome == event.LoginSuccess {
 		b.successes++
 		b.daySuccess[day]++
-	}
-}
-
-// Merge folds a later partition's aggregates into b. Every field is an
-// additive count or a set union keyed by IP-day, so partition order
-// cannot change the result.
-func (b *Figure8Builder) Merge(other *Figure8Builder) {
-	for k, n := range other.attempts {
-		b.attempts[k] += n
-	}
-	for k, set := range other.accounts {
-		dst := b.accounts[k]
-		if dst == nil {
-			dst = map[identity.AccountID]bool{}
-			b.accounts[k] = dst
-		}
-		for id := range set {
-			dst[id] = true
-		}
-	}
-	b.totalAttempts += other.totalAttempts
-	b.okPasswords += other.okPasswords
-	b.successes += other.successes
-	for d, n := range other.daySuccess {
-		b.daySuccess[d] += n
 	}
 }
 
@@ -281,11 +241,6 @@ func (b *Table3Builder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's term counts into b.
-func (b *Table3Builder) Merge(other *Table3Builder) {
-	b.terms.Merge(&other.terms)
-}
-
 // Table3 snapshots the table from the terms observed so far.
 func (b *Table3Builder) Table3() Table3 {
 	c := &b.terms
@@ -350,22 +305,6 @@ func (d *d7Cases) observe(e event.Event) {
 	d.ids = append(d.ids, h.Account)
 }
 
-// merge appends other's cases that b has not seen, preserving other's
-// order. Concatenating partitions in log order through the same dedup
-// reproduces the sequential first-HijackStarted order exactly.
-func (d *d7Cases) merge(other *d7Cases) {
-	for _, id := range other.ids {
-		if d.seen[id] {
-			continue
-		}
-		if d.seen == nil {
-			d.seen = map[identity.AccountID]bool{}
-		}
-		d.seen[id] = true
-		d.ids = append(d.ids, id)
-	}
-}
-
 // sample draws Dataset 7's deterministic sample as a membership set.
 func (d *d7Cases) sample(n int) map[identity.AccountID]bool {
 	inSet := map[identity.AccountID]bool{}
@@ -401,14 +340,6 @@ func (b *AssessmentBuilder) Observe(e event.Event) {
 			b.opens = append(b.opens, ev)
 		}
 	}
-}
-
-// Merge folds a later partition's buffered populations into b: the case
-// dedup replays in order, the event buffers concatenate.
-func (b *AssessmentBuilder) Merge(other *AssessmentBuilder) {
-	b.cases.merge(&other.cases)
-	b.assessed = append(b.assessed, other.assessed...)
-	b.opens = append(b.opens, other.opens...)
 }
 
 // Assessment snapshots the §5.2 measurements observed so far.
@@ -731,11 +662,6 @@ func (b *ContactRiskBuilder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's hijack timeline into b.
-func (b *ContactRiskBuilder) Merge(other *ContactRiskBuilder) {
-	b.starts = append(b.starts, other.starts...)
-}
-
 // ContactRisk snapshots the cohort experiment from the hijacks observed so
 // far.
 func (b *ContactRiskBuilder) ContactRisk(dir *identity.Directory, cutoff time.Time, recruit, window time.Duration, n int) ContactRisk {
@@ -886,25 +812,6 @@ func (b *RetentionBuilder) Observe(e event.Event) {
 		if ev.Actor == event.ActorHijacker {
 			b.twoSV[ev.Account]++
 		}
-	}
-}
-
-// Merge folds a later partition's tactic state into b: the case dedup
-// replays in order, the per-account sets union, the 2SV counts add.
-func (b *RetentionBuilder) Merge(other *RetentionBuilder) {
-	b.cases.merge(&other.cases)
-	for _, pair := range [][2]map[identity.AccountID]bool{
-		{b.exploited, other.exploited}, {b.lockouts, other.lockouts},
-		{b.filters, other.filters}, {b.replyTos, other.replyTos},
-		{b.deletes, other.deletes}, {b.recovs, other.recovs},
-	} {
-		dst, src := pair[0], pair[1]
-		for a := range src {
-			dst[a] = true
-		}
-	}
-	for a, n := range other.twoSV {
-		b.twoSV[a] += n
 	}
 }
 

@@ -112,24 +112,6 @@ func (b *LifecycleBuilder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's funnel into b: the lure/visit counts
-// add, the per-account stage sets union.
-func (b *LifecycleBuilder) Merge(other *LifecycleBuilder) {
-	b.lures += other.lures
-	b.visits += other.visits
-	for _, pair := range [][2]map[identity.AccountID]bool{
-		{b.creds, other.creds}, {b.attempted, other.attempted},
-		{b.entered, other.entered}, {b.exploited, other.exploited},
-		{b.locked, other.locked}, {b.claimed, other.claimed},
-		{b.recovered, other.recovered},
-	} {
-		dst, src := pair[0], pair[1]
-		for a := range src {
-			dst[a] = true
-		}
-	}
-}
-
 // Lifecycle snapshots the funnel observed so far.
 func (b *LifecycleBuilder) Lifecycle() Lifecycle {
 	return Lifecycle{

@@ -27,15 +27,11 @@ type Monetization struct {
 }
 
 // MonetizationBuilder tallies the scam funnel from the log: funnel
-// counters, the payment distribution, and the exploited-victim set.
-// Revenue is summed at snapshot time as a left fold over the payment
-// sample, which keeps payments in log order — so the floating-point
-// revenue total is bit-identical whether the builder observed the whole
-// log or was merged from per-segment shards.
+// counters, a running revenue total (a left fold over the payments in log
+// order), and the exploited-victim set.
 type MonetizationBuilder struct {
 	out       Monetization
 	routes    stats.Counter
-	payments  stats.Sample
 	exploited map[int32]bool
 }
 
@@ -59,7 +55,7 @@ func (b *MonetizationBuilder) Observe(e event.Event) {
 		}
 	case event.MoneyWired:
 		b.out.Payments++
-		b.payments.Add(ev.Amount)
+		b.out.Revenue += ev.Amount
 	case event.HijackAssessed:
 		if ev.Exploited {
 			b.exploited[int32(ev.Account)] = true
@@ -67,26 +63,11 @@ func (b *MonetizationBuilder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's funnel into b: counters add, routes and
-// payments merge in partition order, the exploited set unions.
-func (b *MonetizationBuilder) Merge(other *MonetizationBuilder) {
-	b.out.PleaRecipients += other.out.PleaRecipients
-	b.out.Replies += other.out.Replies
-	b.out.ReachedCrew += other.out.ReachedCrew
-	b.out.Payments += other.out.Payments
-	b.routes.Merge(&other.routes)
-	b.payments.Merge(&other.payments)
-	for a := range other.exploited {
-		b.exploited[a] = true
-	}
-}
-
 // Monetization snapshots the funnel observed so far.
 func (b *MonetizationBuilder) Monetization() Monetization {
 	out := b.out
-	out.Revenue = b.payments.Sum()
 	out.ReplyRoutes = b.routes.Sorted()
-	out.MeanPayment = b.payments.Mean()
+	out.MeanPayment = stats.Ratio(out.Revenue, float64(out.Payments))
 	out.RevenuePerHijack = 0
 	if len(b.exploited) > 0 {
 		out.RevenuePerHijack = out.Revenue / float64(len(b.exploited))

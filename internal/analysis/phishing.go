@@ -47,17 +47,15 @@ type Table2 struct {
 // pages found "while indexing the web", and victim-list pages are mailed
 // directly rather than linked anywhere crawlable.
 //
-// Lures and detections are buffered raw and resolved against the page
-// maps at snapshot time; a page is always created before its lures, hits,
-// and detection (the simulation emits them causally), so the deferred join
-// equals a two-pass join — and, because every buffer is order-preserving
-// and the maps are keyed by page, per-segment shards merged in log order
-// reproduce the single pass exactly.
+// Both joins run as the records arrive: a page is always created before
+// its lures, hits and detection (the simulation emits them causally), so
+// by the time a lure or a detection is observed its page's creation record
+// has been.
 type PhishSampleBuilder struct {
-	targeted   map[event.PageID]bool
-	created    map[event.PageID]event.PageCreated
-	lures      []event.LureSent // reported lures, targeting unresolved
-	detections []event.PageID   // detection order
+	targeted map[event.PageID]bool
+	created  map[event.PageID]event.PageCreated
+	reported []event.LureSent    // reported lures of untargeted pages
+	detected []event.PageCreated // detected untargeted pages, detection order
 }
 
 // NewPhishSampleBuilder returns an empty builder.
@@ -78,50 +76,21 @@ func (b *PhishSampleBuilder) Observe(e event.Event) {
 			b.created[ev.Page] = ev
 		}
 	case event.LureSent:
-		if ev.Reported {
-			b.lures = append(b.lures, ev)
+		if ev.Reported && !b.targeted[ev.Page] {
+			b.reported = append(b.reported, ev)
 		}
 	case event.PageDetected:
-		b.detections = append(b.detections, ev.Page)
-	}
-}
-
-// Merge folds a later partition's populations into b: page maps union
-// (page IDs are unique, so there are no collisions to order), buffers
-// concatenate.
-func (b *PhishSampleBuilder) Merge(other *PhishSampleBuilder) {
-	for p := range other.targeted {
-		b.targeted[p] = true
-	}
-	for p, c := range other.created {
-		b.created[p] = c
-	}
-	b.lures = append(b.lures, other.lures...)
-	b.detections = append(b.detections, other.detections...)
-}
-
-// resolve runs the deferred joins: reported lures excluding
-// contact-targeted pages, and detections of tracked (untargeted) pages.
-func (b *PhishSampleBuilder) resolve() (reported []event.LureSent, detected []event.PageCreated) {
-	for _, l := range b.lures {
-		if !b.targeted[l.Page] {
-			reported = append(reported, l)
+		if c, ok := b.created[ev.Page]; ok {
+			b.detected = append(b.detected, c)
 		}
 	}
-	for _, p := range b.detections {
-		if c, ok := b.created[p]; ok {
-			detected = append(detected, c)
-		}
-	}
-	return reported, detected
 }
 
 // Table2 snapshots Table 2 from the populations observed so far, drawing
 // Datasets 1 and 2's deterministic samples.
 func (b *PhishSampleBuilder) Table2(sampleSize int) Table2 {
-	reported, detected := b.resolve()
-	emails := sampleN(1, reported, sampleSize)
-	pages := sampleN(2, detected, sampleSize)
+	emails := sampleN(1, b.reported, sampleSize)
+	pages := sampleN(2, b.detected, sampleSize)
 
 	var ec, pc stats.Counter
 	for _, e := range emails {
@@ -147,8 +116,7 @@ func (b *PhishSampleBuilder) Table2(sampleSize int) Table2 {
 // URLShare snapshots the fraction of curated phishing emails carrying a
 // URL (§4.1: 62 of 100) over the Dataset 1 sample observed so far.
 func (b *PhishSampleBuilder) URLShare(sampleSize int) float64 {
-	reported, _ := b.resolve()
-	emails := sampleN(1, reported, sampleSize)
+	emails := sampleN(1, b.reported, sampleSize)
 	withURL := 0
 	for _, e := range emails {
 		if e.HasURL {
@@ -170,8 +138,7 @@ type Figure3 struct {
 // Forms-hosted pages that were taken down, with their HTTP request logs),
 // and the dataset's deterministic page sample. The per-page aggregates
 // replace Dataset 3's materialized HTTP logs, so builder state grows with
-// pages, not hits — the shape that lets these figures run as a merge of
-// per-segment maps.
+// pages, not hits.
 type d3Pages[T any] struct {
 	pages map[event.PageID]*d3Page[T]
 }

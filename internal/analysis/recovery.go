@@ -35,11 +35,6 @@ func (b *Figure9Builder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's recoveries into b by concatenation.
-func (b *Figure9Builder) Merge(other *Figure9Builder) {
-	b.recovered = append(b.recovered, other.recovered...)
-}
-
 // Figure9 snapshots the figure from the recoveries observed so far.
 func (b *Figure9Builder) Figure9(sampleSize int) Figure9 {
 	fig := Figure9{Latencies: &stats.Sample{}}
@@ -94,11 +89,6 @@ func (b *Figure10Builder) Observe(e event.Event) {
 	if a, ok := e.(event.ClaimAttempt); ok && a.Actor != event.ActorHijacker {
 		b.attempts = append(b.attempts, a)
 	}
-}
-
-// Merge folds a later partition's attempts into b by concatenation.
-func (b *Figure10Builder) Merge(other *Figure10Builder) {
-	b.attempts = append(b.attempts, other.attempts...)
 }
 
 // Figure10 snapshots the figure over the attempts in [from, to) observed
@@ -158,12 +148,6 @@ func (b *RecoveryChannelsBuilder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's tallies into b.
-func (b *RecoveryChannelsBuilder) Merge(other *RecoveryChannelsBuilder) {
-	b.emailAttempts += other.emailAttempts
-	b.bounces += other.bounces
-}
-
 // RecoveryChannels snapshots the estimates observed so far; the secondary
 // email totals come from the directory, not the log.
 func (b *RecoveryChannelsBuilder) RecoveryChannels(secondaryTotal, secondaryRecycled int) RecoveryChannels {
@@ -205,13 +189,6 @@ func (b *RemissionBuilder) Observe(e event.Event) {
 	if r.ClearedSettings {
 		b.out.WithSettingClear++
 	}
-}
-
-// Merge folds a later partition's tallies into b.
-func (b *RemissionBuilder) Merge(other *RemissionBuilder) {
-	b.out.Remissions += other.out.Remissions
-	b.out.WithRestore += other.out.WithRestore
-	b.out.WithSettingClear += other.out.WithSettingClear
 }
 
 // Remission snapshots the tallies observed so far.

@@ -53,15 +53,6 @@ func (b *WorkScheduleBuilder) Observe(e event.Event) {
 	}
 }
 
-// Merge folds a later partition's tallies into b.
-func (b *WorkScheduleBuilder) Merge(other *WorkScheduleBuilder) {
-	for h, n := range other.hourly {
-		b.hourly[h] += n
-	}
-	b.weekend += other.weekend
-	b.logins += other.logins
-}
-
 // WorkSchedule snapshots the schedule observed so far.
 func (b *WorkScheduleBuilder) WorkSchedule() WorkSchedule {
 	out := WorkSchedule{Logins: b.logins}

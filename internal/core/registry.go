@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"manualhijack/internal/analysis"
@@ -78,12 +77,8 @@ type Analysis struct {
 	// the parameters the study reports it at. Stream reads only in's
 	// window, plan, scale and directory pointer, never its log, so RunStudy
 	// builds it before its world runs and feeds it every record as the
-	// world appends it. RunAnalyses, over a finished log, scans an in-RAM
-	// log once per entry. On a segmented (spilled-to-disk) log it feeds
-	// every entry from ONE ordered scan — each segment is decoded once
-	// per pass instead of once per analysis — and builders that also
-	// implement MergeableAnalysis fold one shard per segment on a worker
-	// pool, merged back in segment order.
+	// world appends it. RunAnalyses, over a finished log, feeds it every
+	// record once, in log order, one storage unit at a time.
 	Stream func(in AnalysisInput) StreamAnalysis
 }
 
@@ -95,17 +90,9 @@ type StreamAnalysis interface {
 	Finalize(r *StudyReport)
 }
 
-// MergeableAnalysis is an optional capability on StreamAnalysis: an
-// analysis whose fold is partitionable. NewShard returns a fresh builder
-// with the same configuration; Merge folds a shard that observed a later,
-// contiguous partition of the log into the receiver. The contract is
-// exact, not approximate: merging per-partition shards in log order must
-// reproduce the very state a single sequential pass builds — slice
-// orders, dedup winners, and float summation order included — which is
-// what keeps segmented study reports byte-identical to monolithic ones.
-// Order-sensitive builders (live session state machines, cross-segment
-// page joins, first-hit anchored series) simply do not implement it and
-// stay on the ordered scan.
+// MergeableAnalysis is declared for the benchmark harness in perfbench/,
+// whose core.merge_s probe names it; no analysis implements it, so that
+// probe reads 0. It goes when the probe does.
 type MergeableAnalysis interface {
 	StreamAnalysis
 	NewShard() MergeableAnalysis
@@ -121,57 +108,23 @@ type streamed struct {
 func (s streamed) Observe(e event.Event)   { s.observe(e) }
 func (s streamed) Finalize(r *StudyReport) { s.finalize(r) }
 
-// merged adapts a concrete builder type carrying a typed Merge method into
-// a MergeableAnalysis: the registry entry supplies the constructor
-// (capturing the builder's configuration, so shards are configured
-// identically) and the finalizer; the adapter wires NewShard and Merge
-// through the builder's own Merge.
-type merged[B interface {
-	Observe(event.Event)
-	Merge(B)
-}] struct {
-	b        B
-	newB     func() B
-	finalize func(B, *StudyReport)
-}
-
-func (m merged[B]) Observe(e event.Event)   { m.b.Observe(e) }
-func (m merged[B]) Finalize(r *StudyReport) { m.finalize(m.b, r) }
-func (m merged[B]) NewShard() MergeableAnalysis {
-	return merged[B]{b: m.newB(), newB: m.newB, finalize: m.finalize}
-}
-func (m merged[B]) Merge(shard MergeableAnalysis) { m.b.Merge(shard.(merged[B]).b) }
-
-// mergeable builds the registry's standard MergeableAnalysis from a
-// builder constructor and a finalizer.
-func mergeable[B interface {
-	Observe(event.Event)
-	Merge(B)
-}](newB func() B, fin func(B, *StudyReport)) StreamAnalysis {
-	return merged[B]{b: newB(), newB: newB, finalize: fin}
-}
-
 // riskSweepThresholds is the §8.1 operating-point grid.
 var riskSweepThresholds = []float64{0.3, 0.4, 0.5, 0.58, 0.62, 0.7, 0.8, 0.9}
 
 // registry holds every analysis of the study, in report order. An entry's
 // builder is the analysis's one definition: the study's fold at append,
-// RunAnalyses' monolithic and segmented runners, and the online-streaming
-// (internal/stream) paths all run it. Entries built with mergeable()
-// additionally fold as per-segment shards on the segmented path; the
-// handful built with streamed{} are order-sensitive (session state
-// machines, cross-segment page joins, first-hit anchors, exploitation's
-// per-account day tallies, which need each account's mail in time order)
-// and fold inline on the ordered scan.
+// RunAnalyses' fold over a finished log, and the online-streaming
+// (internal/stream) paths all feed it every record once, in log order, and
+// none needs more than that.
 var registry = []Analysis{
 	// ---- 2011 era ----
 	{Name: "retention-2011", Era: Era2011, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewRetentionBuilder, func(b *analysis.RetentionBuilder, r *StudyReport) {
-			r.Retention2011 = b.Retention(600)
-		})
+		b := analysis.NewRetentionBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Retention2011 = b.Retention(600) }}
 	}},
 	{Name: "contact-risk", Era: Era2011, NeedsDir: true, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewContactRiskBuilder, func(b *analysis.ContactRiskBuilder, r *StudyReport) {
+		b := analysis.NewContactRiskBuilder()
+		return streamed{b.Observe, func(r *StudyReport) {
 			// Cohorts form four days after background campaigns stop, so the
 			// backlog of mass-campaign conversions is flushed and the outcome
 			// window isolates the hijacker contact-targeting loop.
@@ -179,7 +132,7 @@ var registry = []Analysis{
 			r.ContactRisk = b.ContactRisk(
 				in.Dir, cutoff, 8*24*time.Hour, 56*24*time.Hour,
 				scaleInt(3000, in.Scale, 200))
-		})
+		}}
 	}},
 
 	// ---- 2012 era — the big fan-out ----
@@ -200,123 +153,101 @@ var registry = []Analysis{
 		return streamed{b.Observe, func(r *StudyReport) { r.Fig6 = b.Figure6(100) }}
 	}},
 	{Name: "figure-7", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure7Builder, func(b *analysis.Figure7Builder, r *StudyReport) {
-			r.Fig7 = b.Figure7()
-		})
+		b := analysis.NewFigure7Builder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Fig7 = b.Figure7() }}
 	}},
 	{Name: "figure-8", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure8Builder, func(b *analysis.Figure8Builder, r *StudyReport) {
-			r.Fig8 = b.Figure8()
-		})
+		b := analysis.NewFigure8Builder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Fig8 = b.Figure8() }}
 	}},
 	{Name: "table-3", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewTable3Builder, func(b *analysis.Table3Builder, r *StudyReport) {
-			r.Table3 = b.Table3()
-		})
+		b := analysis.NewTable3Builder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Table3 = b.Table3() }}
 	}},
 	{Name: "assessment", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewAssessmentBuilder, func(b *analysis.AssessmentBuilder, r *StudyReport) {
-			r.Assessment = b.Assessment(575)
-		})
+		b := analysis.NewAssessmentBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Assessment = b.Assessment(575) }}
 	}},
 	{Name: "exploitation", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
 		b := analysis.NewExploitationBuilder()
 		return streamed{b.Observe, func(r *StudyReport) { r.Exploitation = b.Exploitation(575) }}
 	}},
 	{Name: "retention-2012", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewRetentionBuilder, func(b *analysis.RetentionBuilder, r *StudyReport) {
-			r.Retention2012 = b.Retention(575)
-		})
+		b := analysis.NewRetentionBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Retention2012 = b.Retention(575) }}
 	}},
 	{Name: "figure-9", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure9Builder, func(b *analysis.Figure9Builder, r *StudyReport) {
-			r.Fig9 = b.Figure9(5000)
-		})
+		b := analysis.NewFigure9Builder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Fig9 = b.Figure9(5000) }}
 	}},
 	{Name: "figure-12", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure12Builder, func(b *analysis.Figure12Builder, r *StudyReport) {
-			r.Fig12 = b.Figure12(300)
-		})
+		b := analysis.NewFigure12Builder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Fig12 = b.Figure12(300) }}
 	}},
 	{Name: "behavior-detector", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
 		b := analysis.NewBehaviorEvalBuilder(behavior.DefaultConfig())
 		return streamed{b.Observe, func(r *StudyReport) { r.Behavior = b.DetectionEval() }}
 	}},
 	{Name: "risk-sweep", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(func() *analysis.RiskSweepBuilder {
-			return analysis.NewRiskSweepBuilder(riskSweepThresholds)
-		}, func(b *analysis.RiskSweepBuilder, r *StudyReport) {
-			r.RiskSweep = b.Sweep()
-		})
+		b := analysis.NewRiskSweepBuilder(riskSweepThresholds)
+		return streamed{b.Observe, func(r *StudyReport) { r.RiskSweep = b.Sweep() }}
 	}},
 	{Name: "work-schedule", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewWorkScheduleBuilder, func(b *analysis.WorkScheduleBuilder, r *StudyReport) {
-			r.Schedule = b.WorkSchedule()
-		})
+		b := analysis.NewWorkScheduleBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Schedule = b.WorkSchedule() }}
 	}},
 	{Name: "doppelganger", Era: Era2012, NeedsDir: true, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(func() *analysis.DoppelgangerBuilder {
-			return analysis.NewDoppelgangerBuilder(in.Dir, 0.75)
-		}, func(b *analysis.DoppelgangerBuilder, r *StudyReport) {
-			r.Doppelganger = b.DoppelgangerEval()
-		})
+		b := analysis.NewDoppelgangerBuilder(in.Dir, 0.75)
+		return streamed{b.Observe, func(r *StudyReport) { r.Doppelganger = b.DoppelgangerEval() }}
 	}},
 	{Name: "monetization", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewMonetizationBuilder, func(b *analysis.MonetizationBuilder, r *StudyReport) {
-			r.Monetization = b.Monetization()
-		})
+		b := analysis.NewMonetizationBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Monetization = b.Monetization() }}
 	}},
 	{Name: "lifecycle", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewLifecycleBuilder, func(b *analysis.LifecycleBuilder, r *StudyReport) {
-			r.Lifecycle = b.Lifecycle()
-		})
+		b := analysis.NewLifecycleBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Lifecycle = b.Lifecycle() }}
 	}},
 	{Name: "archetype-scorecard", Era: Era2012, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewArchetypeScorecardBuilder, func(b *analysis.ArchetypeScorecardBuilder, r *StudyReport) {
-			r.ArchetypeScorecard = b.Scorecard()
-		})
+		b := analysis.NewArchetypeScorecardBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.ArchetypeScorecard = b.Scorecard() }}
 	}},
 
 	// ---- 2013 era ----
 	{Name: "figure-10", Era: Era2013, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure10Builder, func(b *analysis.Figure10Builder, r *StudyReport) {
-			r.Fig10 = b.Figure10(in.Start, in.End)
-		})
+		b := analysis.NewFigure10Builder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Fig10 = b.Figure10(in.Start, in.End) }}
 	}},
 	{Name: "recovery-channels", Era: Era2013, NeedsDir: true, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewRecoveryChannelsBuilder, func(b *analysis.RecoveryChannelsBuilder, r *StudyReport) {
+		b := analysis.NewRecoveryChannelsBuilder()
+		return streamed{b.Observe, func(r *StudyReport) {
 			secTotal, secRecycled := secondaryCountsDir(in.Dir)
 			r.Channels = b.RecoveryChannels(secTotal, secRecycled)
-		})
+		}}
 	}},
 	{Name: "remission", Era: Era2013, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewRemissionBuilder, func(b *analysis.RemissionBuilder, r *StudyReport) {
-			r.Remission = b.Remission()
-		})
+		b := analysis.NewRemissionBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Remission = b.Remission() }}
 	}},
 
 	// ---- 2014 era ----
 	{Name: "table-2", Era: Era2014, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewPhishSampleBuilder, func(b *analysis.PhishSampleBuilder, r *StudyReport) {
-			r.Table2 = b.Table2(100)
-		})
+		b := analysis.NewPhishSampleBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Table2 = b.Table2(100) }}
 	}},
 	{Name: "url-share", Era: Era2014, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewPhishSampleBuilder, func(b *analysis.PhishSampleBuilder, r *StudyReport) {
-			r.URLShare = b.URLShare(100)
-		})
+		b := analysis.NewPhishSampleBuilder()
+		return streamed{b.Observe, func(r *StudyReport) { r.URLShare = b.URLShare(100) }}
 	}},
 	{Name: "figure-11", Era: Era2014, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(analysis.NewFigure11Builder, func(b *analysis.Figure11Builder, r *StudyReport) {
-			r.Fig11 = b.Figure11(in.Plan, 3000)
-		})
+		b := analysis.NewFigure11Builder()
+		return streamed{b.Observe, func(r *StudyReport) { r.Fig11 = b.Figure11(in.Plan, 3000) }}
 	}},
 
 	// ---- base rates ----
 	{Name: "base-rates", Era: EraBase, NeedsDir: true, Stream: func(in AnalysisInput) StreamAnalysis {
-		return mergeable(func() *analysis.BaseRatesBuilder {
-			return analysis.NewBaseRatesBuilder(in.Start)
-		}, func(b *analysis.BaseRatesBuilder, r *StudyReport) {
+		b := analysis.NewBaseRatesBuilder(in.Start)
+		return streamed{b.Observe, func(r *StudyReport) {
 			active := 0
 			in.Dir.All(func(a *identity.Account) {
 				if a.Active(in.End) {
@@ -324,7 +255,7 @@ var registry = []Analysis{
 				}
 			})
 			r.BaseRates = b.BaseRates(in.Start, in.End, active)
-		})
+		}}
 	}},
 }
 
@@ -347,35 +278,19 @@ func worldInput(w *World, scale float64) AnalysisInput {
 	}
 }
 
-// RunAnalyses fans every applicable registry analysis out over a worker
-// pool against one input (typically a dumped log reloaded by cmd/analyze)
-// and returns the report plus the names of analyses skipped because they
-// need the live directory. par follows StudyConfig.Parallelism semantics:
-// 0 means GOMAXPROCS, 1 runs sequentially. The result is deterministic at
-// any parallelism — every analysis writes a distinct report field.
+// RunAnalyses folds every applicable registry analysis over one finished
+// log (typically a dump reloaded by cmd/analyze) and returns the report
+// plus the names of analyses skipped because they need the live
+// directory. par follows StudyConfig.Parallelism semantics: 0 means
+// GOMAXPROCS, 1 runs sequentially. The result is deterministic at any
+// parallelism and for any layout of the log: every builder sees every
+// record once, in log order, and writes a distinct report field.
 func RunAnalyses(in AnalysisInput, par int) (*StudyReport, []string) {
 	if in.Scale <= 0 {
 		in.Scale = 1
 	}
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	r := &StudyReport{}
-	jobs, skipped := analysisJobs(in, r, par)
-	runAll(par, jobs)
-	return r, skipped
-}
-
-// analysisJobs builds the parallel job list for every registry entry over
-// in. On a monolithic (in-RAM) log every entry is its own job, preserving
-// the wide fan-out. On a segmented log the entries form a single
-// map-reduce job: one ordered scan decodes every segment exactly once and
-// feeds all builders, which then finalize into their report fields — the
-// pass count stops scaling with the analysis count. par bounds the
-// per-segment shard folds inside that job (see runGroup). Entries whose
-// directory requirement is unmet are returned in skipped.
-func analysisJobs(in AnalysisInput, r *StudyReport, par int) (jobs []func(), skipped []string) {
 	var entries []Analysis
+	var skipped []string
 	for _, a := range registry {
 		if a.NeedsDir && in.Dir == nil {
 			skipped = append(skipped, a.Name)
@@ -383,103 +298,39 @@ func analysisJobs(in AnalysisInput, r *StudyReport, par int) (jobs []func(), ski
 		}
 		entries = append(entries, a)
 	}
-	if in.Log.Segmented() {
-		return []func(){func() { runGroup(in, entries, r, par) }}, skipped
-	}
-	for _, a := range entries {
-		jobs = append(jobs, func() { runOne(a, in, r) })
-	}
-	return jobs, skipped
+	r := &StudyReport{}
+	foldLog(in, entries, r, par)
+	return r, skipped
 }
 
-// runGroup executes entries over one segmented store in a single
-// decode pass. The scan goroutine folds the order-sensitive builders
-// inline, preserving strict log order; for every decoded segment, up to
-// par worker goroutines fold one fresh shard per mergeable entry, and a
-// single merger goroutine folds finished shards back into the root
-// builders strictly in segment order. Because each builder's Merge
-// contract reproduces the sequential state exactly, the report stays
-// byte-identical to a monolithic run at any worker count.
-func runGroup(in AnalysisInput, entries []Analysis, r *StudyReport, par int) {
+// foldLog builds the builders of entries against in, folds in's log
+// through them and finalizes them into r. Log.ScanSegments hands over the
+// log one storage unit at a time, in order: the whole log for an in-RAM
+// store, one decoded segment for a segmented one. Each builder folds the
+// unit as its own job on a pool of par workers, and every job ends before
+// the next unit is handed over.
+func foldLog(in AnalysisInput, entries []Analysis, r *StudyReport, par int) {
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
 	builders := make([]StreamAnalysis, len(entries))
-	var ordered []StreamAnalysis
-	var roots []MergeableAnalysis
 	for i, a := range entries {
-		b := a.Stream(in)
-		builders[i] = b
-		if m, ok := b.(MergeableAnalysis); ok {
-			roots = append(roots, m)
-		} else {
-			ordered = append(ordered, b)
-		}
+		builders[i] = a.Stream(in)
 	}
-	if par < 1 {
-		par = 1
-	}
-
-	// segShards carries one segment's shard set from its fold worker to
-	// the merger; done is closed once the shards are fully folded. Entries
-	// are enqueued in segment order before the worker spawns, so the
-	// merger's receive order IS segment order, and the queue's capacity
-	// bounds how many decoded segments the shard stage can hold live.
-	type segShards struct {
-		shards []MergeableAnalysis
-		done   chan struct{}
-	}
-	queue := make(chan *segShards, par+1)
-	var mergeWG sync.WaitGroup
-	mergeWG.Add(1)
-	go func() {
-		defer mergeWG.Done()
-		for ss := range queue {
-			<-ss.done
-			for j, sh := range ss.shards {
-				roots[j].Merge(sh)
-			}
-		}
-	}()
-
-	sem := make(chan struct{}, par)
+	jobs := make([]func(), len(builders))
 	in.Log.ScanSegments(func(_ int, events []event.Event) {
-		for _, e := range events {
-			for _, b := range ordered {
-				b.Observe(e)
-			}
-		}
-		if len(roots) == 0 {
-			return
-		}
-		ss := &segShards{done: make(chan struct{})}
-		queue <- ss
-		sem <- struct{}{}
-		go func() {
-			defer close(ss.done)
-			shards := make([]MergeableAnalysis, len(roots))
-			for j := range roots {
-				shards[j] = roots[j].NewShard()
-			}
-			for _, e := range events {
-				for _, sh := range shards {
-					sh.Observe(e)
+		for i, b := range builders {
+			jobs[i] = func() {
+				for _, e := range events {
+					b.Observe(e)
 				}
 			}
-			ss.shards = shards
-			<-sem
-		}()
+		}
+		runAll(par, jobs)
 	})
-	close(queue)
-	mergeWG.Wait()
-
 	for _, b := range builders {
 		b.Finalize(r)
 	}
-}
-
-// runOne executes one entry by scanning the whole log through its builder.
-func runOne(a Analysis, in AnalysisInput, r *StudyReport) {
-	b := a.Stream(in)
-	in.Log.Scan(b.Observe)
-	b.Finalize(r)
 }
 
 // secondaryCountsDir tallies the population's secondary-email totals for

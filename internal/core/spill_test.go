@@ -25,7 +25,8 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		sc := StudyConfig{Seed: seed, Scale: 0.1, DecoyN: 200,
 			// Archetype actors ride in every era world so the segmented
-			// scan covers tagged events and the scorecard's Merge path.
+			// scan covers tagged events and the scorecard's fold across
+			// segment boundaries.
 			Archetypes: []ArchetypeSpec{
 				{Archetype: "smashgrab", Count: 1},
 				{Archetype: "stuffer", Count: 1},
@@ -71,8 +72,8 @@ func TestSegmentedMatchesMonolithicGzip(t *testing.T) {
 // against the study's report. The study folds its records as they are
 // appended and never reads the segments back, so this is the gate that
 // what it wrote is what it analyzed: each era directory must open
-// strictly, hold the records the report counts, and, folded by the
-// map-reduce runner cmd/analyze uses, rewrite the era's directory-free
+// strictly, hold the records the report counts, and, folded by the loop
+// RunAnalyses runs for cmd/analyze, rewrite the era's directory-free
 // report fields to exactly the study's values.
 func assertSegmentsMatchStudy(t *testing.T, sc StudyConfig, r *StudyReport) {
 	t.Helper()
@@ -97,7 +98,7 @@ func assertSegmentsMatchStudy(t *testing.T, sc StudyConfig, r *StudyReport) {
 			}
 		}
 		got := *r
-		runGroup(AnalysisInput{
+		foldLog(AnalysisInput{
 			Log:   log,
 			Start: st.Meta.Start,
 			End:   st.Meta.End,

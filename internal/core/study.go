@@ -251,7 +251,7 @@ func runAll(par int, jobs []func()) {
 // RunStudy executes the five observation-window worlds and computes every
 // artifact from the era-appropriate world, mirroring how the paper's
 // datasets were drawn from different time windows of Google's logs
-// (Table 1) and aggregated via map-reduce.
+// (Table 1).
 //
 // Each era is one job on a pool of StudyConfig.Parallelism workers, the
 // longest world (2011) first. A job assembles its world, taps the

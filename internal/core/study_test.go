@@ -51,42 +51,6 @@ func TestStudyTable2Shape(t *testing.T) {
 	}
 }
 
-func TestStudyFigure3Shape(t *testing.T) {
-	r := studyReport(t)
-	if r.Fig3.BlankShare < 0.98 {
-		t.Errorf("blank referrers = %.4f, want > 0.98", r.Fig3.BlankShare)
-	}
-	if len(r.Fig3.NonBlank) < 3 {
-		t.Errorf("non-blank referrer variety = %d", len(r.Fig3.NonBlank))
-	}
-}
-
-func TestStudyFigure4Shape(t *testing.T) {
-	r := studyReport(t)
-	if r.Fig4.EduShare < 0.5 {
-		t.Errorf("edu share = %.2f, want dominant", r.Fig4.EduShare)
-	}
-	if len(r.Fig4.Shares) < 5 {
-		t.Errorf("TLD variety = %d, want a long tail", len(r.Fig4.Shares))
-	}
-	if r.Fig4.Shares[0].Key != "edu" {
-		t.Errorf("top TLD = %s, want edu", r.Fig4.Shares[0].Key)
-	}
-}
-
-func TestStudyFigure5Shape(t *testing.T) {
-	r := studyReport(t)
-	if r.Fig5.Mean < 0.08 || r.Fig5.Mean > 0.22 {
-		t.Errorf("mean success rate = %.3f, want ~0.14", r.Fig5.Mean)
-	}
-	if r.Fig5.Max < 0.25 {
-		t.Errorf("max success rate = %.3f, want a high-variance spread", r.Fig5.Max)
-	}
-	if r.Fig5.Max-r.Fig5.Min < 0.15 {
-		t.Errorf("success-rate spread = %.3f–%.3f, want huge variance", r.Fig5.Min, r.Fig5.Max)
-	}
-}
-
 func TestStudyFigure6Shape(t *testing.T) {
 	r := studyReport(t)
 	if len(r.Fig6.StandardAvg) == 0 {
@@ -324,17 +288,6 @@ func TestStudyBehaviorShape(t *testing.T) {
 	}
 	if r.Behavior.MeanExposure <= 0 {
 		t.Error("behavioral detector must fire after some exposure (§8.2)")
-	}
-}
-
-func TestStudyRiskSweepMonotone(t *testing.T) {
-	r := studyReport(t)
-	var prevCaught, prevFriction float64 = 2, 2
-	for _, pt := range r.RiskSweep {
-		if pt.HijackerCaught > prevCaught+1e-9 || pt.OwnerChallenged > prevFriction+1e-9 {
-			t.Errorf("sweep not monotone at t=%.2f", pt.Threshold)
-		}
-		prevCaught, prevFriction = pt.HijackerCaught, pt.OwnerChallenged
 	}
 }
 

@@ -4,10 +4,10 @@
 // The paper notes that its 14 datasets were aggregated from system logs
 // "via map-reduce computation" and that, for privacy and storage reasons,
 // many authentication-related logs are sanitized or erased within a short
-// time window. Both properties are modeled here: the analysis builders'
-// per-segment shards and ordered merges (core.MergeableAnalysis) are the
-// map-reduce over a sealed store, and Retention applies kind-scoped
-// erasure windows. A store may also keep nothing at all: Discard makes it
+// time window. A sealed store is read by one ordered fold: the analysis
+// builders see every record once, in log order, one storage unit at a
+// time (ScanSegments), and Retention applies kind-scoped erasure
+// windows. A store may also keep nothing at all: Discard makes it
 // write-only, so a writer whose readers all fold from the tap (the study's
 // era worlds) pays for none of its records.
 //
@@ -25,7 +25,7 @@
 //     release-store. From then on any number of goroutines may read
 //     concurrently. A sealed log is just its records: every read (Scan,
 //     ScanSegments, Select, KindCounts) is an ordered scan, which is all
-//     the map-reduce analyses need. Observing Sealed() == true is the
+//     the analyses need. Observing Sealed() == true is the
 //     cross-goroutine handoff: it happens-after everything the writer did.
 //
 // Misuse that is cheap to detect panics: appending to a sealed store, and
@@ -231,8 +231,8 @@ func (s *Store) Scan(fn func(event.Event)) {
 // (decoded ScanWorkers ahead), or the whole log as unit 0 for an in-RAM
 // store. Callers must treat the slice as read-only and not retain
 // it past the callback: a segmented store recycles it through the cache.
-// This is the hook for per-segment parallel reduction — fold each
-// delivered unit into a shard, merge shards in unit order.
+// This is the hook for folding a unit in parallel across builders
+// (core.RunAnalyses): every fold of a unit ends before fn returns.
 func (s *Store) ScanSegments(fn func(seg int, events []event.Event)) {
 	if s.writeOnly {
 		panic(writeOnlyRead)

@@ -418,11 +418,11 @@ func (sp *spillState) stopWriters() {
 }
 
 // scanSegments delivers whole decoded segments (with their index) in log
-// order — the hook core uses to fold per-segment shards without a second
-// decode pass. Up to ScanWorkers segments decode ahead in the background
-// while the current one is folded; delivery stays strictly in segment
-// order, so float-summation order — and with it report byte-identity — is
-// untouched by the parallelism.
+// order — the hook core uses to fold each segment across its builders in
+// one decode pass. Up to ScanWorkers segments decode ahead in the
+// background while the current one is folded; delivery stays strictly in
+// segment order, so float-summation order — and with it report
+// byte-identity — is untouched by the parallelism.
 func (sp *spillState) scanSegments(fn func(seg int, events []event.Event)) {
 	for i := range sp.segs {
 		for j := i + 1; j <= i+sp.cfg.ScanWorkers && j < len(sp.segs); j++ {

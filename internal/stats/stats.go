@@ -29,10 +29,9 @@ func (c *Counter) AddN(key string, n int) {
 	c.total += n
 }
 
-// Merge folds other's counts into c. Because a Counter is insensitive to
-// the order keys were added, merging per-partition counters reproduces the
-// single-pass counter exactly — the property the segmented map-reduce
-// analyses lean on.
+// Merge folds other's counts into c, as when Figures 3 and 4 sum their
+// sampled pages' counters. A Counter is insensitive to the order keys
+// were added, so the result does not depend on the merge order.
 func (c *Counter) Merge(other *Counter) {
 	for k, n := range other.counts {
 		c.AddN(k, n)
@@ -110,22 +109,8 @@ func (s *Sample) Add(x float64) {
 // AddDuration appends a duration observation in seconds.
 func (s *Sample) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 
-// Merge appends other's observations, preserving their insertion order.
-// Merging per-partition samples partition by partition reproduces the
-// single-pass sample exactly — including the insertion order that
-// left-fold float reductions (Sum, Mean) depend on — the property the
-// segmented map-reduce analyses lean on.
-func (s *Sample) Merge(other *Sample) {
-	if other.N() == 0 {
-		return
-	}
-	s.xs = append(s.xs, other.xs...)
-	s.sorted = nil
-}
-
-// Sum returns the observations' left-fold sum in insertion order, so a
-// sample built by ordered Merge yields bit-identical totals to one built
-// by sequential Adds.
+// Sum returns the observations' left-fold sum in insertion order, so the
+// same observations added in the same order always give the same bits.
 func (s *Sample) Sum() float64 {
 	sum := 0.0
 	for _, x := range s.xs {
@@ -142,11 +127,7 @@ func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
+	return s.Sum() / float64(len(s.xs))
 }
 
 // Stddev returns the population standard deviation.
@@ -288,22 +269,6 @@ func (ts *TimeSeries) ObserveN(t time.Time, n int) {
 		ts.counts = append(ts.counts, 0)
 	}
 	ts.counts[idx] += n
-}
-
-// Merge folds other's bucket counts into ts. Both series must share the
-// same origin and width (the segmented shards are built from one
-// constructor, so they always do); counts are additive per bucket and the
-// result extends to the longer series.
-func (ts *TimeSeries) Merge(other *TimeSeries) {
-	if !ts.Start.Equal(other.Start) || ts.Width != other.Width {
-		panic("stats: merging misaligned time series")
-	}
-	for len(ts.counts) < len(other.counts) {
-		ts.counts = append(ts.counts, 0)
-	}
-	for i, c := range other.counts {
-		ts.counts[i] += c
-	}
 }
 
 // Counts returns the bucket counts (a copy).
