@@ -18,12 +18,12 @@
 //
 // -events also accepts a segment directory (the layout `hijacksim
 // -spill-dir` produces, and each era subdirectory of `hijackstudy
-// -spill-dir`): it is opened as a virtual store that pages
-// segments through a small cache instead of decoding the whole log, so
-// analysis RAM is bounded by the segment size. With -spill-dir a
-// *monolithic* dump is first re-segmented into that directory and then
-// analyzed the same bounded way — the one-time path from an existing big
-// dump to bounded-RAM analysis.
+// -spill-dir`): it is opened as a virtual store that decodes its
+// segments in order as the analyses fold them instead of decoding the
+// whole log, so analysis RAM is bounded by the segment size. With
+// -spill-dir a *monolithic* dump is first re-segmented into that directory
+// and then analyzed the same bounded way — the one-time path from an
+// existing big dump to bounded-RAM analysis.
 //
 // Usage:
 //
@@ -31,13 +31,11 @@
 //	analyze -events world.ndjson.gz [-skip-corrupt] [-par N] [-decode-shards N] [-stream]
 //	        [-scan-workers N] [-spill-dir d [-segment-records N] [-segment-gzip]]
 //
-// -scan-workers sets how many segments the analysis scans decode ahead of
-// the one being folded (report bytes are unaffected); the cache holds
-// that many plus the segment being folded. After a segmented
-// analysis the segment-cache counters (hits, decode misses, deduplicated
-// prefetches, evictions) are printed, so scan-pattern regressions —
-// thrash, dead prefetch — are visible from the CLI. The last line is the
-// process's peak resident set size, `peak-rss-mib: N`.
+// -scan-workers sets how many segments the analysis scan decodes ahead of
+// the one being folded (report bytes are unaffected), so the scan holds at
+// most that many plus the segment being folded; -decode-shards sets how
+// many segments opening a directory verifies at once. The last line is
+// the process's peak resident set size, `peak-rss-mib: N`.
 package main
 
 import (
@@ -102,7 +100,7 @@ func main() {
 		os.Exit(1)
 	}
 	if st.Segments > 0 {
-		fmt.Printf("loaded %d records from %s in %s (%d segment(s), cache-bounded reads)\n",
+		fmt.Printf("loaded %d records from %s in %s (%d segment(s))\n",
 			st.Records, *eventsIn, time.Since(start).Round(time.Millisecond), st.Segments)
 	} else {
 		fmt.Printf("loaded %d records from %s in %s (sealed)\n",
@@ -171,13 +169,6 @@ func main() {
 	printScorecard("archetype-scorecard", r.ArchetypeScorecard)
 	if len(r.ArchetypeScorecard.Rows) > 0 {
 		fmt.Println()
-	}
-
-	if s.Segmented() {
-		// Machine-parseable: CI and bench.sh read this line.
-		cs := s.SegmentCacheStats()
-		fmt.Printf("segment-cache: hits=%d misses=%d prefetch-deduped=%d evictions=%d\n\n",
-			cs.Hits, cs.Misses, cs.PrefetchDeduped, cs.Evictions)
 	}
 
 	if *streaming {

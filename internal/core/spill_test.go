@@ -185,9 +185,9 @@ func TestSpillBoundsLiveHeap(t *testing.T) {
 	}
 	runtime.KeepAlive(seg)
 
-	// The segmented store retains at most the 2-segment cache out of 6+
-	// segments; 0.6 leaves room for the manifest, cache, and GC noise
-	// (measured ~0.25x on Linux/go1.24).
+	// The sealed segmented store keeps no decoded segment, only its 6+
+	// manifest entries; 0.6 leaves room for those and GC noise (measured
+	// ~0.25x on Linux/go1.24).
 	if float64(segRetained) > 0.6*float64(monoRetained) {
 		t.Fatalf("segmented store retains %d bytes, monolithic %d (want < 0.6x)",
 			segRetained, monoRetained)

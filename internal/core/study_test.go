@@ -31,103 +31,6 @@ func studyReport(t *testing.T) *core.StudyReport {
 	return sharedReport
 }
 
-func TestStudyTable2Shape(t *testing.T) {
-	r := studyReport(t)
-	e := r.Table2.EmailShares
-	if e[event.TargetMail] < 0.25 || e[event.TargetMail] > 0.45 {
-		t.Errorf("email mail share = %.2f, want ~0.35", e[event.TargetMail])
-	}
-	if e[event.TargetMail] <= e[event.TargetAppStore] || e[event.TargetMail] <= e[event.TargetSocial] {
-		t.Errorf("mail should dominate email targets: %v", e)
-	}
-	p := r.Table2.PageShares
-	if p[event.TargetMail] < 0.18 || p[event.TargetMail] > 0.40 {
-		t.Errorf("page mail share = %.2f, want ~0.27", p[event.TargetMail])
-	}
-	// HasURL is drawn per campaign, so a 100-lure sample clusters to an
-	// effective n of ~40 campaigns; the band reflects that.
-	if r.URLShare < 0.42 || r.URLShare > 0.80 {
-		t.Errorf("URL share = %.2f, want ~0.62", r.URLShare)
-	}
-}
-
-func TestStudyFigure6Shape(t *testing.T) {
-	r := studyReport(t)
-	if len(r.Fig6.StandardAvg) == 0 {
-		t.Fatal("no standard-page series")
-	}
-	// Decay: early volume must exceed late volume.
-	early, late := 0.0, 0.0
-	n := len(r.Fig6.StandardAvg)
-	for i, v := range r.Fig6.StandardAvg {
-		if i < n/4 {
-			early += v
-		} else if i >= n*3/4 {
-			late += v
-		}
-	}
-	if early <= late {
-		t.Errorf("standard pages lack decay: early=%.1f late=%.1f", early, late)
-	}
-	if len(r.Fig6.Outlier) == 0 {
-		t.Fatal("no outlier series")
-	}
-	if r.Fig6.OutlierQuietHours < 6 {
-		t.Errorf("outlier quiet period = %dh, want a testing lull (~15h)", r.Fig6.OutlierQuietHours)
-	}
-}
-
-func TestStudyFigure7Shape(t *testing.T) {
-	r := studyReport(t)
-	if r.Fig7.Submitted == 0 {
-		t.Fatal("no decoys submitted")
-	}
-	if r.Fig7.AccessedShare < 0.6 || r.Fig7.AccessedShare >= 1.0 {
-		t.Errorf("accessed = %.2f, want most but not all", r.Fig7.AccessedShare)
-	}
-	if r.Fig7.Within30Min < 0.08 || r.Fig7.Within30Min > 0.45 {
-		t.Errorf("within 30 min = %.2f, want ~0.20", r.Fig7.Within30Min)
-	}
-	if r.Fig7.Within7Hours < 0.30 || r.Fig7.Within7Hours > 0.75 {
-		t.Errorf("within 7h = %.2f, want ~0.50", r.Fig7.Within7Hours)
-	}
-	if r.Fig7.Within7Hours <= r.Fig7.Within30Min {
-		t.Error("CDF not increasing")
-	}
-}
-
-func TestStudyFigure8Shape(t *testing.T) {
-	r := studyReport(t)
-	if r.Fig8.MaxAccountsPerIPDay > 10 {
-		t.Errorf("max accounts per IP-day = %d, discipline cap is 10", r.Fig8.MaxAccountsPerIPDay)
-	}
-	if r.Fig8.MeanAccountsPerIPDay < 3 {
-		t.Errorf("mean accounts per IP-day = %.1f, want high utilization", r.Fig8.MeanAccountsPerIPDay)
-	}
-	if r.Fig8.PasswordOKShare < 0.55 || r.Fig8.PasswordOKShare > 0.85 {
-		t.Errorf("correct-password share = %.2f, want ~0.75 minus retries", r.Fig8.PasswordOKShare)
-	}
-}
-
-func TestStudyTable3Shape(t *testing.T) {
-	r := studyReport(t)
-	if r.Table3.FinanceShare < 0.75 {
-		t.Errorf("finance share = %.2f, want overwhelming", r.Table3.FinanceShare)
-	}
-	if r.Table3.CredShare > 0.15 {
-		t.Errorf("credential share = %.2f, want small", r.Table3.CredShare)
-	}
-	if !r.Table3.HasSpanish || !r.Table3.HasChinese {
-		t.Errorf("regional terms missing: es=%v zh=%v", r.Table3.HasSpanish, r.Table3.HasChinese)
-	}
-	// "wire transfer" and "bank transfer" have near-equal Table 3 weights;
-	// either may sample on top, but both must lead the list.
-	top2 := map[string]bool{r.Table3.Terms[0].Key: true, r.Table3.Terms[1].Key: true}
-	if !top2["wire transfer"] || !top2["bank transfer"] {
-		t.Errorf("top terms = %v, want wire/bank transfer leading", r.Table3.Terms[:2])
-	}
-}
-
 func TestStudyAssessmentShape(t *testing.T) {
 	r := studyReport(t)
 	a := r.Assessment

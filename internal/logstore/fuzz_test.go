@@ -3,6 +3,7 @@ package logstore
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -80,8 +81,9 @@ func FuzzReadNDJSON(f *testing.F) {
 // FuzzOpenSegmentDir opens a fixed three-segment directory of 15 records
 // under fuzzed manifest.json bytes, strict and with SkipCorrupt. Nothing
 // may panic; a strict open that succeeds serves each of the directory's
-// records at most once; and a SkipCorrupt open of a manifest the strict
-// open rejected says why in ManifestIgnored.
+// records at most once and holds exactly the records its manifest
+// declares; and a SkipCorrupt open of a manifest the strict open rejected
+// says why in ManifestIgnored.
 func FuzzOpenSegmentDir(f *testing.F) {
 	const records = 15
 	dir := f.TempDir()
@@ -97,6 +99,13 @@ func FuzzOpenSegmentDir(f *testing.F) {
 		}
 		s, _, err := OpenSegmentDir(dir, ReadOptions{})
 		if err == nil {
+			var m manifest
+			if jerr := json.Unmarshal(data, &m); jerr != nil {
+				t.Fatalf("strict open accepted a manifest that does not parse: %v", jerr)
+			}
+			if s.Len() != m.Records {
+				t.Fatalf("strict open holds %d records; its manifest declares %d", s.Len(), m.Records)
+			}
 			seen := map[identity.AccountID]bool{}
 			s.Scan(func(e event.Event) {
 				acct := e.(event.Login).Account

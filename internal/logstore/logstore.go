@@ -65,7 +65,7 @@ type Store struct {
 
 	// spill, when non-nil, puts the store in segmented spill-to-disk
 	// mode (see segment.go): events holds only the active segment, and
-	// sealed reads stream spilled segments through a bounded cache.
+	// sealed reads decode the spilled segments back in order.
 	spill *spillState
 
 	// writeOnly, set by Discard, makes Append count records instead of
@@ -215,8 +215,8 @@ func (s *Store) Len() int {
 }
 
 // Scan calls fn for every record in order. On a segmented store the
-// spilled segments stream through the cache in time order (with the next
-// segment prefetched), so the whole log is visited without ever being
+// spilled segments are decoded in time order (the next ScanWorkers ahead
+// of the one being read), so the whole log is visited without ever being
 // resident at once.
 func (s *Store) Scan(fn func(event.Event)) {
 	s.ScanSegments(func(_ int, events []event.Event) {
@@ -229,9 +229,11 @@ func (s *Store) Scan(fn func(event.Event)) {
 // ScanSegments calls fn once per storage unit, in log order, with the
 // unit's index and decoded records — segments for a segmented store
 // (decoded ScanWorkers ahead), or the whole log as unit 0 for an in-RAM
-// store. Callers must treat the slice as read-only and not retain
-// it past the callback: a segmented store recycles it through the cache.
-// This is the hook for folding a unit in parallel across builders
+// store. Callers must treat the slice as read-only and not retain it past
+// the callback: a segmented store decodes each segment for this scan
+// alone, and lets it go once fn returns, so a scan holds at most
+// ScanWorkers+1 decoded segments and a finished one holds none. This is
+// the hook for folding a unit in parallel across builders
 // (core.RunAnalyses): every fold of a unit ends before fn returns.
 func (s *Store) ScanSegments(fn func(seg int, events []event.Event)) {
 	if s.writeOnly {

@@ -154,12 +154,13 @@ type ReadOptions struct {
 	SkipCorrupt bool
 	// Shards bounds the parallel JSON-decode workers: 0 means GOMAXPROCS,
 	// 1 decodes inline on the reading goroutine (the sequential baseline).
-	// For a segment directory this is the segment-verification worker
-	// count instead (each segment decodes inline on its worker).
+	// For a segment directory it is instead how many segments opening it
+	// verifies at once, each decoded inline on a goroutine of its own.
 	Shards int
 	// ScanWorkers sets the returned store's ordered-scan decode-ahead
-	// window when the input is a segment directory (0 means 1). Ignored
-	// for monolithic dumps.
+	// depth when the input is a segment directory (0 means 1): a scan
+	// decodes that many segments ahead of the one being read. Ignored for
+	// monolithic dumps.
 	ScanWorkers int
 }
 

@@ -5,10 +5,11 @@ package logstore
 // for any single machine's RAM. This file gives the store the same shape:
 // during the single-writer build phase, time-contiguous segments seal at a
 // record threshold and spill to versioned NDJSON(.gz) segment files, so
-// the store holds only the active segment plus a small decoded-segment
-// cache. After Seal, every read is an ordered scan that streams segments
-// back through the cache in log order — analyses run over million-user
-// worlds in RAM bounded by the segment size, not the world size.
+// the store holds only the active segment. After Seal, every read is an
+// ordered scan that decodes segments back in log order, a few ahead of
+// the one being read, and keeps none once it returns — analyses run over
+// million-user worlds in RAM bounded by the segment size, not the world
+// size.
 //
 // Segment files reuse the version-2 dump format verbatim (one header line,
 // then envelope lines), with the header's start/end carrying the segment's
@@ -68,8 +69,8 @@ type SpillConfig struct {
 	// ScanWorkers sets how many segments an ordered scan decodes ahead
 	// of the one being folded (<= 0 means 1, the classic
 	// prefetch-next). Delivery order is unaffected — builders always
-	// see segments in log order — only the decode overlaps. The
-	// decoded-segment cache holds ScanWorkers+1 segments: the one being
+	// see segments in log order — only the decode overlaps. A scan
+	// holds at most ScanWorkers+1 decoded segments: the one being
 	// folded and the window ahead of it.
 	ScanWorkers int
 	// Meta is the world-level metadata (observation window, seed) written
@@ -84,6 +85,10 @@ type segmentInfo struct {
 	First   time.Time          `json:"first"`
 	Last    time.Time          `json:"last"`
 	Kinds   map[event.Kind]int `json:"kinds"`
+	// globbed marks an entry listed from the directory, with no manifest
+	// behind it: it carries only its file name, so readSegment has
+	// nothing to check it against.
+	globbed bool
 }
 
 // manifest is the directory-level metadata file.
@@ -98,8 +103,8 @@ type manifest struct {
 }
 
 // spillState is the segmented half of a Store. During the build phase it
-// tracks segments handed to the writer pool; after Seal the cache serves
-// every read.
+// tracks segments handed to the writer pool; after Seal every read
+// decodes its segments from disk.
 type spillState struct {
 	cfg SpillConfig
 	// segs lists sealed, spilled segments in time order. During an async
@@ -132,11 +137,10 @@ type spillState struct {
 	werr    error
 	werrSeq int
 
-	// finished flips when Seal writes the manifest; from then on reads go
-	// through the cache. Published by Seal's release-store like the rest
-	// of the sealed state.
+	// finished flips when Seal writes the manifest; from then on reads
+	// decode segs. Published by Seal's release-store like the rest of the
+	// sealed state.
 	finished bool
-	cache    *segCache
 }
 
 // spillJob is one filled segment in flight to the writer pool. The
@@ -199,9 +203,6 @@ func (s *Store) EnableSpill(cfg SpillConfig) error {
 	if cfg.Writers <= 0 {
 		cfg.Writers = 1
 	}
-	if cfg.ScanWorkers <= 0 {
-		cfg.ScanWorkers = 1
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("logstore: spill dir: %w", err)
 	}
@@ -210,7 +211,7 @@ func (s *Store) EnableSpill(cfg SpillConfig) error {
 }
 
 // Segmented reports whether the sealed store serves its records from
-// spilled segment files through the cache rather than from RAM.
+// spilled segment files rather than from RAM.
 func (s *Store) Segmented() bool { return s.spill != nil && s.spill.finished }
 
 // SegmentCount returns the number of sealed, spilled segments.
@@ -359,8 +360,8 @@ func writeSegmentFile(path string, events []event.Event, info segmentInfo, cfg S
 }
 
 // finishSpill flushes the final partial segment, drains the writer pool,
-// surfaces the first write error, writes the manifest, and arms the
-// segment cache. Called by Seal with the store still unsealed.
+// surfaces the first write error, and writes the manifest. Called by Seal
+// with the store still unsealed.
 func (s *Store) finishSpill() error {
 	sp := s.spill
 	if err := s.spillActive(); err != nil {
@@ -399,7 +400,6 @@ func (s *Store) finishSpill() error {
 	// Release the active segment's backing array: the sealed store reads
 	// from disk only.
 	s.events = nil
-	sp.cache = newSegCache(sp.cfg.Dir, sp.segs, sp.cfg.ScanWorkers)
 	sp.finished = true
 	return nil
 }
@@ -419,45 +419,69 @@ func (sp *spillState) stopWriters() {
 
 // scanSegments delivers whole decoded segments (with their index) in log
 // order — the hook core uses to fold each segment across its builders in
-// one decode pass. Up to ScanWorkers segments decode ahead in the
-// background while the current one is folded; delivery stays strictly in
-// segment order, so float-summation order — and with it report
-// byte-identity — is untouched by the parallelism.
+// one decode pass. Up to ScanWorkers segments decode ahead while the
+// current one is folded; delivery stays strictly in segment order, so
+// float-summation order — and with it report byte-identity — is untouched
+// by the parallelism. Segment files are written by this process or
+// verified at directory open, so a read failure here is real I/O
+// corruption and panics like any other violated store invariant.
 func (sp *spillState) scanSegments(fn func(seg int, events []event.Event)) {
-	for i := range sp.segs {
-		for j := i + 1; j <= i+sp.cfg.ScanWorkers && j < len(sp.segs); j++ {
-			sp.cache.prefetch(j)
+	inOrder(sp.segs, sp.cfg.ScanWorkers, func(seg segmentInfo) segmentRead {
+		events, err := readSegment(sp.cfg.Dir, seg)
+		return segmentRead{events: events, err: err}
+	}, func(i int, r segmentRead) error {
+		if r.err != nil {
+			panic(fmt.Sprintf("logstore: segment %s: %v", sp.segs[i].File, r.err))
 		}
-		fn(i, sp.cache.get(i))
+		fn(i, r.events)
+		return nil
+	})
+}
+
+// segmentRead is what one job of inOrder makes of a segment: its records
+// for a scan, or its summary for verification, and the read's error.
+type segmentRead struct {
+	events []event.Event
+	info   segmentInfo
+	err    error
+}
+
+// inOrder is the one ordered decode-ahead behind every segment read. It
+// runs job on each of segs on up to k goroutines at once (k below 1 means
+// 1) and hands the results to use in segment order, on the calling
+// goroutine. Segment i+k's job starts as segment i is handed over, so at
+// most k results are in flight or waiting while use holds one. An error
+// from use stops the pass and is returned; jobs already started then
+// finish and their results are dropped. inOrder keeps nothing once it
+// returns.
+func inOrder(segs []segmentInfo, k int, job func(segmentInfo) segmentRead, use func(i int, r segmentRead) error) error {
+	k = max(1, min(k, len(segs)))
+	// ready[i%k] carries segment i's result; its one slot is empty again
+	// by the time segment i+k's job starts.
+	ready := make([]chan segmentRead, k)
+	start := func(i int) {
+		if i < len(segs) {
+			go func() { ready[i%k] <- job(segs[i]) }()
+		}
 	}
+	for i := range ready {
+		ready[i] = make(chan segmentRead, 1)
+		start(i)
+	}
+	for i := range segs {
+		r := <-ready[i%k]
+		start(i + k)
+		if err := use(i, r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// segCache is a small LRU of decoded segments, safe for the sealed phase's
-// concurrent readers. Concurrent requests for the same segment share one
-// decode (the loser waits on the winner's ready channel), and prefetch is
-// just a load nobody waits for.
-type segCache struct {
-	dir  string
-	segs []segmentInfo
-	max  int
-
-	mu      sync.Mutex
-	entries map[int]*cacheEntry
-	// order holds fully-loaded entry indices, LRU first. In-flight loads
-	// are not evictable, so membership here implies ready is closed.
-	order []int
-
-	// Diagnostics counters (SegmentCacheStats).
-	hits      atomic.Int64
-	misses    atomic.Int64
-	dedup     atomic.Int64
-	evictions atomic.Int64
-}
-
-// SegmentCacheStats reports decoded-segment cache traffic since Seal (or
-// directory open): cache hits, decode misses, prefetches deduplicated
-// against an in-flight or resident entry, and evictions. analyze prints
-// them so scan-pattern regressions (thrash, dead prefetch) are visible.
+// SegmentCacheStats is declared for the benchmark harness in perfbench/,
+// whose logstore.cache_* probes name it. Segment reads keep no cache, so
+// every count is zero and those probes read 0. It goes when the probes do
+// (ROADMAP item 2).
 type SegmentCacheStats struct {
 	Hits            int64
 	Misses          int64
@@ -465,100 +489,8 @@ type SegmentCacheStats struct {
 	Evictions       int64
 }
 
-// SegmentCacheStats returns cache counters for a segmented store; zero
-// for stores without one.
-func (s *Store) SegmentCacheStats() SegmentCacheStats {
-	sp := s.spill
-	if sp == nil || sp.cache == nil {
-		return SegmentCacheStats{}
-	}
-	c := sp.cache
-	return SegmentCacheStats{
-		Hits:            c.hits.Load(),
-		Misses:          c.misses.Load(),
-		PrefetchDeduped: c.dedup.Load(),
-		Evictions:       c.evictions.Load(),
-	}
-}
-
-type cacheEntry struct {
-	ready  chan struct{}
-	events []event.Event
-	err    error
-}
-
-// newSegCache sizes the cache for ordered scans with ahead segments of
-// decode-ahead: the segment being folded plus the window, so a scan never
-// evicts its own prefetches.
-func newSegCache(dir string, segs []segmentInfo, ahead int) *segCache {
-	return &segCache{dir: dir, segs: segs, max: ahead + 1, entries: make(map[int]*cacheEntry)}
-}
-
-// get returns segment i's decoded records, loading and caching on miss.
-// Segment files are written by this process or verified at directory open,
-// so a read failure here is real I/O corruption and panics like any other
-// violated store invariant.
-func (c *segCache) get(i int) []event.Event {
-	evs, err := c.load(i)
-	if err != nil {
-		panic(fmt.Sprintf("logstore: segment %s: %v", c.segs[i].File, err))
-	}
-	return evs
-}
-
-func (c *segCache) load(i int) ([]event.Event, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[i]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		<-e.ready
-		c.touch(i)
-		return e.events, e.err
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	c.entries[i] = e
-	c.mu.Unlock()
-	c.misses.Add(1)
-
-	e.events, e.err = readSegment(c.dir, c.segs[i])
-	close(e.ready)
-
-	c.mu.Lock()
-	c.order = append(c.order, i)
-	for len(c.order) > c.max {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, victim)
-		c.evictions.Add(1)
-	}
-	c.mu.Unlock()
-	return e.events, e.err
-}
-
-// touch marks i most-recently-used.
-func (c *segCache) touch(i int) {
-	c.mu.Lock()
-	for j, v := range c.order {
-		if v == i {
-			c.order = append(append(c.order[:j:j], c.order[j+1:]...), i)
-			break
-		}
-	}
-	c.mu.Unlock()
-}
-
-// prefetch starts loading segment i in the background unless it is already
-// present.
-func (c *segCache) prefetch(i int) {
-	c.mu.Lock()
-	_, ok := c.entries[i]
-	c.mu.Unlock()
-	if ok {
-		c.dedup.Add(1)
-		return
-	}
-	go c.load(i)
-}
+// SegmentCacheStats returns zero; see the type.
+func (s *Store) SegmentCacheStats() SegmentCacheStats { return SegmentCacheStats{} }
 
 // readSegment strictly decodes one segment file and checks it against its
 // manifest entry. A globbed entry (no manifest) carries only its file
@@ -580,15 +512,15 @@ func readSegment(dir string, want segmentInfo) ([]event.Event, error) {
 	defer closeFn()
 	// Presized from the manifest entry, but to no more than one record per
 	// byte of the file, so a forged count cannot force a large allocation
-	// (nor a negative one a panic). Inline decode: segment loads already
-	// run on worker pools, so sharding inside one segment would just
-	// oversubscribe.
+	// (nor a negative one a panic). Inline decode: segment reads already
+	// run several segments at once, so sharding inside one segment would
+	// just oversubscribe.
 	events := make([]event.Event, 0, max(0, min(want.Records, int(fi.Size()))))
 	events, err = decodeAll(plain, ReadOptions{Shards: 1}, &ReadStats{}, events)
 	if err != nil {
 		return nil, err
 	}
-	if want.Records == 0 && want.First.IsZero() {
+	if want.globbed {
 		return events, nil
 	}
 	first, last := bounds(events)
@@ -613,8 +545,10 @@ func bounds(events []event.Event) (first, last time.Time) {
 // OpenSegmentDir opens a spilled segment directory as a sealed virtual
 // store. Every segment is decoded once up front — re-verifying per-segment
 // time order, record counts against headers and manifest, and
-// cross-segment monotonicity — then discarded; reads stream segments back
-// through a bounded cache, so peak RAM stays O(segment), not O(world).
+// cross-segment monotonicity — and summarized, its records dropped as
+// soon as they are counted, up to opts.Shards segments at a time (0 means
+// GOMAXPROCS). Reads decode the segments again, in order, so peak RAM
+// stays O(segment), not O(world).
 //
 // Strict mode fails on the first problem. With SkipCorrupt, a bad segment
 // (any malformed line, count mismatch, or disorder against its
@@ -630,67 +564,44 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 		return nil, nil, fmt.Errorf("logstore: %s: no segment files (not a segment directory?)", dir)
 	}
 
-	// Verification pass: decode every segment once, in parallel workers,
-	// rebuilding its manifest entry from the records themselves.
-	type checked struct {
-		info segmentInfo
-		err  error
+	// Verification pass: rebuild each segment's manifest entry from its
+	// records, and keep the segments that also respect cross-segment
+	// monotonicity (segment i must start no earlier than segment i-1
+	// ended).
+	shards := opts.Shards
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
 	}
-	results := make([]checked, len(segs))
-	workers := opts.Shards
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				events, err := readSegment(dir, segs[i])
-				results[i] = checked{info: summarize(segs[i].File, events), err: err}
-			}
-		}()
-	}
-	for i := range segs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
-	// Keep verified segments that also respect cross-segment monotonicity
-	// (segment i must start no earlier than segment i-1 ended).
 	var kept []segmentInfo
 	var last time.Time
-	for i, res := range results {
+	err = inOrder(segs, shards, func(seg segmentInfo) segmentRead {
+		events, err := readSegment(dir, seg)
+		return segmentRead{info: summarize(seg.File, events), err: err}
+	}, func(i int, res segmentRead) error {
 		if res.err == nil && len(kept) > 0 && res.info.Records > 0 && res.info.First.Before(last) {
 			res.err = fmt.Errorf("starts at %s, before predecessor's last record at %s",
 				res.info.First, last)
 		}
 		if res.err != nil {
 			if !opts.SkipCorrupt {
-				return nil, nil, fmt.Errorf("logstore: segment %s: %w", segs[i].File, res.err)
+				return fmt.Errorf("logstore: segment %s: %w", segs[i].File, res.err)
 			}
 			st.SegmentsDropped++
 			st.Dropped += segs[i].Records
 			if segs[i].Records == 0 {
 				st.Dropped += res.info.Records
 			}
-			continue
+			return nil
 		}
-		if res.info.Records == 0 {
-			continue // empty segment: legal, nothing to serve
+		if res.info.Records > 0 { // an empty segment is legal, with nothing to serve
+			kept = append(kept, res.info)
+			last = res.info.Last
+			st.Records += res.info.Records
 		}
-		kept = append(kept, res.info)
-		last = res.info.Last
-		st.Records += res.info.Records
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 
 	st.Segments = len(kept)
@@ -702,16 +613,11 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 		st.Last = kept[len(kept)-1].Last
 	}
 
-	scanW := opts.ScanWorkers
-	if scanW <= 0 {
-		scanW = 1
-	}
 	s := &Store{spill: &spillState{
-		cfg:      SpillConfig{Dir: dir, ScanWorkers: scanW, Meta: st.Meta},
+		cfg:      SpillConfig{Dir: dir, ScanWorkers: opts.ScanWorkers, Meta: st.Meta},
 		segs:     kept,
 		spilled:  st.Records,
 		finished: true,
-		cache:    newSegCache(dir, kept, scanW),
 	}}
 	s.sealed.Store(true)
 	return s, st, nil
@@ -722,8 +628,8 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 // that is malformed or fails check is an error in strict mode and, under
 // SkipCorrupt, is ignored the same way, with the reason in
 // ReadStats.ManifestIgnored. The returned entries carry manifest
-// expectations where known; Records is 0 for globbed files until
-// verification fills it in.
+// expectations where known; a globbed file's entry carries only its name
+// until verification fills it in.
 func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []segmentInfo, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err == nil {
@@ -751,7 +657,7 @@ func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []
 	sort.Strings(matches)
 	segs := make([]segmentInfo, 0, len(matches))
 	for _, m := range matches {
-		segs = append(segs, segmentInfo{File: filepath.Base(m)})
+		segs = append(segs, segmentInfo{File: filepath.Base(m), globbed: true})
 	}
 	return nil, segs, nil
 }

@@ -81,8 +81,8 @@ func TestSpilledReadsMatchMonolithic(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mono := mixedStore(900)
 			mono.Seal()
-			// Small segments and the two-slot cache force constant
-			// eviction and reload during the comparison.
+			// Small segments make every read path in the comparison
+			// decode many of them, each scan afresh.
 			spilled := spilledMixedStore(t, 900, SpillConfig{
 				SegmentRecords: 97,
 				Compress:       compress,
@@ -355,6 +355,9 @@ func rewriteManifest(t *testing.T, dir string, edit func(*manifest)) {
 // directory, or entries that hold fewer records than the manifest
 // declares, fail a strict open that names manifest.json and the problem.
 // SkipCorrupt treats such a manifest as malformed and lists the directory.
+// An entry that passes those checks still binds its segment file: one
+// that declares no records fails a strict open that names the file, and
+// SkipCorrupt drops that segment whole.
 func TestOpenSegmentDirChecksManifest(t *testing.T) {
 	t.Run("file outside the directory", func(t *testing.T) {
 		root := t.TempDir()
@@ -447,6 +450,35 @@ func TestOpenSegmentDirChecksManifest(t *testing.T) {
 		}
 		if !strings.Contains(st.ManifestIgnored, "listed twice") {
 			t.Fatalf("ManifestIgnored = %q, want the repeated entry named", st.ManifestIgnored)
+		}
+	})
+	t.Run("entry declares zero records", func(t *testing.T) {
+		dir := t.TempDir()
+		sameTimeSegments(t, dir, 15, 5)
+		rewriteManifest(t, dir, func(m *manifest) {
+			m.Segments[0].Records = 0
+			m.Segments[0].First, m.Segments[0].Last = time.Time{}, time.Time{}
+			m.Records = 10
+		})
+
+		_, _, err := OpenSegmentDir(dir, ReadOptions{})
+		if err == nil {
+			t.Fatal("strict open of a segment whose manifest entry declares 0 records succeeded")
+		}
+		if !strings.Contains(err.Error(), "seg-000001.ndjson") {
+			t.Fatalf("error %q does not name the segment file", err)
+		}
+
+		got, st, err := OpenSegmentDir(dir, ReadOptions{SkipCorrupt: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SegmentsDropped != 1 || st.Dropped != 5 {
+			t.Fatalf("SegmentsDropped = %d, Dropped = %d, want 1 and 5", st.SegmentsDropped, st.Dropped)
+		}
+		if st.Segments != 2 || st.Records != 10 || got.Len() != 10 {
+			t.Fatalf("SkipCorrupt open holds %d records (stats %d) in %d segments, want 10 in 2",
+				got.Len(), st.Records, st.Segments)
 		}
 	})
 }

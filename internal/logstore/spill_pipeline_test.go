@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,10 +14,11 @@ import (
 )
 
 // TestScanWorkersMatchSequential hammers the decode-ahead scan: at every
-// worker depth, concurrent full scans over a tiny cache (constant eviction
-// and reload, prefetches racing folds) must deliver segments strictly in
-// order and the exact record sequence of the monolithic store. Run under
-// -race this also proves the cache's load/prefetch synchronization.
+// worker depth, four concurrent full scans over many small segments (each
+// scan's decodes racing its own fold and the other scans) must deliver
+// segments strictly in order and the exact record sequence of the
+// monolithic store. Run under -race this also proves the ordered window's
+// handoff between its decode goroutines and the scanning goroutine.
 func TestScanWorkersMatchSequential(t *testing.T) {
 	const records = 900
 	mono := mixedStore(records)
@@ -55,6 +57,50 @@ func TestScanWorkersMatchSequential(t *testing.T) {
 				}()
 			}
 			wg.Wait()
+		})
+	}
+}
+
+// liveHeap is the heap still reachable after two collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// A finished scan keeps no decoded segment: at decode-ahead depths 1 and
+// 2, a full Scan of a sealed nine-segment store may leave it retaining
+// less than a quarter of one decoded segment.
+func TestScanRetainsNoSegment(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := spilledMixedStore(t, 60000, SpillConfig{SegmentRecords: 10000, ScanWorkers: workers})
+			s.Seal()
+			if s.SegmentCount() != 9 {
+				t.Fatalf("%d segments, want 9", s.SegmentCount())
+			}
+			base := liveHeap()
+			seg, err := readSegment(s.spill.cfg.Dir, s.spill.segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			one := liveHeap() - base
+			runtime.KeepAlive(seg)
+
+			before := liveHeap()
+			n := 0
+			s.Scan(func(event.Event) { n++ })
+			retained := liveHeap() - before
+			runtime.KeepAlive(s)
+			if n != s.Len() {
+				t.Fatalf("scan visited %d records, want %d", n, s.Len())
+			}
+			t.Logf("one decoded segment %d bytes; a finished scan retains %d", one, retained)
+			if retained >= one/4 {
+				t.Fatalf("a finished scan retains %d bytes, a quarter of one decoded segment is %d", retained, one/4)
+			}
 		})
 	}
 }

@@ -135,9 +135,6 @@ func (inf *Infrastructure) SetDetector(d Detector) { inf.detector = d }
 // Page returns a hosted page by ID (nil if unknown).
 func (inf *Infrastructure) Page(id event.PageID) *Page { return inf.pages[id] }
 
-// PageCount returns the number of pages ever hosted.
-func (inf *Infrastructure) PageCount() int { return len(inf.pages) }
-
 // TargetMix weights campaign target kinds. DefaultEmailTargetMix matches
 // Table 2's phishing-email column; DefaultPageTargetMix matches the page
 // column.

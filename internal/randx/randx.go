@@ -124,11 +124,6 @@ func Sample[T any](r *Rand, items []T, k int) []T {
 	return out
 }
 
-// Shuffle shuffles items in place.
-func Shuffle[T any](r *Rand, items []T) {
-	r.Rand.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-}
-
 // Weighted selects among weighted alternatives. Build one with NewWeighted;
 // it is immutable and safe to share across (single-goroutine) callers.
 type Weighted[T any] struct {
