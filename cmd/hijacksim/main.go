@@ -19,9 +19,9 @@
 // -spill-dir builds the log as spill-to-disk segments: peak RAM is
 // bounded by the segment size instead of the world size, and the segment
 // directory itself is the dump — `analyze -events <dir>` opens it as a
-// virtual store, no separate -events pass needed. -spill-writers sizes
-// the background encode/write pool that seals segments off the simulation
-// hot path.
+// virtual store, no separate -events pass needed. -spill-writers bounds
+// the segment writes in flight: each sealed segment is encoded and
+// written on a goroutine of its own, off the simulation hot path.
 //
 // The profiling flags capture pprof CPU/heap profiles and a runtime trace
 // of the whole run for `go tool pprof` / `go tool trace` — the world
@@ -55,7 +55,7 @@ func main() {
 		"build the log as spill-to-disk segments in this directory (bounded RAM; the directory is the dump)")
 	segRecords := flag.Int("segment-records", 0, "records per spilled segment (0 = logstore default)")
 	segGzip := flag.Bool("segment-gzip", false, "gzip spilled segment files")
-	spillWriters := flag.Int("spill-writers", 0, "background segment encode/write goroutines (0 = 1)")
+	spillWriters := flag.Int("spill-writers", 0, "segment writes in flight, each encoding and writing one segment on its own goroutine (0 = 1)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocs profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")

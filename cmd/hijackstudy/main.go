@@ -29,9 +29,10 @@
 // (one subdirectory per era, 2011 2012 2013 2014 base), a dump of each
 // world for `analyze -events <dir>/<era>`. The study does not read the
 // segments, and the report stays byte-identical to the run without them.
-// The dump costs time and memory: the writers hold a segment or two in
-// RAM, which a run without -spill-dir does not. -spill-writers sizes the
-// background segment encode/write pool, trading goroutines for
+// The dump costs time and memory: the writes hold a segment or two in
+// RAM, which a run without -spill-dir does not. -spill-writers bounds
+// each world's segment writes in flight, each encoding and writing one
+// segment on a goroutine of its own, trading goroutines and RAM for
 // wall-clock without touching report bytes. The footer reports the
 // process's peak RSS either way, so the two modes are directly
 // comparable.
@@ -65,7 +66,7 @@ func main() {
 		"also dump every era world's log as spill-to-disk segments under this directory, one subdirectory per era, for analyze (identical report)")
 	segRecords := flag.Int("segment-records", 0, "records per spilled segment (0 = logstore default)")
 	segGzip := flag.Bool("segment-gzip", false, "gzip spilled segment files")
-	spillWriters := flag.Int("spill-writers", 0, "background segment encode/write goroutines per world (0 = 1)")
+	spillWriters := flag.Int("spill-writers", 0, "segment writes in flight per world, each encoding and writing one segment on its own goroutine (0 = 1)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocs profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file")

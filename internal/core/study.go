@@ -43,9 +43,10 @@ type StudyConfig struct {
 	// SpillGzip compresses segment files.
 	SegmentRecords int
 	SpillGzip      bool
-	// SpillWriters sizes each world's background segment encode/write
-	// pool (0 = the logstore default of 1). It does not affect report
-	// bytes — only how much of the spill tax overlaps the simulation.
+	// SpillWriters bounds each world's segment writes in flight
+	// (logstore.SpillConfig.Writers; 0 means 1). It does not affect
+	// report bytes — only how much of the spill tax overlaps the
+	// simulation.
 	SpillWriters int
 	// ScanWorkers is ignored: RunStudy reads none of its logs, so it has
 	// no scan to size.

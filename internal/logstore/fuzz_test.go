@@ -82,8 +82,10 @@ func FuzzReadNDJSON(f *testing.F) {
 // under fuzzed manifest.json bytes, strict and with SkipCorrupt. Nothing
 // may panic; a strict open that succeeds serves each of the directory's
 // records at most once and holds exactly the records its manifest
-// declares; and a SkipCorrupt open of a manifest the strict open rejected
-// says why in ManifestIgnored.
+// declares; a SkipCorrupt open of a manifest the strict open rejected
+// says why in ManifestIgnored; and a SkipCorrupt open counts no record
+// below zero and none twice: the records it keeps and drops add up to at
+// most the directory's 15, plus what entries naming absent files declare.
 func FuzzOpenSegmentDir(f *testing.F) {
 	const records = 15
 	dir := f.TempDir()
@@ -122,6 +124,24 @@ func FuzzOpenSegmentDir(f *testing.F) {
 		_, st, skipErr := OpenSegmentDir(dir, ReadOptions{SkipCorrupt: true})
 		if rejected && (skipErr != nil || st.ManifestIgnored == "") {
 			t.Fatalf("strict open rejected the manifest (%v), but SkipCorrupt did not report it ignored (err %v)", err, skipErr)
+		}
+		if skipErr != nil {
+			return
+		}
+		// A segment whose file is absent did not decode, so its drop
+		// counts what its entry declares.
+		bound := records
+		var m manifest
+		if st.ManifestIgnored == "" && json.Unmarshal(data, &m) == nil {
+			for _, seg := range m.Segments {
+				if _, err := os.Stat(filepath.Join(dir, seg.File)); err != nil {
+					bound += max(0, seg.Records)
+				}
+			}
+		}
+		if st.Dropped < 0 || st.Records+st.Dropped > bound {
+			t.Fatalf("SkipCorrupt open kept %d records and dropped %d; the directory holds %d, absent files declare %d",
+				st.Records, st.Dropped, records, bound-records)
 		}
 	})
 }

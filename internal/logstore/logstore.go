@@ -130,15 +130,13 @@ func (s *Store) Append(e event.Event) {
 	if sp := s.spill; sp != nil {
 		// Spill failures poison the log (a segment gap would corrupt
 		// every analysis), so they surface like the other invariant
-		// violations on this path — at the next append after a writer
-		// reports, not segments later.
+		// violations on this path — at the next append after a write
+		// fails, not segments later, naming the first failed segment.
 		if sp.failed.Load() {
-			panic("logstore: spill: " + sp.firstErr().Error())
+			panic("logstore: spill: " + sp.drain().Error())
 		}
 		if len(s.events) >= sp.cfg.SegmentRecords {
-			if err := s.spillActive(); err != nil {
-				panic("logstore: spill: " + err.Error())
-			}
+			s.spillActive()
 		}
 	}
 }

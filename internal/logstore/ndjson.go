@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"manualhijack/internal/event"
@@ -121,7 +120,14 @@ func (ew *envelopeWriter) writeEvent(e event.Event) error {
 // WriteNDJSONFile dumps s to path, gzip-compressing when the name ends in
 // ".gz". The file's Close error is checked and returned — a full disk or
 // write-behind failure must not report a truncated dump as success.
-func WriteNDJSONFile(path string, s *Store, m Meta) (err error) {
+func WriteNDJSONFile(path string, s *Store, m Meta) error {
+	return writeNDJSONFile(path, s, m, gzip.DefaultCompression)
+}
+
+// writeNDJSONFile is WriteNDJSONFile at a given gzip level. A dump keeps
+// gzip.DefaultCompression; a spilled segment, written the same way from
+// its records, favours throughput with gzip.BestSpeed.
+func writeNDJSONFile(path string, s *Store, m Meta, level int) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -131,14 +137,14 @@ func WriteNDJSONFile(path string, s *Store, m Meta) (err error) {
 			err = fmt.Errorf("logstore: close %s: %w", path, cerr)
 		}
 	}()
-	if strings.HasSuffix(path, ".gz") {
-		zw := gzip.NewWriter(f)
-		if err := WriteNDJSONMeta(zw, s, m); err != nil {
-			return err
-		}
-		return zw.Close()
+	if !strings.HasSuffix(path, ".gz") {
+		return WriteNDJSONMeta(f, s, m)
 	}
-	return WriteNDJSONMeta(f, s, m)
+	zw, _ := gzip.NewWriterLevel(f, level) // errs only on an invalid level
+	if err := WriteNDJSONMeta(zw, s, m); err != nil {
+		return err
+	}
+	return zw.Close()
 }
 
 // ReadOptions controls ReadNDJSONWith.
@@ -152,10 +158,12 @@ type ReadOptions struct {
 	// in SegmentsDropped), because a partial segment would silently shift
 	// every time-windowed aggregate behind it.
 	SkipCorrupt bool
-	// Shards bounds the parallel JSON-decode workers: 0 means GOMAXPROCS,
-	// 1 decodes inline on the reading goroutine (the sequential baseline).
-	// For a segment directory it is instead how many segments opening it
-	// verifies at once, each decoded inline on a goroutine of its own.
+	// Shards sets the parallel JSON decode: 0 means GOMAXPROCS, 1 decodes
+	// inline on the reading goroutine (the sequential baseline), and more
+	// decode 2048-line batches as jobs on the ordered window, at most
+	// 2×Shards batches in flight. For a segment directory it is instead
+	// how many segments opening it verifies at once, each decoded inline
+	// on a job of its own.
 	Shards int
 	// ScanWorkers sets the returned store's ordered-scan decode-ahead
 	// depth when the input is a segment directory (0 means 1): a scan
@@ -245,13 +253,14 @@ func sniffGzip(r io.Reader) (io.Reader, func() error, error) {
 	return br, func() error { return nil }, nil
 }
 
-// batchLines is the unit of work handed to a decode shard. JSON unmarshal
-// dominates ingest CPU, so lines are decoded out-of-line while the reader
-// goroutine keeps scanning; batches are delivered in input order.
+// batchLines is the unit of decode work. JSON unmarshal dominates ingest
+// CPU, so with several shards each batch decodes as a job on the window
+// while the reader goroutine keeps scanning; batches are delivered in
+// input order.
 const batchLines = 2048
 
-// lineBatch is a contiguous run of raw lines plus the decode results a
-// worker fills in. The lines are packed end to end in buf (line i ends at
+// lineBatch is a contiguous run of raw lines plus the decode results its
+// job fills in. The lines are packed end to end in buf (line i ends at
 // ends[i]), and decodeNDJSON puts a delivered batch on its free list and
 // refills it, so a read allocates its in-flight window of batches rather
 // than a copy of every line. errs[i] is non-nil where line i failed to
@@ -262,10 +271,6 @@ type lineBatch struct {
 	ends   []int
 	events []event.Event
 	errs   []error
-	// done carries one token per dispatch, from the worker that decoded
-	// the batch to its delivery; its buffer of one means a worker never
-	// waits on it.
-	done chan struct{}
 }
 
 // add appends one line, copied into buf.
@@ -323,9 +328,9 @@ func decodeAll(r io.Reader, opts ReadOptions, st *ReadStats, events []event.Even
 }
 
 // decodeNDJSON is the one NDJSON reader behind every load: dumps, segment
-// files and resegmenting. It decodes batchLines-line batches on
-// opts.Shards workers, with at most two batches per worker in flight, and
-// hands every accepted record to sink in input order on the calling
+// files and resegmenting. It decodes batchLines-line batches as jobs on
+// the window, at most two per shard in flight (one shard decodes inline),
+// and hands every accepted record to sink in input order on the calling
 // goroutine; a sink error stops the read. The header is parsed before the
 // first record reaches sink, so st.Meta is already set then. Every rule on
 // what a dump may hold lives here: the header version, the headerless
@@ -371,54 +376,26 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 		return nil
 	}
 
-	// With one shard each batch decodes inline. Otherwise workers decode
-	// and pending holds the dispatched batches, oldest first, until the
-	// window is full and the oldest is delivered.
-	var (
-		work    chan *lineBatch
-		pending []*lineBatch
-	)
-	if shards > 1 {
-		// Buffered for the whole window, so a dispatch never blocks.
-		work = make(chan *lineBatch, 2*shards)
-		var wg sync.WaitGroup
-		wg.Add(shards)
-		for i := 0; i < shards; i++ {
-			go func() {
-				defer wg.Done()
-				for b := range work {
-					b.decode()
-					b.done <- struct{}{}
-				}
-			}()
-		}
-		// Every return, an early strict-mode one included, stops the
-		// workers after they finish the batches in flight.
-		defer func() {
-			close(work)
-			wg.Wait()
-		}()
-	}
-	// free holds delivered batches for reuse; only this goroutine touches
-	// it.
+	// With one shard each batch decodes inline; otherwise it decodes as a
+	// job on the window. finish delivers a decoded batch and puts it on
+	// free for reuse; only this goroutine touches free.
+	win := newWindow[*lineBatch](2 * shards)
 	var free []*lineBatch
-	submit := func(b *lineBatch) error {
-		if work == nil {
-			b.decode()
-		} else {
-			work <- b
-			pending = append(pending, b)
-			if len(pending) < cap(work) {
-				return nil
-			}
-			b = pending[0]
-			pending = pending[1:]
-			<-b.done
-		}
+	finish := func(b *lineBatch) error {
 		err := deliver(b)
 		b.reset()
 		free = append(free, b)
 		return err
+	}
+	submit := func(b *lineBatch) error {
+		if shards == 1 {
+			b.decode()
+			return finish(b)
+		}
+		if oldest, ok := win.add(func() *lineBatch { b.decode(); return b }); ok {
+			return finish(oldest)
+		}
+		return nil
 	}
 
 	sc := bufio.NewScanner(r)
@@ -453,7 +430,7 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 			if n := len(free); n > 0 {
 				cur, free = free[n-1], free[:n-1]
 			} else {
-				cur = &lineBatch{done: make(chan struct{}, 1)}
+				cur = &lineBatch{}
 			}
 		}
 		cur.add(line, raw)
@@ -471,9 +448,8 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 			return err
 		}
 	}
-	for _, b := range pending {
-		<-b.done
-		if err := deliver(b); err != nil {
+	for b, ok := win.next(); ok; b, ok = win.next() {
+		if err := finish(b); err != nil {
 			return err
 		}
 	}

@@ -4,32 +4,32 @@ package logstore
 // from production logs "via map-reduce computation" — logs far too large
 // for any single machine's RAM. This file gives the store the same shape:
 // during the single-writer build phase, time-contiguous segments seal at a
-// record threshold and spill to versioned NDJSON(.gz) segment files, so
-// the store holds only the active segment. After Seal, every read is an
-// ordered scan that decodes segments back in log order, a few ahead of
-// the one being read, and keeps none once it returns — analyses run over
-// million-user worlds in RAM bounded by the segment size, not the world
-// size.
+// record threshold and spill to versioned NDJSON(.gz) segment files, each
+// written on the ordered window (window.go) while the writer keeps
+// appending, so the store holds only the active segment and the few being
+// written. After Seal, every read is an ordered scan that decodes segments
+// back in log order, a few ahead of the one being read, on the same
+// window, and keeps none once it returns — analyses run over million-user
+// worlds in RAM bounded by the segment size, not the world size.
 //
-// Segment files reuse the version-2 dump format verbatim (one header line,
-// then envelope lines), with the header's start/end carrying the segment's
-// own first/last record timestamps, and load through the same decoder as a
-// dump. A manifest.json ties the directory together: the world's
-// observation window and seed, plus per-segment record counts, time
-// bounds, and kind tallies (which answer KindCounts without a read).
+// A segment file is a version-2 dump of the segment's records, written by
+// the function that writes a dump, with the header's start/end carrying
+// the segment's own first/last record timestamps, and it loads through the
+// same decoder as a dump. A manifest.json, written last at Seal, ties the
+// directory together: the world's observation window and seed, plus
+// per-segment record counts, time bounds, and kind tallies (which answer
+// KindCounts without a read). A directory without one is a spill that
+// never reached Seal.
 
 import (
-	"bufio"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,10 +57,13 @@ type SpillConfig struct {
 	// SegmentRecords seals the active segment at this many records
 	// (<= 0 means DefaultSegmentRecords).
 	SegmentRecords int
-	// Writers sizes the background encode/write pool that seals segments
-	// off the append path (<= 0 means 1). The append goroutine only
-	// hands the filled segment over and keeps simulating; writers absorb
-	// the JSON encode, compression, and disk I/O.
+	// Writers bounds the segment writes in flight (<= 0 means 1). Each
+	// sealed segment is written on a goroutine of its own, which absorbs
+	// the JSON encode, compression and disk I/O while the append goroutine
+	// keeps simulating. With Writers writes in flight, the next seal first
+	// waits for the oldest and reuses its cleared array as the active
+	// segment; no segment waits in a queue, so RAM holds at most
+	// Writers+1 segments.
 	Writers int
 	// Compress gzips segment files at gzip.BestSpeed: the spill path
 	// favors throughput (archival dumps via WriteNDJSONFile keep
@@ -103,39 +106,26 @@ type manifest struct {
 }
 
 // spillState is the segmented half of a Store. During the build phase it
-// tracks segments handed to the writer pool; after Seal every read
-// decodes its segments from disk.
+// writes sealed segments on its window; after Seal every read decodes its
+// segments from disk.
 type spillState struct {
 	cfg SpillConfig
-	// segs lists sealed, spilled segments in time order. During an async
-	// build it is empty; finishSpill assembles it from results after the
-	// pipeline drains.
+	// segs lists the spilled segments' manifest entries in segment order.
+	// During the build a write's entry joins it when the window hands the
+	// write back; Seal writes the manifest from it.
 	segs []segmentInfo
-	// spilled is the total record count handed to the pipeline.
+	// spilled is the total record count handed to the writes.
 	spilled int
 	// seq numbers the next segment (0-based).
 	seq int
 
-	// Writer pool, started lazily at the first segment seal. work is the
-	// bounded handoff (cap = pool size — the append goroutine blocks
-	// rather than letting unwritten segments pile up in RAM); free
-	// recycles cleared backing arrays so steady-state appends never
-	// allocate a segment.
-	work chan spillJob
-	free chan []event.Event
-	wg   sync.WaitGroup
-
-	// resMu guards results: seq → outcome, consumed by finishSpill.
-	resMu   sync.Mutex
-	results map[int]spillResult
-
-	// failed flips on the first write error; Append checks it so the
-	// error surfaces at the next append, not segments later. firstErr
-	// keeps the lowest-index error (workers may fail out of order).
-	failed  atomic.Bool
-	werrMu  sync.Mutex
-	werr    error
-	werrSeq int
+	// writes holds the segment writes in flight, at most cfg.Writers; err
+	// is the first write error in segment order among those handed back.
+	writes *window[segmentWrite]
+	err    error
+	// failed flips when a write fails; Append checks it so the error
+	// surfaces at the next append, not segments later.
+	failed atomic.Bool
 
 	// finished flips when Seal writes the manifest; from then on reads
 	// decode segs. Published by Seal's release-store like the rest of the
@@ -143,38 +133,12 @@ type spillState struct {
 	finished bool
 }
 
-// spillJob is one filled segment in flight to the writer pool. The
-// events slice is owned by the worker until it lands on free.
-type spillJob struct {
-	seq    int
-	events []event.Event
+// segmentWrite is what a segment write hands back: the segment's manifest
+// entry, the write's error, and its array, cleared for reuse.
+type segmentWrite struct {
 	info   segmentInfo
-}
-
-// spillResult is one worker's outcome, keyed by segment sequence.
-type spillResult struct {
-	info segmentInfo
-	err  error
-}
-
-// recordErr notes a segment write failure, keeping the lowest-index one.
-func (sp *spillState) recordErr(seq int, err error) {
-	sp.werrMu.Lock()
-	if sp.werr == nil || seq < sp.werrSeq {
-		sp.werr, sp.werrSeq = err, seq
-	}
-	sp.werrMu.Unlock()
-	sp.failed.Store(true)
-}
-
-// firstErr returns the lowest-index segment write error, if any.
-func (sp *spillState) firstErr() error {
-	if !sp.failed.Load() {
-		return nil
-	}
-	sp.werrMu.Lock()
-	defer sp.werrMu.Unlock()
-	return sp.werr
+	err    error
+	events []event.Event
 }
 
 // EnableSpill switches an empty, unsealed store into segmented
@@ -200,13 +164,10 @@ func (s *Store) EnableSpill(cfg SpillConfig) error {
 	if cfg.SegmentRecords <= 0 {
 		cfg.SegmentRecords = DefaultSegmentRecords
 	}
-	if cfg.Writers <= 0 {
-		cfg.Writers = 1
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("logstore: spill dir: %w", err)
 	}
-	s.spill = &spillState{cfg: cfg}
+	s.spill = &spillState{cfg: cfg, writes: newWindow[segmentWrite](cfg.Writers)}
 	return nil
 }
 
@@ -222,165 +183,76 @@ func (s *Store) SegmentCount() int {
 	return len(s.spill.segs)
 }
 
-// startWriters arms the background encode/write pool. Lazy: stores that
-// never fill a segment never spawn goroutines.
-func (sp *spillState) startWriters() {
-	w := sp.cfg.Writers
-	sp.work = make(chan spillJob, w)
-	// One array per in-flight job (queued + being written) plus the
-	// active segment can circulate; size free so a cleared array is
-	// never dropped and re-allocated.
-	sp.free = make(chan []event.Event, 2*w+2)
-	sp.results = make(map[int]spillResult, 64)
-	sp.wg.Add(w)
-	for i := 0; i < w; i++ {
-		go sp.writeLoop()
-	}
-}
-
-func (sp *spillState) writeLoop() {
-	defer sp.wg.Done()
-	for job := range sp.work {
-		err := writeSegmentFile(filepath.Join(sp.cfg.Dir, job.info.File), job.events, job.info, sp.cfg)
-		if err != nil {
-			err = fmt.Errorf("segment %s (index %d): %w", job.info.File, job.seq+1, err)
-			sp.recordErr(job.seq, err)
-		}
-		sp.resMu.Lock()
-		sp.results[job.seq] = spillResult{info: job.info, err: err}
-		sp.resMu.Unlock()
-		// Recycle the backing array to the append goroutine. Cleared
-		// first so spilled records become collectable even while the
-		// array waits on the free list.
-		clearEvents(job.events)
-		select {
-		case sp.free <- job.events[:0]:
-		default:
-		}
-	}
-}
-
-// spillActive hands the filled active segment to the writer pool and
-// swaps in a recycled backing array, so the append goroutine pays only
-// the kind tally and the channel send — the JSON encode, compression,
-// and disk write happen on the pool. Blocks only when every writer is
-// busy and the queue is full (backpressure: unwritten segments must not
-// accumulate in RAM). No-op when the active segment is empty.
-func (s *Store) spillActive() error {
-	sp := s.spill
-	if err := sp.firstErr(); err != nil {
-		return err
-	}
-	n := len(s.events)
-	if n == 0 {
-		return nil
-	}
-	if sp.work == nil {
-		sp.startWriters()
+// spillActive starts the filled active segment's write on the window, so
+// the append goroutine pays only the kind tally: the JSON encode,
+// compression and disk write run on the write's goroutine. With Writers
+// writes in flight it first waits for the oldest (backpressure: unwritten
+// segments must not pile up in RAM), and that write's cleared array
+// becomes the next active segment. No-op when the active segment is empty.
+func (s *Store) spillActive() {
+	sp, events := s.spill, s.events
+	if len(events) == 0 {
+		return
 	}
 	name := fmt.Sprintf("seg-%06d.ndjson", sp.seq+1)
 	if sp.cfg.Compress {
 		name += ".gz"
 	}
-	info := segmentInfo{
-		File:    name,
-		Records: n,
-		First:   s.events[0].When(),
-		Last:    s.last,
-		Kinds:   make(map[event.Kind]int, 32),
-	}
-	for _, e := range s.events {
-		info.Kinds[e.EventKind()]++
-	}
-	sp.work <- spillJob{seq: sp.seq, events: s.events, info: info}
+	info, seq := summarize(name, events), sp.seq
 	sp.seq++
-	sp.spilled += n
-	var next []event.Event
-	select {
-	case next = <-sp.free:
-	default:
-		// Pool ramp-up (or a dropped array under a full free list):
-		// allocate a fresh segment at the same capacity.
-		next = make([]event.Event, 0, cap(s.events))
-	}
-	s.events = next
-	return nil
-}
-
-// clearEvents zeroes the slice so spilled records become collectable even
-// while the backing array is reused.
-func clearEvents(events []event.Event) {
-	for i := range events {
-		events[i] = nil
+	sp.spilled += len(events)
+	if w, ok := sp.writes.add(func() segmentWrite { return sp.write(seq, info, events) }); ok {
+		sp.land(w)
+		s.events = w.events
+	} else {
+		s.events = make([]event.Event, 0, cap(events))
 	}
 }
 
-// writeSegmentFile dumps one segment in the version-2 wire format, header
-// start/end being the segment's own record-time bounds.
-func writeSegmentFile(path string, events []event.Event, info segmentInfo, cfg SpillConfig) (err error) {
-	f, err := os.Create(path)
+// write writes one segment file, a dump of its records whose header
+// carries the segment's own time bounds, then clears the array so the
+// spilled records can be collected while it is reused. A failed write sets
+// failed.
+func (sp *spillState) write(seq int, info segmentInfo, events []event.Event) segmentWrite {
+	meta := Meta{Start: info.First, End: info.Last, Seed: sp.cfg.Meta.Seed}
+	err := writeNDJSONFile(filepath.Join(sp.cfg.Dir, info.File), &Store{events: events}, meta, gzip.BestSpeed)
 	if err != nil {
-		return err
+		err = fmt.Errorf("segment %s (index %d): %w", info.File, seq+1, err)
+		sp.failed.Store(true)
 	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("logstore: close %s: %w", path, cerr)
-		}
-	}()
-	var w io.Writer = f
-	var zw *gzip.Writer
-	if cfg.Compress {
-		zw, _ = gzip.NewWriterLevel(f, gzip.BestSpeed) // errs only on an invalid level
-		w = zw
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	ew := &envelopeWriter{w: bw}
-	if err := json.NewEncoder(bw).Encode(header{
-		Format:  FormatName,
-		Version: FormatVersion,
-		Records: info.Records,
-		Start:   info.First,
-		End:     info.Last,
-		Seed:    cfg.Meta.Seed,
-	}); err != nil {
-		return err
-	}
-	for _, e := range events {
-		if err := ew.writeEvent(e); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if zw != nil {
-		return zw.Close()
-	}
-	return nil
+	clear(events)
+	return segmentWrite{info: info, err: err, events: events[:0]}
 }
 
-// finishSpill flushes the final partial segment, drains the writer pool,
+// land takes a write the window handed back: its entry joins segs, and its
+// error is kept if it is the first.
+func (sp *spillState) land(w segmentWrite) {
+	sp.segs = append(sp.segs, w.info)
+	if sp.err == nil {
+		sp.err = w.err
+	}
+}
+
+// drain waits for every write in flight and returns the first write error
+// in segment order. Seal drains before it writes the manifest, Append
+// before it panics on a failed write, and a resegment that fails before it
+// returns, so no write outlives its store.
+func (sp *spillState) drain() error {
+	for w, ok := sp.writes.next(); ok; w, ok = sp.writes.next() {
+		sp.land(w)
+	}
+	return sp.err
+}
+
+// finishSpill writes the final partial segment, drains the window,
 // surfaces the first write error, and writes the manifest. Called by Seal
 // with the store still unsealed.
 func (s *Store) finishSpill() error {
 	sp := s.spill
-	if err := s.spillActive(); err != nil {
+	s.spillActive()
+	if err := sp.drain(); err != nil {
 		return err
 	}
-	sp.stopWriters()
-	if err := sp.firstErr(); err != nil {
-		return err
-	}
-	// Assemble the manifest in segment order from the pool's results.
-	sp.segs = make([]segmentInfo, 0, sp.seq)
-	for i := 0; i < sp.seq; i++ {
-		res, ok := sp.results[i]
-		if !ok || res.err != nil {
-			return fmt.Errorf("segment %d missing from writer results", i+1)
-		}
-		sp.segs = append(sp.segs, res.info)
-	}
-	sp.results = nil
 	m := manifest{
 		Format:   SegmentFormatName,
 		Version:  SegmentFormatVersion,
@@ -402,19 +274,6 @@ func (s *Store) finishSpill() error {
 	s.events = nil
 	sp.finished = true
 	return nil
-}
-
-// stopWriters closes the writer pool's queue, if the pool was started, and
-// waits for every writer to exit. Seal calls it to drain the pool, and a
-// resegment that fails calls it so no writer is left blocked.
-func (sp *spillState) stopWriters() {
-	if sp.work == nil {
-		return
-	}
-	close(sp.work)
-	sp.wg.Wait()
-	sp.work = nil
-	sp.free = nil
 }
 
 // scanSegments delivers whole decoded segments (with their index) in log
@@ -447,33 +306,31 @@ type segmentRead struct {
 }
 
 // inOrder is the one ordered decode-ahead behind every segment read. It
-// runs job on each of segs on up to k goroutines at once (k below 1 means
-// 1) and hands the results to use in segment order, on the calling
+// runs job on each of segs on the window, at most k at once (k below 1
+// means 1), and hands the results to use in segment order, on the calling
 // goroutine. Segment i+k's job starts as segment i is handed over, so at
 // most k results are in flight or waiting while use holds one. An error
 // from use stops the pass and is returned; jobs already started then
 // finish and their results are dropped. inOrder keeps nothing once it
 // returns.
 func inOrder(segs []segmentInfo, k int, job func(segmentInfo) segmentRead, use func(i int, r segmentRead) error) error {
-	k = max(1, min(k, len(segs)))
-	// ready[i%k] carries segment i's result; its one slot is empty again
-	// by the time segment i+k's job starts.
-	ready := make([]chan segmentRead, k)
-	start := func(i int) {
-		if i < len(segs) {
-			go func() { ready[i%k] <- job(segs[i]) }()
+	win := newWindow[segmentRead](min(k, len(segs)))
+	i := 0
+	for _, seg := range segs {
+		r, ok := win.add(func() segmentRead { return job(seg) })
+		if !ok {
+			continue
 		}
-	}
-	for i := range ready {
-		ready[i] = make(chan segmentRead, 1)
-		start(i)
-	}
-	for i := range segs {
-		r := <-ready[i%k]
-		start(i + k)
 		if err := use(i, r); err != nil {
 			return err
 		}
+		i++
+	}
+	for r, ok := win.next(); ok; r, ok = win.next() {
+		if err := use(i, r); err != nil {
+			return err
+		}
+		i++
 	}
 	return nil
 }
@@ -494,7 +351,9 @@ func (s *Store) SegmentCacheStats() SegmentCacheStats { return SegmentCacheStats
 
 // readSegment strictly decodes one segment file and checks it against its
 // manifest entry. A globbed entry (no manifest) carries only its file
-// name, so there is nothing to check it against.
+// name, so there is nothing to check it against. A segment that fails its
+// check comes back with the records it decoded; one that does not decode,
+// with none (nil).
 func readSegment(dir string, want segmentInfo) ([]event.Event, error) {
 	f, err := os.Open(filepath.Join(dir, want.File))
 	if err != nil {
@@ -547,13 +406,16 @@ func bounds(events []event.Event) (first, last time.Time) {
 // time order, record counts against headers and manifest, and
 // cross-segment monotonicity — and summarized, its records dropped as
 // soon as they are counted, up to opts.Shards segments at a time (0 means
-// GOMAXPROCS). Reads decode the segments again, in order, so peak RAM
-// stays O(segment), not O(world).
+// GOMAXPROCS) on the ordered window. Reads decode the segments again, in
+// order, so peak RAM stays O(segment), not O(world).
 //
-// Strict mode fails on the first problem. With SkipCorrupt, a bad segment
-// (any malformed line, count mismatch, or disorder against its
-// predecessor) is dropped whole and reported in ReadStats.SegmentsDropped
-// — never silently.
+// Strict mode fails on the first problem, and needs the manifest: Seal
+// writes it last, so a directory without one is a spill that never
+// finished and may be missing segments. With SkipCorrupt, a missing or
+// bad manifest is ignored and the directory listed instead, with the
+// reason in ReadStats.ManifestIgnored, and a bad segment (any malformed
+// line, count mismatch, or disorder against its predecessor) is dropped
+// whole and reported in ReadStats.SegmentsDropped — never silently.
 func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 	st := &ReadStats{}
 	man, segs, err := loadSegmentList(dir, st, opts)
@@ -576,7 +438,12 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 	var last time.Time
 	err = inOrder(segs, shards, func(seg segmentInfo) segmentRead {
 		events, err := readSegment(dir, seg)
-		return segmentRead{info: summarize(seg.File, events), err: err}
+		info := summarize(seg.File, events)
+		if events == nil {
+			// It did not decode, so a drop counts what its entry declares.
+			info.Records = max(0, seg.Records)
+		}
+		return segmentRead{info: info, err: err}
 	}, func(i int, res segmentRead) error {
 		if res.err == nil && len(kept) > 0 && res.info.Records > 0 && res.info.First.Before(last) {
 			res.err = fmt.Errorf("starts at %s, before predecessor's last record at %s",
@@ -587,10 +454,7 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 				return fmt.Errorf("logstore: segment %s: %w", segs[i].File, res.err)
 			}
 			st.SegmentsDropped++
-			st.Dropped += segs[i].Records
-			if segs[i].Records == 0 {
-				st.Dropped += res.info.Records
-			}
+			st.Dropped += res.info.Records
 			return nil
 		}
 		if res.info.Records > 0 { // an empty segment is legal, with nothing to serve
@@ -623,18 +487,23 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 	return s, st, nil
 }
 
-// loadSegmentList reads the manifest, falling back to globbing segment
-// files (manifest-less directories are served with zero Meta). A manifest
-// that is malformed or fails check is an error in strict mode and, under
-// SkipCorrupt, is ignored the same way, with the reason in
-// ReadStats.ManifestIgnored. The returned entries carry manifest
-// expectations where known; a globbed file's entry carries only its name
-// until verification fills it in.
+// loadSegmentList reads the manifest. A manifest that is missing,
+// malformed or fails check is an error in strict mode and, under
+// SkipCorrupt, is ignored, with the reason in ReadStats.ManifestIgnored:
+// the directory's segment files are listed instead and served with zero
+// Meta. The returned entries carry manifest expectations where known; a
+// listed file's entry carries only its name until verification fills it
+// in.
 func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []segmentInfo, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err == nil {
+	var bad error
+	switch {
+	case os.IsNotExist(err):
+		bad = errors.New("not found: Seal writes it last, so the spill may have stopped with segments unwritten")
+	case err != nil:
+		return nil, nil, err
+	default:
 		var m manifest
-		var bad error
 		if jerr := json.Unmarshal(data, &m); jerr != nil || m.Format != SegmentFormatName {
 			bad = errors.New("malformed manifest")
 		} else if m.Version != SegmentFormatVersion {
@@ -643,13 +512,11 @@ func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []
 		} else if bad = m.check(); bad == nil {
 			return &m, m.Segments, nil
 		}
-		if !opts.SkipCorrupt {
-			return nil, nil, fmt.Errorf("logstore: %s/%s: %w", dir, ManifestName, bad)
-		}
-		st.ManifestIgnored = bad.Error()
-	} else if !os.IsNotExist(err) {
-		return nil, nil, err
 	}
+	if !opts.SkipCorrupt {
+		return nil, nil, fmt.Errorf("logstore: %s/%s: %w", dir, ManifestName, bad)
+	}
+	st.ManifestIgnored = bad.Error()
 	matches, err := filepath.Glob(filepath.Join(dir, "seg-*.ndjson*"))
 	if err != nil {
 		return nil, nil, err
@@ -740,7 +607,7 @@ func ResegmentNDJSONFile(path string, cfg SpillConfig, opts ReadOptions) (*Store
 	}
 	if err != nil {
 		if s.spill != nil {
-			s.spill.stopWriters()
+			s.spill.drain()
 		}
 		return nil, nil, err
 	}

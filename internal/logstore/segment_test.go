@@ -206,8 +206,10 @@ func TestOpenSegmentDirRoundTrip(t *testing.T) {
 	assertStoresEqual(t, got, orig)
 }
 
-// A directory with no manifest still opens via the file glob; per-segment
-// headers are re-verified in place of manifest expectations.
+// A directory with no manifest is a spill that never reached Seal, so a
+// strict open fails naming manifest.json. SkipCorrupt still opens it via
+// the file glob, says why in ManifestIgnored, and re-verifies per-segment
+// headers in place of manifest expectations.
 func TestOpenSegmentDirWithoutManifest(t *testing.T) {
 	dir := t.TempDir()
 	orig := spilledMixedStore(t, 400, SpillConfig{Dir: dir, SegmentRecords: 90})
@@ -215,7 +217,10 @@ func TestOpenSegmentDirWithoutManifest(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := OpenSegmentDir(dir, ReadOptions{})
+	if _, _, err := OpenSegmentDir(dir, ReadOptions{}); err == nil || !strings.Contains(err.Error(), ManifestName) {
+		t.Fatalf("strict open of a manifest-less directory: err = %v, want one naming %s", err, ManifestName)
+	}
+	got, st, err := OpenSegmentDir(dir, ReadOptions{SkipCorrupt: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +230,8 @@ func TestOpenSegmentDirWithoutManifest(t *testing.T) {
 	if !st.Meta.Start.IsZero() {
 		t.Fatal("manifest-less open should carry zero Meta")
 	}
-	if st.ManifestIgnored != "" {
-		t.Fatalf("an absent manifest was reported ignored: %q", st.ManifestIgnored)
+	if !strings.Contains(st.ManifestIgnored, "not found") {
+		t.Fatalf("ManifestIgnored = %q, want it to say the manifest was not found", st.ManifestIgnored)
 	}
 	assertStoresEqual(t, got, orig)
 }
@@ -311,6 +316,22 @@ func TestOpenSegmentDirCrossSegmentOrder(t *testing.T) {
 	}
 	copyFile(filepath.Join(late.spill.cfg.Dir, "seg-000001.ndjson"), filepath.Join(dir, "seg-000001.ndjson"))
 	copyFile(filepath.Join(early.spill.cfg.Dir, "seg-000001.ndjson"), filepath.Join(dir, "seg-000002.ndjson"))
+	// A manifest whose entries match the files, so a strict open gets past
+	// every per-segment check to the order check.
+	second := early.spill.segs[0]
+	second.File = "seg-000002.ndjson"
+	data, err := json.MarshalIndent(manifest{
+		Format:   SegmentFormatName,
+		Version:  SegmentFormatVersion,
+		Records:  late.Len() + early.Len(),
+		Segments: []segmentInfo{late.spill.segs[0], second},
+	}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	if _, _, err := OpenSegmentDir(dir, ReadOptions{}); err == nil {
 		t.Fatal("strict open of disordered segments succeeded")
@@ -481,6 +502,26 @@ func TestOpenSegmentDirChecksManifest(t *testing.T) {
 				got.Len(), st.Records, st.Segments)
 		}
 	})
+	// A segment that decodes but fails its entry's count check is dropped
+	// with the records it held, whatever count the entry declares.
+	for _, forged := range []int{-5, 1000} {
+		t.Run(fmt.Sprintf("entry declares %d records", forged), func(t *testing.T) {
+			dir := t.TempDir()
+			sameTimeSegments(t, dir, 15, 5)
+			rewriteManifest(t, dir, func(m *manifest) {
+				m.Segments[0].Records = forged
+				m.Records = forged + 10
+			})
+			_, st, err := OpenSegmentDir(dir, ReadOptions{SkipCorrupt: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Dropped != 5 || st.SegmentsDropped != 1 || st.Records != 10 {
+				t.Fatalf("Dropped = %d, SegmentsDropped = %d, Records = %d; want 5, 1 and 10",
+					st.Dropped, st.SegmentsDropped, st.Records)
+			}
+		})
+	}
 }
 
 // sameTimeSegments spills n logins of distinct accounts into dir in
@@ -531,9 +572,9 @@ func TestResegmentNDJSONFile(t *testing.T) {
 	assertStoresEqual(t, reopened, src)
 }
 
-// A strict resegment that fails after its first segment seal stops its
-// writer pool and its decode workers: line 401 of a 500-record dump is
-// malformed, after seven 50-record segments went to three writers.
+// A strict resegment that fails after its first segment seal leaves no
+// segment write or decode job running: line 401 of a 500-record dump is
+// malformed, after seven 50-record segments went to writes three deep.
 func TestResegmentFailureStopsWriters(t *testing.T) {
 	lines := loginDump(t, 500)
 	lines[400] = brokenLine
@@ -546,8 +587,8 @@ func TestResegmentFailureStopsWriters(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 401:") {
 		t.Fatalf("err = %v, want line 401", err)
 	}
-	// A goroutine that has signalled its WaitGroup may take a moment to
-	// exit; one left blocked never does.
+	// A job's goroutine that has handed back its result may take a moment
+	// to exit; one left blocked never does.
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {

@@ -3,6 +3,7 @@ package logstore
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"manualhijack/internal/event"
+	"manualhijack/internal/identity"
 )
 
 // TestScanWorkersMatchSequential hammers the decode-ahead scan: at every
@@ -106,8 +108,8 @@ func TestScanRetainsNoSegment(t *testing.T) {
 }
 
 // TestSpillAppendSteadyStateAllocs is the async-spill allocation fence:
-// once the writer pool's free list is warm, Append inside a segment must
-// not allocate at all — the filled-segment handoff recycles backing
+// once the writes have handed their arrays back, Append inside a segment
+// must not allocate at all — the filled-segment handoff recycles backing
 // arrays, so the steady-state append path costs a slice store and a tally.
 func TestSpillAppendSteadyStateAllocs(t *testing.T) {
 	const threshold = 5000
@@ -121,25 +123,14 @@ func TestSpillAppendSteadyStateAllocs(t *testing.T) {
 		return login(at, 1, event.ActorOwner)
 	}
 	// Warm up: four full segments grow the backing array to the segment
-	// size and stock the free list.
+	// size and recycle it.
 	for i := 0; i < 4*threshold; i++ {
 		s.Append(next())
 	}
-	// Wait for the writer pool to drain so background encode/write
+	// Wait for the writes in flight so background encode/write
 	// allocations cannot pollute the measurement.
-	sp := s.spill
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sp.resMu.Lock()
-		done := len(sp.results)
-		sp.resMu.Unlock()
-		if done == sp.seq {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("writer pool did not drain: %d of %d segments written", done, sp.seq)
-		}
-		time.Sleep(time.Millisecond)
+	if err := s.spill.drain(); err != nil {
+		t.Fatal(err)
 	}
 
 	// 3000 runs (+1 warm-up) stay inside the active segment: no seal, no
@@ -163,8 +154,8 @@ func TestSpillWriteErrorSurfacesSegment(t *testing.T) {
 	if err := s.EnableSpill(SpillConfig{Dir: dir, SegmentRecords: 10}); err != nil {
 		t.Fatal(err)
 	}
-	// Yank the directory out from under the writer pool: the first
-	// segment's os.Create must fail.
+	// Yank the directory out from under the writes: the first segment's
+	// os.Create must fail.
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +186,74 @@ func TestSpillWriteErrorSurfacesSegment(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("panic %q does not name %q", msg, want)
 		}
+	}
+}
+
+// panicOf runs fn and returns what it panicked with, or "" if it did not.
+func panicOf(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// A write that fails mid-spill, with later writes in flight, fails the
+// spill naming the first failed segment in segment order, and leaves no
+// manifest: the partial directory never opens as a complete log. Segments
+// 2 and 4 cannot be created, because directories hold their names; Append
+// may panic as soon as a failed write reports, and Seal must.
+func TestSpillWriteFaultLeavesNoManifest(t *testing.T) {
+	dir := t.TempDir()
+	blockers := []string{filepath.Join(dir, "seg-000002.ndjson"), filepath.Join(dir, "seg-000004.ndjson")}
+	for _, b := range blockers {
+		if err := os.Mkdir(b, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New()
+	if err := s.EnableSpill(SpillConfig{Dir: dir, SegmentRecords: 50, Writers: 3}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	var panics []string
+	for i := 0; i < n; i++ {
+		e := login(t0.Add(time.Duration(i)*time.Second), identity.AccountID(i+1), event.ActorOwner)
+		if msg := panicOf(func() { s.Append(e) }); msg != "" && len(panics) == 0 {
+			panics = append(panics, msg)
+		}
+	}
+	sealPanic := panicOf(s.Seal)
+	if sealPanic == "" {
+		t.Fatal("Seal of a spill with a failed write did not panic")
+	}
+	for _, msg := range append(panics, sealPanic) {
+		for _, want := range []string{"logstore: spill:", "seg-000002.ndjson", "(index 2)"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not name %q", msg, want)
+			}
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
+		t.Fatalf("a failed spill left a manifest (stat err %v)", err)
+	}
+
+	for _, b := range blockers {
+		if err := os.Remove(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := OpenSegmentDir(dir, ReadOptions{}); err == nil || !strings.Contains(err.Error(), ManifestName) {
+		t.Fatalf("strict open of the failed spill: err = %v, want one naming %s", err, ManifestName)
+	}
+	_, st, err := OpenSegmentDir(dir, ReadOptions{SkipCorrupt: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ManifestIgnored == "" || st.Records >= n {
+		t.Fatalf("SkipCorrupt open: ManifestIgnored %q, %d records; want a reason and fewer than the %d appended",
+			st.ManifestIgnored, st.Records, n)
 	}
 }

@@ -22,7 +22,7 @@
 #                bounded-RAM segmented path; ISSUE 7's headline number is
 #                SPILL_SCALE=1.0. Set SPILL_SCALE=0 to skip the probe.
 #   SPILL_WRITERS  -spill-writers for the spill probe (default 2): the
-#                background segment encode/write pool per era world.
+#                segment writes in flight per era world.
 #   SPILL_GZIP   set to 1 to gzip the probe's segment files (default 0).
 #                Both are recorded in the JSON's study_spill block.
 #   SERVE_REPLAY set to 1 to also run the riskd replay-throughput sweep
