@@ -109,7 +109,10 @@ func main() {
 	if st.Legacy {
 		fmt.Println("note: headerless legacy dump — observation window estimated from record timestamps")
 	}
-	if st.Dropped > 0 {
+	// A segment directory drops a corrupt segment whole, and Dropped then
+	// counts that segment's records, not malformed lines: the segment
+	// warning below names them.
+	if st.Dropped > 0 && st.SegmentsDropped == 0 {
 		fmt.Printf("warning: dropped %d malformed line(s)\n", st.Dropped)
 	}
 	if st.OutOfOrder > 0 {
@@ -122,8 +125,8 @@ func main() {
 		fmt.Println("warning: input ended mid-stream; analyzed the intact prefix")
 	}
 	if st.SegmentsDropped > 0 {
-		fmt.Printf("warning: dropped %d corrupt segment(s) whole — time-windowed aggregates cover the surviving segments only\n",
-			st.SegmentsDropped)
+		fmt.Printf("warning: dropped %d corrupt segment(s) whole (%d records) — time-windowed aggregates cover the surviving segments only\n",
+			st.SegmentsDropped, st.Dropped)
 	}
 	if st.ManifestIgnored != "" {
 		fmt.Printf("warning: ignored %s (%s) — listed the directory instead; observation window estimated from record timestamps\n",

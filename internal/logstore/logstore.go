@@ -107,9 +107,20 @@ func (s *Store) Reserve(n int) {
 // out-of-order appends panic because they indicate a simulation bug that
 // would silently corrupt every time-windowed analysis. Appending to a
 // sealed store panics for the same reason: the analysis phase relies on
-// the log being frozen. Append is the single-writer hot path — no lock is
-// taken; see the package comment.
+// the log being frozen, and so does a failed spill write. Append is the
+// single-writer hot path — no lock is taken; see the package comment.
 func (s *Store) Append(e event.Event) {
+	if err := s.append(e); err != nil {
+		panic(err.Error())
+	}
+}
+
+// append is Append, returning a failed spill write, named by the first
+// failed segment in segment order, instead of panicking on it; the record
+// is kept either way. A caller that can report the failure (a resegment)
+// calls it directly: a write can fail between any earlier check and this
+// one.
+func (s *Store) append(e event.Event) error {
 	if s.sealed.Load() {
 		panic("logstore: append to sealed store: " + string(e.EventKind()))
 	}
@@ -129,16 +140,17 @@ func (s *Store) Append(e event.Event) {
 	}
 	if sp := s.spill; sp != nil {
 		// Spill failures poison the log (a segment gap would corrupt
-		// every analysis), so they surface like the other invariant
-		// violations on this path — at the next append after a write
-		// fails, not segments later, naming the first failed segment.
+		// every analysis), so they surface at the next append after a
+		// write fails, not segments later, naming the first failed
+		// segment.
 		if sp.failed.Load() {
-			panic("logstore: spill: " + sp.drain().Error())
+			return spillError(sp.drain())
 		}
 		if len(s.events) >= sp.cfg.SegmentRecords {
 			s.spillActive()
 		}
 	}
+	return nil
 }
 
 // SetTap registers fn to observe every subsequent Append, synchronously on
@@ -183,16 +195,29 @@ func (s *Store) Discard() {
 // an already-sealed store is a no-op. World.Run seals its log when the
 // simulation window ends.
 func (s *Store) Seal() {
+	if err := s.seal(); err != nil {
+		panic(err.Error())
+	}
+}
+
+// seal is Seal, returning a spill failure (the first failed segment write
+// in segment order, or the manifest's) instead of panicking on it. The
+// store then stays unsealed, with no manifest written.
+func (s *Store) seal() error {
 	if s.sealed.Load() {
-		return
+		return nil
 	}
 	if s.spill != nil {
 		if err := s.finishSpill(); err != nil {
-			panic("logstore: spill: " + err.Error())
+			return spillError(err)
 		}
 	}
 	s.sealed.Store(true)
+	return nil
 }
+
+// spillError wraps a spill failure the way Append and Seal report it.
+func spillError(err error) error { return fmt.Errorf("logstore: spill: %w", err) }
 
 // Sealed reports whether the store has been frozen. A true result is an
 // acquire-load: it orders everything the sealing goroutine wrote before

@@ -235,7 +235,7 @@ func (sp *spillState) land(w segmentWrite) {
 
 // drain waits for every write in flight and returns the first write error
 // in segment order. Seal drains before it writes the manifest, Append
-// before it panics on a failed write, and a resegment that fails before it
+// before it reports a failed write, and a resegment that fails before it
 // returns, so no write outlives its store.
 func (sp *spillState) drain() error {
 	for w, ok := sp.writes.next(); ok; w, ok = sp.writes.next() {
@@ -595,15 +595,19 @@ func ResegmentNDJSONFile(path string, cfg SpillConfig, opts ReadOptions) (*Store
 		}
 		return s.EnableSpill(cfg)
 	}
+	// A failed segment write comes back from append or seal as an error
+	// naming the segment, never as their panic.
 	err = decodeNDJSON(plain, opts, st, func(e event.Event) error {
 		if err := arm(); err != nil {
 			return err
 		}
-		s.Append(e)
-		return nil
+		return s.append(e)
 	})
 	if err == nil {
 		err = arm()
+	}
+	if err == nil {
+		err = s.seal()
 	}
 	if err != nil {
 		if s.spill != nil {
@@ -611,7 +615,6 @@ func ResegmentNDJSONFile(path string, cfg SpillConfig, opts ReadOptions) (*Store
 		}
 		return nil, nil, err
 	}
-	s.Seal()
 	st.Segments = s.SegmentCount()
 	return s, st, nil
 }

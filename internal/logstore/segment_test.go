@@ -599,6 +599,43 @@ func TestResegmentFailureStopsWriters(t *testing.T) {
 	}
 }
 
+// A segment write that fails during a resegment comes back as an error
+// naming the segment, not as Append's or Seal's panic, and leaves no
+// manifest. A directory holds the failing segment's name: segment 2 of a
+// 300-record dump, whose failure an append reports or the seal does, and
+// segment 6, the last, whose failure only the seal can report.
+func TestResegmentWriteFaultReturnsError(t *testing.T) {
+	lines := loginDump(t, 300)
+	path := filepath.Join(t.TempDir(), "dump.ndjson")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range []int{2, 6} {
+		dir := t.TempDir()
+		name := fmt.Sprintf("seg-%06d.ndjson", seg)
+		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if msg := panicOf(func() {
+			_, _, err = ResegmentNDJSONFile(path, SpillConfig{Dir: dir, SegmentRecords: 50, Writers: 2}, ReadOptions{})
+		}); msg != "" {
+			t.Fatalf("segment %d blocked: resegment panicked: %s", seg, msg)
+		}
+		if err == nil {
+			t.Fatalf("segment %d blocked: resegment returned no error", seg)
+		}
+		for _, want := range []string{name, fmt.Sprintf("(index %d)", seg)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("segment %d blocked: err %q does not name %q", seg, err, want)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
+			t.Fatalf("segment %d blocked: the failed resegment left a manifest (stat err %v)", seg, err)
+		}
+	}
+}
+
 // Misuse guards: spill mode rejects late enablement, build-phase scans,
 // and Sanitize (spilled segments are immutable).
 func TestSpillMisusePanicsAndErrors(t *testing.T) {

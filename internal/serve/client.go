@@ -65,23 +65,20 @@ func (c *Client) url(path string) string {
 	return strings.TrimRight(c.Base, "/") + path
 }
 
-// postBytes posts body and decodes a JSON reply into resp (skipped when
-// resp is nil). The body buffer is owned by the caller and free for reuse
-// once postBytes returns.
-func (c *Client) postBytes(path, contentType string, body []byte, resp any) error {
+// post posts body and returns the 200 reply, whose body the caller must
+// close; any other status comes back as a *StatusError. The body buffer is
+// owned by the caller and free for reuse once post returns.
+func (c *Client) post(path, contentType string, body []byte) (*http.Response, error) {
 	r, err := c.http().Post(c.url(path), contentType, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer r.Body.Close()
 	if r.StatusCode != http.StatusOK {
+		defer r.Body.Close()
 		msg, _ := io.ReadAll(io.LimitReader(r.Body, 512))
-		return &StatusError{Code: r.StatusCode, Msg: strings.TrimSpace(string(msg))}
+		return nil, &StatusError{Code: r.StatusCode, Msg: strings.TrimSpace(string(msg))}
 	}
-	if resp == nil {
-		return nil
-	}
-	return json.NewDecoder(r.Body).Decode(resp)
+	return r, nil
 }
 
 // StatusError is a non-200 reply.
@@ -100,8 +97,9 @@ func IsRejected(err error) bool {
 	return ok && se.Code == http.StatusTooManyRequests
 }
 
-// reqBufPool recycles client-side request-encode buffers.
-var reqBufPool = sync.Pool{
+// clientBufPool recycles the client's request-encode and reply-read
+// buffers.
+var clientBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 1024)
 		return &b
@@ -110,26 +108,41 @@ var reqBufPool = sync.Pool{
 
 // Score submits one attempt for scoring.
 func (c *Client) Score(req ScoreRequest) (*ScoreResponse, error) {
-	bb := reqBufPool.Get().(*[]byte)
+	bb := clientBufPool.Get().(*[]byte)
+	defer clientBufPool.Put(bb)
 	body := AppendScoreRequest((*bb)[:0], &req)
-	var resp ScoreResponse
-	err := c.postBytes("/v1/score", "application/json", body, &resp)
+	r, err := c.post("/v1/score", "application/json", body)
 	*bb = body[:0]
-	reqBufPool.Put(bb)
 	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	defer r.Body.Close()
+	rb := clientBufPool.Get().(*[]byte)
+	defer clientBufPool.Put(rb)
+	reply, err := readBody((*rb)[:0], r.Body, r.ContentLength)
+	if err != nil {
+		return nil, err
+	}
+	*rb = reply[:0]
+	resp := new(ScoreResponse)
+	if err := DecodeScoreResponse(reply, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // Outcome feeds back a final decision.
 func (c *Client) Outcome(req OutcomeRequest) error {
-	bb := reqBufPool.Get().(*[]byte)
+	bb := clientBufPool.Get().(*[]byte)
 	body := AppendOutcomeRequest((*bb)[:0], &req)
-	err := c.postBytes("/v1/outcome", "application/json", body, nil)
+	r, err := c.post("/v1/outcome", "application/json", body)
 	*bb = body[:0]
-	reqBufPool.Put(bb)
-	return err
+	clientBufPool.Put(bb)
+	if err != nil {
+		return err
+	}
+	r.Body.Close()
+	return nil
 }
 
 // BatchResult is one line of a /v1/score.batch reply.
@@ -147,23 +160,19 @@ type BatchResult struct {
 // which means the stream desynchronized) is returned as an error; per-item
 // failures come back in BatchResult.Err.
 func (c *Client) Batch(items []BatchItem) ([]BatchResult, error) {
-	bb := reqBufPool.Get().(*[]byte)
+	bb := clientBufPool.Get().(*[]byte)
 	body := (*bb)[:0]
 	for i := range items {
 		body = AppendBatchItem(body, &items[i])
 		body = append(body, '\n')
 	}
-	r, err := c.http().Post(c.url("/v1/score.batch"), "application/x-ndjson", bytes.NewReader(body))
+	r, err := c.post("/v1/score.batch", "application/x-ndjson", body)
 	*bb = body[:0]
-	reqBufPool.Put(bb)
+	clientBufPool.Put(bb)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(r.Body, 512))
-		return nil, &StatusError{Code: r.StatusCode, Msg: strings.TrimSpace(string(msg))}
-	}
 
 	results := make([]BatchResult, 0, len(items))
 	sc := bufio.NewScanner(r.Body)
@@ -173,22 +182,11 @@ func (c *Client) Batch(items []BatchItem) ([]BatchResult, error) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var reply struct {
-			ScoreResponse
-			Err *string `json:"error"`
-			OK  *bool   `json:"ok"`
-		}
-		if err := json.Unmarshal(line, &reply); err != nil {
+		res, err := decodeBatchReply(line)
+		if err != nil {
 			return nil, fmt.Errorf("serve: batch: bad response line %q: %w", line, err)
 		}
-		switch {
-		case reply.Err != nil:
-			results = append(results, BatchResult{Err: *reply.Err})
-		case reply.OK != nil:
-			results = append(results, BatchResult{OK: *reply.OK})
-		default:
-			results = append(results, BatchResult{Score: &reply.ScoreResponse})
-		}
+		results = append(results, res)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("serve: batch: reading response: %w", err)

@@ -22,14 +22,19 @@ package serve
 //     into the same struct accepts (case-folded keys, unknown fields,
 //     null semantics, duplicate-key last-wins, ignored trailing data,
 //     the 10000-level nesting limit) and rejects what it rejects, yielding
-//     an identical struct on success.
+//     an identical struct on success. The server decodes requests with
+//     them and the client decodes replies: DecodeScoreResponse for
+//     /v1/score, and decodeBatchReply for a /v1/score.batch reply line,
+//     which holds to json.Unmarshal instead (it also rejects anything but
+//     whitespace after the value).
 //
 // Allocation discipline: decoding a ScoreRequest costs one allocation per
 // retained string (IP, DeviceID — they outlive the pooled body buffer
 // because the analyzer's history maps key on them) plus one inside
 // time.Parse; encoding appends into a caller-supplied (pooled) buffer and
-// allocates nothing. TestWireAllocFences pins the decode+encode round
-// trip at ≤ 4 allocs.
+// allocates nothing. A reply decode allocates only the strings it keeps
+// (the verdict) and the pointers it returns. TestWireAllocFences pins the
+// request decode+encode round trip at ≤ 4 allocs, and the reply decodes.
 //
 // Known, deliberate divergence from encoding/json, not observable on the
 // wire: a NaN or ±Inf float encodes as jsonx.AppendFloat's non-JSON
@@ -43,6 +48,7 @@ import (
 	"unicode/utf8"
 
 	"manualhijack/internal/jsonx"
+	"manualhijack/internal/risk"
 )
 
 // ---------------------------------------------------------------------------
@@ -278,6 +284,25 @@ func (d *decodeState) fieldString(dst *string, name string) error {
 	}
 }
 
+// fieldStringPtr decodes a *string field: null stores nil, a string a new
+// pointer.
+func (d *decodeState) fieldStringPtr(dst **string, name string) error {
+	c, err := d.Peek()
+	if err != nil {
+		return err
+	}
+	if c == 'n' {
+		*dst = nil
+		return d.null()
+	}
+	v := new(string)
+	if err := d.fieldString(v, name); err != nil {
+		return err
+	}
+	*dst = v
+	return nil
+}
+
 // fieldBool decodes a bool value into dst; null leaves it unchanged.
 func (d *decodeState) fieldBool(dst *bool, name string) error {
 	c, err := d.Peek()
@@ -297,6 +322,26 @@ func (d *decodeState) fieldBool(dst *bool, name string) error {
 	default:
 		return d.Errorf("cannot unmarshal value into field %s of type bool", name)
 	}
+}
+
+// fieldBoolPtr decodes a *bool field: null stores nil, a bool a new
+// pointer. encoding/json would write through a non-nil pointer instead;
+// the decoded struct is the same, and a caller's old pointee is left alone.
+func (d *decodeState) fieldBoolPtr(dst **bool, name string) error {
+	c, err := d.Peek()
+	if err != nil {
+		return err
+	}
+	if c == 'n' {
+		*dst = nil
+		return d.null()
+	}
+	v := new(bool)
+	if err := d.fieldBool(v, name); err != nil {
+		return err
+	}
+	*dst = v
+	return nil
 }
 
 // number scans a number field's token; ok is false for null, which leaves
@@ -487,4 +532,92 @@ func DecodeOutcomeRequest(data []byte, r *OutcomeRequest) error {
 			return d.Skip()
 		}
 	})
+}
+
+// scoreResponseField decodes the ScoreResponse member named key, which the
+// caller has passed through foldRunes, into r; an unknown key is skipped.
+// DecodeScoreResponse and decodeBatchReply share it.
+func (d *decodeState) scoreResponseField(key []byte, r *ScoreResponse) error {
+	switch {
+	case foldEq(key, "score"):
+		return d.fieldFloat(&r.Score, "score")
+	case foldEq(key, "signals"):
+		return d.decodeSignals(&r.Signals)
+	case foldEq(key, "verdict"):
+		return d.fieldString((*string)(&r.Verdict), "verdict")
+	case foldEq(key, "challenge_method"):
+		return d.fieldString((*string)(&r.ChallengeMethod), "challenge_method")
+	case foldEq(key, "challenge_passed"):
+		return d.fieldBoolPtr(&r.ChallengePassed, "challenge_passed")
+	default:
+		return d.Skip()
+	}
+}
+
+// decodeSignals parses the nested risk.Signals object, whose fields carry
+// no tags and so match their Go names; null leaves it unchanged.
+func (d *decodeState) decodeSignals(s *risk.Signals) error {
+	return d.object(func(key []byte) error {
+		key = foldRunes(key)
+		switch {
+		case foldEq(key, "newcountry"):
+			return d.fieldBool(&s.NewCountry, "NewCountry")
+		case foldEq(key, "impossiblehop"):
+			return d.fieldBool(&s.ImpossibleHop, "ImpossibleHop")
+		case foldEq(key, "newdevice"):
+			return d.fieldBool(&s.NewDevice, "NewDevice")
+		case foldEq(key, "ipfanout"):
+			return d.fieldFloat(&s.IPFanout, "IPFanout")
+		case foldEq(key, "recentfailures"):
+			return d.fieldFloat(&s.RecentFailures, "RecentFailures")
+		default:
+			return d.Skip()
+		}
+	})
+}
+
+// DecodeScoreResponse parses a /v1/score reply into r; same contract as
+// DecodeScoreRequest.
+func DecodeScoreResponse(data []byte, r *ScoreResponse) error {
+	d := &decodeState{jsonx.NewScanner(data)}
+	return d.object(func(key []byte) error {
+		return d.scoreResponseField(foldRunes(key), r)
+	})
+}
+
+// decodeBatchReply parses one /v1/score.batch reply line as json.Unmarshal
+// would into a ScoreResponse plus "error" (*string) and "ok" (*bool), so
+// unlike the Decode* functions it rejects anything but whitespace after
+// the value. An error line comes first, then an ack, then a score.
+func decodeBatchReply(line []byte) (BatchResult, error) {
+	d := &decodeState{jsonx.NewScanner(line)}
+	var (
+		score ScoreResponse
+		msg   *string
+		ok    *bool
+	)
+	err := d.object(func(key []byte) error {
+		key = foldRunes(key)
+		switch {
+		case foldEq(key, "error"):
+			return d.fieldStringPtr(&msg, "error")
+		case foldEq(key, "ok"):
+			return d.fieldBoolPtr(&ok, "ok")
+		default:
+			return d.scoreResponseField(key, &score)
+		}
+	})
+	if err == nil && !d.AtEnd() {
+		err = d.Errorf("invalid character after top-level value")
+	}
+	switch {
+	case err != nil:
+		return BatchResult{}, err
+	case msg != nil:
+		return BatchResult{Err: *msg}, nil
+	case ok != nil:
+		return BatchResult{OK: *ok}, nil
+	}
+	s := score // a copy, so that only a score line allocates one
+	return BatchResult{Score: &s}, nil
 }

@@ -215,6 +215,21 @@ func decodeParities(t *testing.T, input []byte) {
 	decodeParity(t, input, serve.DecodeBatchItem)
 }
 
+// batchReplyParity runs one reply line through the client's batch-line
+// decoder and through the encoding/json reference, and fails the test on
+// any accept/reject or result disagreement.
+func batchReplyParity(t *testing.T, line []byte) {
+	t.Helper()
+	fast, fastErr := serve.DecodeBatchReply(line)
+	std, stdErr := serve.ReferenceBatchReply(line)
+	if (fastErr == nil) != (stdErr == nil) {
+		t.Fatalf("batch reply: rejection parity broken on %q:\nfast err: %v\nstd err:  %v", truncate(line), fastErr, stdErr)
+	}
+	if fastErr == nil && !reflect.DeepEqual(fast, std) {
+		t.Fatalf("batch reply: results diverge on %q:\nfast %+v %+v\nstd  %+v %+v", truncate(line), fast, fast.Score, std, std.Score)
+	}
+}
+
 func truncate(b []byte) []byte {
 	if len(b) > 120 {
 		return append(b[:120:120], "..."...)
@@ -291,37 +306,143 @@ func parityCorpus() []string {
 	}
 }
 
+// replyCorpus is the edge-input corpus the reply decoders must judge
+// exactly as encoding/json does: DecodeScoreResponse as json.Decoder, and
+// the batch-line decoder as its json.Unmarshal reference.
+func replyCorpus() []string {
+	passed := true
+	full := serve.ScoreResponse{Score: 0.55, Verdict: serve.VerdictChallenge,
+		Signals:         risk.Signals{NewCountry: true, ImpossibleHop: true, NewDevice: true, IPFanout: 0.3, RecentFailures: 0.2},
+		ChallengeMethod: challenge.MethodSMS, ChallengePassed: &passed}
+	plain := serve.ScoreResponse{Score: 0.05, Verdict: serve.VerdictAdmit, Signals: risk.Signals{IPFanout: 0.1}}
+	fullLine := string(serve.AppendScoreResponse(nil, &full))
+	plainLine := string(serve.AppendScoreResponse(nil, &plain))
+	return []string{
+		// Encoder output, with and without the challenge fields.
+		fullLine, plainLine,
+		string(serve.AppendScoreResponse(nil, &serve.ScoreResponse{})),
+		// Nulls: a struct and a string keep their value, a pointer is
+		// reset.
+		`{"score":0.5,"signals":null,"verdict":"admit"}`,
+		`{"verdict":null}`, `{"challenge_method":null}`, `{"challenge_passed":null}`,
+		`{"challenge_passed":true,"challenge_passed":null}`,
+		`{"signals":{"NewCountry":null,"IPFanout":null}}`,
+		// Keys: upper case, and the runes Unicode folding sends to ASCII
+		// letters (LONG S to s, KELVIN SIGN to k), raw and escaped.
+		`{"SCORE":0.5,"Signals":{"NEWCOUNTRY":true,"ipfanout":0.2,"RecentFAILURES":1},"VERDICT":"block","Challenge_Method":"sms","CHALLENGE_PASSED":false}`,
+		"{\"\u017fcore\":0.25,\"\u017fignal\u017f\":{\"newdevice\":true},\"challenge_pa\u017f\u017fed\":true}",
+		`{"\u017fcore":0.25,"\u017Fignals":{"ImpossibleHop":true}}`,
+		"{\"o\u212a\":true}", `{"o\u212a":false}`, `{"O\u212A":true,"ERROR":null}`,
+		// Duplicates: the last value wins, and a second signals object
+		// decodes over the first.
+		`{"score":1,"score":2}`, `{"verdict":"admit","verdict":"block"}`,
+		`{"signals":{"NewCountry":true},"signals":{"NewDevice":true}}`,
+		`{"challenge_passed":false,"challenge_passed":true}`,
+		// Wrong types.
+		`{"signals":5}`, `{"score":"1"}`, `{"signals":[]}`, `{"signals":"x"}`,
+		`{"signals":{"IPFanout":"1"}}`, `{"signals":{"NewCountry":1}}`, `{"verdict":5}`,
+		`{"challenge_passed":"true"}`, `{"challenge_passed":1}`, `{"score":true}`,
+		`{"score":1e400}`, `{"signals":{"RecentFailures":-1e999}}`,
+		// Unknown keys are skipped but validated.
+		`{"extra":{"a":[1,2,{"b":null}]},"score":0.1}`, `{"extra":{"a":nul}}`,
+		// Batch lines: ack, error and their precedence.
+		`{"ok":true}`, `{"ok":false}`, `{"ok":null}`, `{"ok":"true"}`, `{"ok":1}`,
+		`{"error":"bad json: json: invalid character"}`, `{"error":""}`, `{"error":5}`,
+		`{"error":null,"ok":true}`, `{"error":"x","ok":true}`, `{"ok":true,"error":"x"}`,
+		`{"ok":true,"score":1,"verdict":"block"}`, `{"error":"\u00e9\ud800"}`,
+		// Trailing data: json.Decoder ignores it, json.Unmarshal rejects all
+		// but whitespace.
+		fullLine + "x", plainLine + " garbage", `{"ok":true} x`, `{"ok":true}}`,
+		`{"ok":true}{"ok":true}`, "{\"ok\":true}\n{\"ok\":true}", "{\"ok\":true} \t\r\n",
+		// Structural.
+		``, `null`, ` null `, `5`, `"str"`, `[]`, `{`, `{"ok"}`, `{"ok":}`, `{"score":1,}`,
+		`{"signals":{"NewCountry":true,}}`, `{"signals":{"NewCountry" true}}`,
+		`{"signals":{}`, nested(10000),
+	}
+}
+
+// mutate applies one to three random truncations, byte flips, insertions
+// and deletions to doc.
+func mutate(rng *rand.Rand, doc []byte) []byte {
+	const mutBytes = `{}[]",:\u123etrufalsnl0189.-+eE` + "\x00\x1f\xff "
+	for m := rng.Intn(3) + 1; m > 0; m-- {
+		if len(doc) == 0 {
+			break
+		}
+		switch p := rng.Intn(len(doc)); rng.Intn(4) {
+		case 0: // truncate
+			doc = doc[:p]
+		case 1: // flip
+			doc[p] = mutBytes[rng.Intn(len(mutBytes))]
+		case 2: // insert
+			doc = append(doc[:p], append([]byte{mutBytes[rng.Intn(len(mutBytes))]}, doc[p:]...)...)
+		case 3: // delete
+			doc = append(doc[:p], doc[p+1:]...)
+		}
+	}
+	return doc
+}
+
 // TestDecodeRejectionParity feeds the fast decoders the malformed-input
-// corpus plus random mutations of valid documents and asserts they accept
+// corpora plus random mutations of valid documents and asserts they accept
 // and reject exactly what json.Decoder.Decode accepts and rejects.
 func TestDecodeRejectionParity(t *testing.T) {
 	for _, in := range parityCorpus() {
 		decodeParities(t, []byte(in))
 	}
+	for _, in := range replyCorpus() {
+		decodeParity(t, []byte(in), serve.DecodeScoreResponse)
+	}
 
 	// Mutation fuzz: valid documents with random truncations, byte flips,
 	// insertions, and deletions must be judged identically by both sides.
 	rng := rand.New(rand.NewSource(71))
-	mutBytes := []byte(`{}[]",:\u123etrufalsnl0189.-+eE` + "\x00\x1f\xff ")
 	for i := 0; i < 4000; i++ {
 		req := randScoreRequest(rng)
-		doc := serve.AppendScoreRequest(nil, &req)
-		for m := rng.Intn(3) + 1; m > 0; m-- {
-			if len(doc) == 0 {
-				break
-			}
-			switch p := rng.Intn(len(doc)); rng.Intn(4) {
-			case 0: // truncate
-				doc = doc[:p]
-			case 1: // flip
-				doc[p] = mutBytes[rng.Intn(len(mutBytes))]
-			case 2: // insert
-				doc = append(doc[:p], append([]byte{mutBytes[rng.Intn(len(mutBytes))]}, doc[p:]...)...)
-			case 3: // delete
-				doc = append(doc[:p], doc[p+1:]...)
-			}
-		}
-		decodeParities(t, doc)
+		decodeParities(t, mutate(rng, serve.AppendScoreRequest(nil, &req)))
+	}
+	rng = rand.New(rand.NewSource(101))
+	for i := 0; i < 4000; i++ {
+		resp := randScoreResponse(rng)
+		decodeParity(t, mutate(rng, serve.AppendScoreResponse(nil, &resp)), serve.DecodeScoreResponse)
+	}
+}
+
+// randReplyLine returns a /v1/score.batch reply line as the server writes
+// it: a score, an ack or an error, in turn by i.
+func randReplyLine(rng *rand.Rand, i int) []byte {
+	switch i % 3 {
+	case 0:
+		resp := randScoreResponse(rng)
+		return serve.AppendScoreResponse(nil, &resp)
+	case 1:
+		return []byte(`{"ok":true}`)
+	}
+	line, err := json.Marshal(struct {
+		Error string `json:"error"`
+	}{randString(rng)})
+	if err != nil {
+		panic(err)
+	}
+	return line
+}
+
+// TestBatchReplyParity holds Client.Batch's reply-line decoder to its
+// encoding/json reference: the reply corpus, the request corpus, and
+// 21,000 mutated score, ack and error lines must get the same
+// accept/reject verdict and, when accepted, a DeepEqual BatchResult.
+func TestBatchReplyParity(t *testing.T) {
+	for _, in := range replyCorpus() {
+		batchReplyParity(t, []byte(in))
+	}
+	for _, in := range parityCorpus() {
+		batchReplyParity(t, []byte(in))
+	}
+	rng := rand.New(rand.NewSource(89))
+	for i := 0; i < 21000; i++ {
+		line := randReplyLine(rng, i)
+		batchReplyParity(t, line)
+		batchReplyParity(t, mutate(rng, line))
 	}
 }
 
@@ -359,6 +480,31 @@ func FuzzDecodeBatchItem(f *testing.F) {
 		f.Add(serve.AppendBatchItem(nil, &item))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) { decodeParity(t, in, serve.DecodeBatchItem) })
+}
+
+// FuzzDecodeScoreResponse holds the client's /v1/score reply decoder to
+// json.Decoder: the same accept/reject verdict and, on success, the same
+// struct.
+func FuzzDecodeScoreResponse(f *testing.F) {
+	addReplySeeds(f)
+	f.Fuzz(func(t *testing.T, in []byte) { decodeParity(t, in, serve.DecodeScoreResponse) })
+}
+
+// FuzzDecodeBatchReply holds the client's /v1/score.batch reply-line
+// decoder to its json.Unmarshal reference.
+func FuzzDecodeBatchReply(f *testing.F) {
+	addReplySeeds(f)
+	f.Fuzz(func(t *testing.T, in []byte) { batchReplyParity(t, in) })
+}
+
+func addReplySeeds(f *testing.F) {
+	for _, in := range replyCorpus() {
+		f.Add([]byte(in))
+	}
+	rng := rand.New(rand.NewSource(97))
+	for i := 0; i < 18; i++ {
+		f.Add(randReplyLine(rng, i))
+	}
 }
 
 func addParitySeeds(f *testing.F) {
@@ -475,6 +621,39 @@ func TestWireAllocFences(t *testing.T) {
 	if oAllocs > 3 {
 		t.Errorf("DecodeOutcomeRequest: %.1f allocs/op, fence is 3", oAllocs)
 	}
+
+	// The client's reply decodes. A replay-shaped score reply (an admit,
+	// no challenge) keeps one string, the verdict; a batch score line also
+	// allocates the *ScoreResponse it returns, and an ack the *bool of its
+	// "ok".
+	admit := serve.ScoreResponse{Score: 0.05, Verdict: serve.VerdictAdmit, Signals: risk.Signals{IPFanout: 0.1}}
+	scoreLine := serve.AppendScoreResponse(nil, &admit)
+	var got serve.ScoreResponse
+	rAllocs := testing.AllocsPerRun(2000, func() {
+		if err := serve.DecodeScoreResponse(scoreLine, &got); err != nil {
+			panic(err)
+		}
+	})
+	if rAllocs > 1 {
+		t.Errorf("DecodeScoreResponse: %.1f allocs/op, fence is 1", rAllocs)
+	}
+	for _, c := range []struct {
+		name  string
+		line  []byte
+		fence float64
+	}{
+		{"score line", scoreLine, 2},
+		{"ack", []byte(`{"ok":true}`), 1},
+	} {
+		allocs := testing.AllocsPerRun(2000, func() {
+			if _, err := serve.DecodeBatchReply(c.line); err != nil {
+				panic(err)
+			}
+		})
+		if allocs > c.fence {
+			t.Errorf("batch reply %s: %.1f allocs/op, fence is %.0f", c.name, allocs, c.fence)
+		}
+	}
 }
 
 func BenchmarkScoreWire(b *testing.B) {
@@ -520,6 +699,21 @@ func BenchmarkScoreWire(b *testing.B) {
 			buf = serve.AppendScoreResponse(buf[:0], &resp)
 		}
 	})
+	// The client's side: one /v1/score.batch reply line.
+	line := serve.AppendScoreResponse(nil, &resp)
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) (serve.BatchResult, error)
+	}{{"batch-reply/std", serve.ReferenceBatchReply}, {"batch-reply/fast", serve.DecodeBatchReply}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.decode(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 var _ = fmt.Sprintf // keep fmt for debugging edits

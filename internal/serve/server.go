@@ -50,9 +50,9 @@ const (
 	DefaultBatchTimeout   = 60 * time.Second
 )
 
-// maxBodyBytes caps a single score/outcome request body. The real wire
-// structs are well under 1 KiB; the cap only exists so a hostile client
-// cannot balloon the pooled buffers.
+// maxBodyBytes caps a single score/outcome request body, and the client's
+// read of a /v1/score reply. The real wire structs are well under 1 KiB;
+// the cap only exists so a hostile peer cannot balloon the pooled buffers.
 const maxBodyBytes = 1 << 20
 
 // bufPool recycles the request-body and response-encode buffers on the
@@ -68,23 +68,24 @@ var bufPool = sync.Pool{
 func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
 func putBuf(b *[]byte) { bufPool.Put(b) }
 
-// readBody reads r's body into buf (growing it as needed) and returns the
-// filled slice. Bodies over maxBodyBytes are refused.
-func readBody(buf []byte, r *http.Request) ([]byte, error) {
-	if r.ContentLength > maxBodyBytes {
-		return nil, errors.New("request body too large")
+// readBody reads body, whose declared length is size (-1 if unknown),
+// into buf (growing it as needed) and returns the filled slice. Bodies
+// over maxBodyBytes are refused.
+func readBody(buf []byte, body io.Reader, size int64) ([]byte, error) {
+	if size > maxBodyBytes {
+		return nil, errors.New("body too large")
 	}
-	if n := int(r.ContentLength); n > 0 && cap(buf) < n {
+	if n := int(size); n > 0 && cap(buf) < n {
 		buf = make([]byte, 0, n)
 	}
 	for {
 		if len(buf) == cap(buf) {
 			if cap(buf) >= maxBodyBytes {
-				return nil, errors.New("request body too large")
+				return nil, errors.New("body too large")
 			}
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		n, err := body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
 			return buf, nil
@@ -256,7 +257,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	bb := getBuf()
 	defer putBuf(bb)
-	body, err := readBody((*bb)[:0], r)
+	body, err := readBody((*bb)[:0], r.Body, r.ContentLength)
 	if err != nil {
 		s.badRequest(w, "bad body: "+err.Error())
 		return
@@ -303,7 +304,7 @@ func (s *Server) handleOutcome(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	bb := getBuf()
 	defer putBuf(bb)
-	body, err := readBody((*bb)[:0], r)
+	body, err := readBody((*bb)[:0], r.Body, r.ContentLength)
 	if err != nil {
 		s.badRequest(w, "bad body: "+err.Error())
 		return
