@@ -39,6 +39,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -94,7 +95,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "analyze: %v\n", err)
-		if !*skipCorrupt {
+		if !*skipCorrupt && errors.Is(err, logstore.ErrCorrupt) {
 			fmt.Fprintln(os.Stderr, "analyze: (re-run with -skip-corrupt to drop bad lines and keep going)")
 		}
 		os.Exit(1)

@@ -203,9 +203,9 @@ func (cfg Config) expectedEvents() int {
 // NewWorld assembles a world from cfg.
 func NewWorld(cfg Config) *World {
 	clock := simtime.NewClock(cfg.Start)
-	// Pre-size the hot-path containers from the config's scale hints so
-	// steady-state simulation neither reallocates the event queue nor
-	// grow-copies the log.
+	// Pre-size the event queue from the config's scale hints so
+	// steady-state simulation does not reallocate it. The log is pre-sized
+	// when Run starts, after a caller that keeps no log has said so.
 	clock.Reserve((cfg.PopulationN + cfg.DecoyN) * 2)
 	rng := randx.New(cfg.Seed)
 	dir := NewStudyDirectory(cfg.Seed, cfg.Start, cfg.PopulationN+cfg.DecoyN)
@@ -226,7 +226,6 @@ func NewWorld(cfg Config) *World {
 			panic("core: enable spill: " + err.Error())
 		}
 	}
-	log.Reserve(cfg.expectedEvents())
 	plan := DefaultIPPlan()
 
 	var analyzer *risk.Analyzer
@@ -377,6 +376,9 @@ func (w *World) Run() {
 		panic("core: World.Run called twice")
 	}
 	w.ran = true
+	// Steady-state appends never grow-copy the log. A log Discard made
+	// write-only ignores this, and a spilling one caps it at a segment.
+	w.Log.Reserve(w.Cfg.expectedEvents())
 	end := w.End()
 	w.Vict.Start(end)
 	for _, crew := range w.Crews {

@@ -142,3 +142,24 @@ func TestBehavioralDefenseSuspends(t *testing.T) {
 		t.Fatal("guardian present while disabled")
 	}
 }
+
+// TestDiscardedLogReservesNothing: the log is pre-sized when Run starts,
+// not when the world is built, so a world whose log is discarded first,
+// as each era world of a study without a spill directory is, never
+// allocates the slice. A 100-user, 300-day config estimates about a
+// million records, a 16 MB slice; building that world and discarding its
+// log must allocate under 4 MB.
+func TestDiscardedLogReservesNothing(t *testing.T) {
+	cfg := core.DefaultConfig(3)
+	cfg.PopulationN = 100
+	cfg.Days = 300
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := core.NewWorld(cfg)
+	w.Log.Discard()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("building a world and discarding its log allocated %d bytes, want under 4 MiB", got)
+	}
+}

@@ -3,6 +3,7 @@ package jsonx
 import (
 	"errors"
 	"fmt"
+	"time"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -88,6 +89,123 @@ func (s *Scanner) ExpectKey(name string) error {
 	}
 	s.off = end + 1
 	return s.Expect(':')
+}
+
+// ExpectMember consumes the separator sep ('{' or ','), then the key name
+// and its ':' as ExpectKey does. Spelled without whitespace, the layout an
+// encoder writes, the three are checked as one comparison.
+func (s *Scanner) ExpectMember(sep byte, name string) error {
+	if end := s.off + len(name) + 4; end <= len(s.data) && s.data[s.off] == sep && s.data[s.off+1] == '"' &&
+		s.data[end-2] == '"' && s.data[end-1] == ':' && string(s.data[s.off+2:end-2]) == name {
+		s.off = end
+		return nil
+	}
+	if err := s.Expect(sep); err != nil {
+		return err
+	}
+	return s.ExpectKey(name)
+}
+
+// Int reads an integer spelled as strconv.AppendInt writes one: no
+// whitespace before it, an optional minus and at most 18 digits with no
+// leading zero, not followed by a fraction or an exponent. ok is false,
+// with nothing consumed, on any other spelling, which the caller then
+// reads with ScanNumber.
+func (s *Scanner) Int() (n int64, ok bool) {
+	i := s.off
+	neg := i < len(s.data) && s.data[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	for ; i < len(s.data) && i-start <= 18; i++ {
+		c := s.data[i]
+		if c < '0' || c > '9' {
+			break
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if digits := i - start; digits == 0 || digits > 18 || digits > 1 && s.data[start] == '0' {
+		return 0, false
+	}
+	if i < len(s.data) && (s.data[i] == '.' || s.data[i] == 'e' || s.data[i] == 'E') {
+		return 0, false
+	}
+	s.off = i
+	if neg {
+		n = -n
+	}
+	return n, true
+}
+
+// TimeUTC reads a UTC time spelled as AppendTime writes one,
+// "YYYY-MM-DDThh:mm:ss[.f]Z" with one to nine fraction digits and no
+// whitespace before it, and returns what time.Time.UnmarshalJSON makes of
+// it: the same time.Date(…, time.UTC) value, after the same range checks
+// on every field. ok is false, with nothing consumed, on any other
+// spelling (another zone, escapes, more fraction digits), which the
+// caller then hands to time.Time.UnmarshalJSON.
+func (s *Scanner) TimeUTC() (t time.Time, ok bool) {
+	b := s.data[s.off:]
+	const layout = `"2006-01-02T15:04:05`
+	if len(b) < len(layout)+2 || b[0] != '"' || b[5] != '-' || b[8] != '-' || b[11] != 'T' || b[14] != ':' || b[17] != ':' {
+		return t, false
+	}
+	year, ok1 := decimal(b[1:5], 0, 9999)
+	month, ok2 := decimal(b[6:8], 1, 12)
+	day, ok3 := decimal(b[9:11], 1, 31)
+	hour, ok4 := decimal(b[12:14], 0, 23)
+	minute, ok5 := decimal(b[15:17], 0, 59)
+	sec, ok6 := decimal(b[18:20], 0, 59)
+	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || !ok6 || day > daysIn(month, year) {
+		return t, false
+	}
+	i, nsec := len(layout), 0
+	if b[i] == '.' {
+		i++
+		digits := 0
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			nsec = nsec*10 + int(b[i]-'0')
+			digits++
+		}
+		if digits == 0 || digits > 9 {
+			return t, false
+		}
+		for ; digits < 9; digits++ {
+			nsec *= 10
+		}
+	}
+	if i+1 >= len(b) || b[i] != 'Z' || b[i+1] != '"' {
+		return t, false
+	}
+	s.off += i + 2
+	return time.Date(year, time.Month(month), day, hour, minute, sec, nsec, time.UTC), true
+}
+
+// decimal returns the value of the digits b if it lies in [lo, hi].
+func decimal(b []byte, lo, hi int) (int, bool) {
+	x := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		x = x*10 + int(c-'0')
+	}
+	return x, x >= lo && x <= hi
+}
+
+// daysIn returns the number of days in month of year, whose range
+// time.Time.UnmarshalJSON checks a day against.
+func daysIn(month, year int) int {
+	switch {
+	case month == 2 && year%4 == 0 && (year%100 != 0 || year%400 == 0):
+		return 29
+	case month == 2:
+		return 28
+	case month == 4 || month == 6 || month == 9 || month == 11:
+		return 30
+	}
+	return 31
 }
 
 // AtEnd reports whether only whitespace remains.

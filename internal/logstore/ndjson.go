@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"manualhijack/internal/event"
@@ -172,6 +174,23 @@ type ReadOptions struct {
 	ScanWorkers int
 }
 
+// ErrCorrupt marks a strict load's error that SkipCorrupt would have got
+// past: a malformed or unknown-kind line, a record out of time order, an
+// input cut mid-stream, a record count that disagrees with the dump
+// header, and in a segment directory a bad segment or a missing or bad
+// manifest. Match it with errors.Is; the mark leaves the error's text as
+// it is. A failed spill write, a missing or unreadable input and an
+// unsupported format version are not marked: SkipCorrupt does not get
+// past them.
+var ErrCorrupt = errors.New("logstore: corrupt input")
+
+// corruptError is an error marked ErrCorrupt.
+type corruptError struct{ error }
+
+func (e corruptError) Unwrap() []error { return []error{e.error, ErrCorrupt} }
+
+func corrupt(err error) error { return corruptError{err} }
+
 // ReadStats reports what a load actually ingested.
 type ReadStats struct {
 	Records    int  // decoded records in the returned store
@@ -213,11 +232,14 @@ func ReadNDJSONWith(r io.Reader, opts ReadOptions) (*Store, *ReadStats, error) {
 	}
 	defer closeFn()
 	st := &ReadStats{}
-	events, err := decodeAll(plain, opts, st, nil)
+	s := &Store{}
+	err = decodeNDJSON(plain, opts, st, false, func(e event.Event) error {
+		s.events = append(s.events, e)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Store{events: events}
 	s.Seal()
 	return s, st, nil
 }
@@ -271,7 +293,29 @@ type lineBatch struct {
 	ends   []int
 	events []event.Event
 	errs   []error
+	// dec shares repeated strings among the records the batch decodes,
+	// over every refill, so a read keeps one copy of each per batch in
+	// flight rather than one per record.
+	dec event.Decoder
+	// skims back the stand-ins of a check-mode decode.
+	skims []skim
 }
+
+// skim stands in for a record in a check-mode decode: its kind and time,
+// which is all verification keeps. It lives in its batch, so a sink must
+// not keep it.
+type skim struct {
+	kind event.Kind
+	at   time.Time
+}
+
+func (k *skim) When() time.Time       { return k.at }
+func (k *skim) EventKind() event.Kind { return k.kind }
+
+// batches recycles line batches from one read to the next. A segment
+// directory is read a segment at a time, and a fresh batch would regrow
+// its buffers from empty on every one of those reads.
+var batches = sync.Pool{New: func() any { return new(lineBatch) }}
 
 // add appends one line, copied into buf.
 func (b *lineBatch) add(num int, line []byte) {
@@ -280,18 +324,42 @@ func (b *lineBatch) add(num int, line []byte) {
 	b.ends = append(b.ends, len(b.buf))
 }
 
-// decode unmarshals every line of the batch.
-func (b *lineBatch) decode() {
+// decode decodes every line of the batch. Canonical lines take the
+// hand-rolled path; any shape surprise — foreign writer, legacy dump,
+// corruption — falls back to encoding/json, which owns the error
+// semantics. In check mode a line the hand-rolled path vouches for
+// becomes a skim, not a record (event.CheckLineFast accepts exactly the
+// lines event.DecodeLineFast does), and every other line takes the same
+// fallback, so both modes accept the same lines with the same errors.
+func (b *lineBatch) decode(check bool) {
 	n := len(b.ends)
 	b.events = slices.Grow(b.events[:0], n)[:n]
 	b.errs = slices.Grow(b.errs[:0], n)[:n]
+	if check {
+		b.skims = slices.Grow(b.skims[:0], n)[:n]
+	}
 	start := 0
 	for i, end := range b.ends {
-		b.events[i], b.errs[i] = decodeLine(b.buf[start:end])
-		if b.errs[i] != nil {
-			b.errs[i] = fmt.Errorf("logstore: line %d: %w", b.nums[i], b.errs[i])
-		}
+		line := b.buf[start:end]
 		start = end
+		var e event.Event
+		var err error
+		if check {
+			if kind, at, ok := event.CheckLineFast(line); ok {
+				b.skims[i] = skim{kind, at}
+				e = &b.skims[i]
+			} else {
+				e, err = decodeJSON(line)
+			}
+		} else if fast, ok := b.dec.DecodeLine(line); ok {
+			e = fast
+		} else {
+			e, err = decodeJSON(line)
+		}
+		if err != nil {
+			err = fmt.Errorf("logstore: line %d: %w", b.nums[i], err)
+		}
+		b.events[i], b.errs[i] = e, err
 	}
 }
 
@@ -303,28 +371,13 @@ func (b *lineBatch) reset() {
 	b.nums, b.buf, b.ends = b.nums[:0], b.buf[:0], b.ends[:0]
 }
 
-func decodeLine(data []byte) (event.Event, error) {
-	// Canonical lines take the hand-rolled path; any shape surprise —
-	// foreign writer, legacy dump, corruption — falls back to
-	// encoding/json, which owns the error semantics.
-	if e, ok := event.DecodeLineFast(data); ok {
-		return e, nil
-	}
+// decodeJSON reads a line with encoding/json.
+func decodeJSON(data []byte) (event.Event, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, err
 	}
 	return event.Decode(env.Kind, env.Data)
-}
-
-// decodeAll decodes a whole dump into one time-ordered slice, appended to
-// events.
-func decodeAll(r io.Reader, opts ReadOptions, st *ReadStats, events []event.Event) ([]event.Event, error) {
-	err := decodeNDJSON(r, opts, st, func(e event.Event) error {
-		events = append(events, e)
-		return nil
-	})
-	return events, err
 }
 
 // decodeNDJSON is the one NDJSON reader behind every load: dumps, segment
@@ -336,8 +389,14 @@ func decodeAll(r io.Reader, opts ReadOptions, st *ReadStats, events []event.Even
 // what a dump may hold lives here: the header version, the headerless
 // legacy form, corrupt lines, time order, a cut input and the header's
 // record count. In strict mode the error names the first bad line, whatever
-// the shard count.
-func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.Event) error) error {
+// the shard count, and is marked ErrCorrupt when SkipCorrupt would have
+// got past it.
+//
+// A check-mode read (check set) validates every line as fully as a decode
+// but keeps only each record's kind and time: sink gets stand-ins that
+// carry just those, valid until it returns. It accepts the same lines and
+// fills st the same as a decode.
+func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, check bool, sink func(event.Event) error) error {
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -350,7 +409,7 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 		for i, e := range b.events {
 			if err := b.errs[i]; err != nil {
 				if !opts.SkipCorrupt {
-					return err
+					return corrupt(err)
 				}
 				st.Dropped++
 				continue
@@ -358,8 +417,8 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 			when := e.When()
 			if st.Records > 0 && when.Before(last) {
 				if !opts.SkipCorrupt {
-					return fmt.Errorf("logstore: line %d: out-of-order record: %s at %s after %s",
-						b.nums[i], e.EventKind(), when, last)
+					return corrupt(fmt.Errorf("logstore: line %d: out-of-order record: %s at %s after %s",
+						b.nums[i], e.EventKind(), when, last))
 				}
 				st.OutOfOrder++
 				continue
@@ -381,6 +440,13 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 	// free for reuse; only this goroutine touches free.
 	win := newWindow[*lineBatch](2 * shards)
 	var free []*lineBatch
+	defer func() {
+		// Only delivered batches go back: a job still running when an
+		// error ends the read keeps its batch.
+		for _, b := range free {
+			batches.Put(b)
+		}
+	}()
 	finish := func(b *lineBatch) error {
 		err := deliver(b)
 		b.reset()
@@ -389,10 +455,10 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 	}
 	submit := func(b *lineBatch) error {
 		if shards == 1 {
-			b.decode()
+			b.decode(check)
 			return finish(b)
 		}
-		if oldest, ok := win.add(func() *lineBatch { b.decode(); return b }); ok {
+		if oldest, ok := win.add(func() *lineBatch { b.decode(check); return b }); ok {
 			return finish(oldest)
 		}
 		return nil
@@ -430,7 +496,7 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 			if n := len(free); n > 0 {
 				cur, free = free[n-1], free[:n-1]
 			} else {
-				cur = &lineBatch{}
+				cur = batches.Get().(*lineBatch)
 			}
 		}
 		cur.add(line, raw)
@@ -455,7 +521,7 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 	}
 	if err := sc.Err(); err != nil {
 		if !opts.SkipCorrupt {
-			return fmt.Errorf("logstore: line %d: %w", line+1, err)
+			return corrupt(fmt.Errorf("logstore: line %d: %w", line+1, err))
 		}
 		// A crash-durable dump can end mid-stream (a cut gzip member, an
 		// over-long mangled line). Keep what decoded; flag the cut.
@@ -467,13 +533,13 @@ func decodeNDJSON(r io.Reader, opts ReadOptions, st *ReadStats, sink func(event.
 		accounted := st.Records + st.Dropped + st.OutOfOrder
 		if accounted < headerRecords {
 			if !opts.SkipCorrupt {
-				return fmt.Errorf("logstore: dump truncated: header declares %d records, input held %d",
-					headerRecords, accounted)
+				return corrupt(fmt.Errorf("logstore: dump truncated: header declares %d records, input held %d",
+					headerRecords, accounted))
 			}
 			st.Missing = headerRecords - accounted
 		} else if accounted > headerRecords && !opts.SkipCorrupt {
-			return fmt.Errorf("logstore: header declares %d records, input held %d (concatenated dumps?)",
-				headerRecords, accounted)
+			return corrupt(fmt.Errorf("logstore: header declares %d records, input held %d (concatenated dumps?)",
+				headerRecords, accounted))
 		}
 	}
 	return nil

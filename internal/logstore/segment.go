@@ -286,8 +286,7 @@ func (s *Store) finishSpill() error {
 // corruption and panics like any other violated store invariant.
 func (sp *spillState) scanSegments(fn func(seg int, events []event.Event)) {
 	inOrder(sp.segs, sp.cfg.ScanWorkers, func(seg segmentInfo) segmentRead {
-		events, err := readSegment(sp.cfg.Dir, seg)
-		return segmentRead{events: events, err: err}
+		return readSegment(sp.cfg.Dir, seg, false)
 	}, func(i int, r segmentRead) error {
 		if r.err != nil {
 			panic(fmt.Sprintf("logstore: segment %s: %v", sp.segs[i].File, r.err))
@@ -350,47 +349,68 @@ type SegmentCacheStats struct {
 func (s *Store) SegmentCacheStats() SegmentCacheStats { return SegmentCacheStats{} }
 
 // readSegment strictly decodes one segment file and checks it against its
-// manifest entry. A globbed entry (no manifest) carries only its file
-// name, so there is nothing to check it against. A segment that fails its
-// check comes back with the records it decoded; one that does not decode,
-// with none (nil).
-func readSegment(dir string, want segmentInfo) ([]event.Event, error) {
+// manifest entry; a globbed entry (no manifest) carries only its file
+// name, so there is nothing to check it against. A scan keeps the
+// records. OpenSegmentDir's verification (check set) keeps none: it reads
+// the file in check mode and gets the segment's manifest entry rebuilt
+// from its records instead. A segment that fails its check comes back
+// with what it decoded; one that does not decode, with no records and an
+// entry declaring what want does (floored at 0), which is what a dropped
+// segment counts.
+func readSegment(dir string, want segmentInfo, check bool) (r segmentRead) {
+	r.info = segmentInfo{File: want.File, Records: max(0, want.Records)}
 	f, err := os.Open(filepath.Join(dir, want.File))
 	if err != nil {
-		return nil, err
+		r.err = err
+		return r
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err
+		r.err = err
+		return r
 	}
 	plain, closeFn, err := sniffGzip(f)
 	if err != nil {
-		return nil, err
+		r.err = err
+		return r
 	}
 	defer closeFn()
-	// Presized from the manifest entry, but to no more than one record per
-	// byte of the file, so a forged count cannot force a large allocation
-	// (nor a negative one a panic). Inline decode: segment reads already
-	// run several segments at once, so sharding inside one segment would
-	// just oversubscribe.
-	events := make([]event.Event, 0, max(0, min(want.Records, int(fi.Size()))))
-	events, err = decodeAll(plain, ReadOptions{Shards: 1}, &ReadStats{}, events)
-	if err != nil {
-		return nil, err
+	var sink func(event.Event) error
+	if check {
+		kinds := make(map[event.Kind]int, 32)
+		r.info.Kinds = kinds
+		sink = func(e event.Event) error {
+			kinds[e.EventKind()]++
+			return nil
+		}
+	} else {
+		// Presized from the manifest entry, but to no more than one record
+		// per byte of the file, so a forged count cannot force a large
+		// allocation (nor a negative one a panic).
+		r.events = make([]event.Event, 0, max(0, min(want.Records, int(fi.Size()))))
+		sink = func(e event.Event) error {
+			r.events = append(r.events, e)
+			return nil
+		}
 	}
-	if want.globbed {
-		return events, nil
+	// Inline decode: segment reads already run several segments at once,
+	// so sharding inside one segment would just oversubscribe.
+	st := &ReadStats{}
+	if r.err = decodeNDJSON(plain, ReadOptions{Shards: 1}, st, check, sink); r.err != nil {
+		r.events = nil
+		return r
 	}
-	first, last := bounds(events)
+	r.info.Records, r.info.First, r.info.Last = st.Records, st.First, st.Last
 	switch {
-	case len(events) != want.Records:
-		return events, fmt.Errorf("holds %d records, manifest declares %d", len(events), want.Records)
-	case !first.Equal(want.First) || !last.Equal(want.Last):
-		return events, fmt.Errorf("record time bounds [%s, %s] disagree with manifest [%s, %s]",
-			first, last, want.First, want.Last)
+	case want.globbed:
+	case st.Records != want.Records:
+		r.err = fmt.Errorf("holds %d records, manifest declares %d", st.Records, want.Records)
+	case !st.First.Equal(want.First) || !st.Last.Equal(want.Last):
+		r.err = fmt.Errorf("record time bounds [%s, %s] disagree with manifest [%s, %s]",
+			st.First, st.Last, want.First, want.Last)
 	}
-	return events, nil
+	return r
 }
 
 // bounds returns the first and last record times, zero for no records.
@@ -402,12 +422,13 @@ func bounds(events []event.Event) (first, last time.Time) {
 }
 
 // OpenSegmentDir opens a spilled segment directory as a sealed virtual
-// store. Every segment is decoded once up front — re-verifying per-segment
-// time order, record counts against headers and manifest, and
-// cross-segment monotonicity — and summarized, its records dropped as
-// soon as they are counted, up to opts.Shards segments at a time (0 means
-// GOMAXPROCS) on the ordered window. Reads decode the segments again, in
-// order, so peak RAM stays O(segment), not O(world).
+// store. Every segment is read once up front, in check mode: every line is
+// validated as a decode would, but only its kind and time are kept, to
+// re-verify per-segment time order, record counts against headers and
+// manifest, and cross-segment monotonicity, and to summarize the segment.
+// Up to opts.Shards segments (0 means GOMAXPROCS) are verified at a time
+// on the ordered window. Reads decode the segments, in order, so peak RAM
+// stays O(segment), not O(world).
 //
 // Strict mode fails on the first problem, and needs the manifest: Seal
 // writes it last, so a directory without one is a spill that never
@@ -427,9 +448,9 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 	}
 
 	// Verification pass: rebuild each segment's manifest entry from its
-	// records, and keep the segments that also respect cross-segment
-	// monotonicity (segment i must start no earlier than segment i-1
-	// ended).
+	// records' kinds and times, and keep the segments that also respect
+	// cross-segment monotonicity (segment i must start no earlier than
+	// segment i-1 ended).
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -437,13 +458,7 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 	var kept []segmentInfo
 	var last time.Time
 	err = inOrder(segs, shards, func(seg segmentInfo) segmentRead {
-		events, err := readSegment(dir, seg)
-		info := summarize(seg.File, events)
-		if events == nil {
-			// It did not decode, so a drop counts what its entry declares.
-			info.Records = max(0, seg.Records)
-		}
-		return segmentRead{info: info, err: err}
+		return readSegment(dir, seg, true)
 	}, func(i int, res segmentRead) error {
 		if res.err == nil && len(kept) > 0 && res.info.Records > 0 && res.info.First.Before(last) {
 			res.err = fmt.Errorf("starts at %s, before predecessor's last record at %s",
@@ -451,7 +466,7 @@ func OpenSegmentDir(dir string, opts ReadOptions) (*Store, *ReadStats, error) {
 		}
 		if res.err != nil {
 			if !opts.SkipCorrupt {
-				return fmt.Errorf("logstore: segment %s: %w", segs[i].File, res.err)
+				return corrupt(fmt.Errorf("logstore: segment %s: %w", segs[i].File, res.err))
 			}
 			st.SegmentsDropped++
 			st.Dropped += res.info.Records
@@ -514,7 +529,7 @@ func loadSegmentList(dir string, st *ReadStats, opts ReadOptions) (*manifest, []
 		}
 	}
 	if !opts.SkipCorrupt {
-		return nil, nil, fmt.Errorf("logstore: %s/%s: %w", dir, ManifestName, bad)
+		return nil, nil, corrupt(fmt.Errorf("logstore: %s/%s: %w", dir, ManifestName, bad))
 	}
 	st.ManifestIgnored = bad.Error()
 	matches, err := filepath.Glob(filepath.Join(dir, "seg-*.ndjson*"))
@@ -597,7 +612,7 @@ func ResegmentNDJSONFile(path string, cfg SpillConfig, opts ReadOptions) (*Store
 	}
 	// A failed segment write comes back from append or seal as an error
 	// naming the segment, never as their panic.
-	err = decodeNDJSON(plain, opts, st, func(e event.Event) error {
+	err = decodeNDJSON(plain, opts, st, false, func(e event.Event) error {
 		if err := arm(); err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -603,7 +604,8 @@ func TestResegmentFailureStopsWriters(t *testing.T) {
 // naming the segment, not as Append's or Seal's panic, and leaves no
 // manifest. A directory holds the failing segment's name: segment 2 of a
 // 300-record dump, whose failure an append reports or the seal does, and
-// segment 6, the last, whose failure only the seal can report.
+// segment 6, the last, whose failure only the seal can report. SkipCorrupt
+// cannot get past a failed write, so the error is not marked ErrCorrupt.
 func TestResegmentWriteFaultReturnsError(t *testing.T) {
 	lines := loginDump(t, 300)
 	path := filepath.Join(t.TempDir(), "dump.ndjson")
@@ -624,6 +626,9 @@ func TestResegmentWriteFaultReturnsError(t *testing.T) {
 		}
 		if err == nil {
 			t.Fatalf("segment %d blocked: resegment returned no error", seg)
+		}
+		if errors.Is(err, ErrCorrupt) {
+			t.Fatalf("segment %d blocked: err %q is marked ErrCorrupt", seg, err)
 		}
 		for _, want := range []string{name, fmt.Sprintf("(index %d)", seg)} {
 			if !strings.Contains(err.Error(), want) {

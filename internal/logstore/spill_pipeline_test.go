@@ -84,12 +84,12 @@ func TestScanRetainsNoSegment(t *testing.T) {
 				t.Fatalf("%d segments, want 9", s.SegmentCount())
 			}
 			base := liveHeap()
-			seg, err := readSegment(s.spill.cfg.Dir, s.spill.segs[0])
-			if err != nil {
-				t.Fatal(err)
+			seg := readSegment(s.spill.cfg.Dir, s.spill.segs[0], false)
+			if seg.err != nil {
+				t.Fatal(seg.err)
 			}
 			one := liveHeap() - base
-			runtime.KeepAlive(seg)
+			runtime.KeepAlive(seg.events)
 
 			before := liveHeap()
 			n := 0

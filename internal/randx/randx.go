@@ -111,15 +111,25 @@ func Pick[T any](r *Rand, items []T) T {
 
 // Sample returns k distinct elements drawn without replacement. If
 // k >= len(items) a shuffled copy of all items is returned.
+//
+// The draw is the first k elements of math/rand's Perm(len(items)), with
+// the same draws from r, without building the whole permutation: Perm's
+// inside-out shuffle only ever moves a value from its first k slots to a
+// later one, never back, so the first k slots can be followed alone.
 func Sample[T any](r *Rand, items []T, k int) []T {
 	n := len(items)
 	if k > n {
 		k = n
 	}
-	idx := r.Perm(n)[:k]
 	out := make([]T, k)
-	for i, j := range idx {
-		out[i] = items[j]
+	for i := 0; i < n; i++ {
+		j := r.Intn(i + 1)
+		if i < k {
+			out[i] = out[j]
+		}
+		if j < k {
+			out[j] = items[i]
+		}
 	}
 	return out
 }

@@ -226,3 +226,34 @@ func TestBoolBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSampleMatchesPerm holds Sample to the first k elements of
+// r.Perm(len(items)), which it once built whole: the same elements in the
+// same order, and the same next draw from r after, for every n in
+// [0, 300], every k in [0, n+2] and several seeds.
+func TestSampleMatchesPerm(t *testing.T) {
+	items := make([]int, 300)
+	for i := range items {
+		items[i] = 1000 + i
+	}
+	for _, seed := range []int64{1, 7, 42, -3} {
+		got, want := New(seed), New(seed)
+		for n := 0; n <= len(items); n++ {
+			for k := 0; k <= n+2; k++ {
+				out := Sample(got, items[:n], k)
+				idx := want.Perm(n)[:min(k, n)]
+				if len(out) != len(idx) {
+					t.Fatalf("seed %d, n %d, k %d: %d elements, want %d", seed, n, k, len(out), len(idx))
+				}
+				for i, j := range idx {
+					if out[i] != items[j] {
+						t.Fatalf("seed %d, n %d, k %d: element %d is %d, Perm gives %d", seed, n, k, i, out[i], items[j])
+					}
+				}
+				if a, b := got.Int63(), want.Int63(); a != b {
+					t.Fatalf("seed %d, n %d, k %d: next draw %d after Sample, %d after Perm", seed, n, k, a, b)
+				}
+			}
+		}
+	}
+}

@@ -131,17 +131,26 @@ func (c *Client) Score(req ScoreRequest) (*ScoreResponse, error) {
 	return resp, nil
 }
 
-// Outcome feeds back a final decision.
+// Outcome feeds back a final decision. The ack is read to EOF, bounded as
+// a score reply is, so the connection goes back to the client's pool for
+// the next request instead of being closed.
 func (c *Client) Outcome(req OutcomeRequest) error {
 	bb := clientBufPool.Get().(*[]byte)
+	defer clientBufPool.Put(bb)
 	body := AppendOutcomeRequest((*bb)[:0], &req)
 	r, err := c.post("/v1/outcome", "application/json", body)
 	*bb = body[:0]
-	clientBufPool.Put(bb)
 	if err != nil {
 		return err
 	}
-	r.Body.Close()
+	defer r.Body.Close()
+	rb := clientBufPool.Get().(*[]byte)
+	defer clientBufPool.Put(rb)
+	ack, err := readBody((*rb)[:0], r.Body, r.ContentLength)
+	if err != nil {
+		return err
+	}
+	*rb = ack[:0]
 	return nil
 }
 
